@@ -16,6 +16,7 @@ import numpy as np
 
 from . import io as pio
 from .core import (
+    BoundarySpec,
     ConfigError,
     Grid2D,
     GridMismatchError,
@@ -134,9 +135,24 @@ def cmd_forward(cfg: RunConfig) -> int:
     return 0
 
 
+def _require_consistent(g: BoundaryTrace, grid: Grid2D, bspec: BoundarySpec) -> None:
+    """Refuse to invert a trace under a configuration it was not recorded for."""
+    if g.dt != grid.dt:
+        raise ConfigError(f"key 'dt_factor': the trace has dt = {g.dt!r}, "
+                          f"the configuration gives dt = {grid.dt!r}")
+    if not np.array_equal(g.gamma_mask, bspec.gamma_mask):
+        raise ConfigError(f"key 'gamma': the trace was measured on {int(g.gamma_mask.sum())} "
+                          f"boundary nodes, the configured Gamma differs "
+                          f"({int(bspec.gamma_mask.sum())} nodes)")
+    if g.lam is not None and not np.array_equal(g.lam, bspec.lam):
+        raise ConfigError("key 'lambda': the trace was recorded for a different lambda "
+                          "(or taper) than the configuration sets")
+
+
 def _reconstruct(cfg: RunConfig, g: BoundaryTrace, grid: Grid2D, out: Path,
                  label: str = "") -> float:
     bspec = cfg.make_bspec(grid)
+    _require_consistent(g, grid, bspec)
     c = ScalarField.constant(grid, 1.0)
     reference = cfg.make_phantom(grid)
     T = g.n_steps * g.dt
@@ -168,9 +184,8 @@ def cmd_reconstruct(cfg: RunConfig, trace_path: str) -> int:
         raise ConfigError(
             f"trace grid n = {g.grid.n} does not match configured n = {cfg.n}"
         )
-    grid = Grid2D(cfg.n, g.dt)
     out = _outdir(cfg)
-    _reconstruct(cfg, g, grid, out)
+    _reconstruct(cfg, g, cfg.make_grid(), out)
     return 0
 
 

@@ -47,7 +47,6 @@ from .core import (
     Grid2D,
     GridMismatchError,
     ScalarField,
-    StabilityError,
     StatePair,
     boundary_count,
     boundary_indices,
@@ -62,14 +61,17 @@ class BoundaryTrace:
 
     samples[j, b] is the value at time t_j = j*dt at boundary node b in the
     canonical enumeration.  Nodes outside Gamma are zeroed on construction
-    when a gamma_mask is supplied (the mask is in-memory metadata and is not
-    serialized with the trace).
+    when a gamma_mask is supplied.  lam is the per-node dissipation weight of
+    the boundary spec the trace was recorded for, or None when unknown.  The
+    trace file stores dt, the mask and lam, so a reloaded trace carries all
+    three.
     """
 
     grid: Grid2D
     dt: float
     samples: np.ndarray
     gamma_mask: np.ndarray = None  # type: ignore[assignment]
+    lam: np.ndarray | None = None
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -91,6 +93,10 @@ class BoundaryTrace:
             s = s.copy()
             s[:, ~mask] = 0.0
             self.gamma_mask = mask
+        if self.lam is not None:
+            self.lam = np.asarray(self.lam, dtype=float)
+            if self.lam.shape != (nb,):
+                raise GridMismatchError("lam length does not match the grid")
         self.samples = s
 
     @property
@@ -229,11 +235,7 @@ def _check_setup(grid: Grid2D, c: ScalarField, bspec: BoundarySpec, dt: float) -
         raise GridMismatchError("grid, sound speed and boundary spec are inconsistent")
     if np.any(c.values <= 0):
         raise ValueError("sound speed must be strictly positive")
-    limit = grid.dx / (np.sqrt(2.0) * float(c.values.max()))
-    if dt > limit * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt = {dt:g} exceeds the CFL limit {limit:g} for this grid and sound speed"
-        )
+    Grid2D(grid.n, dt).check_cfl(float(c.values.max()))
 
 
 def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float,

@@ -1,8 +1,8 @@
 """File formats and run configuration.
 
-Fields and traces are stored as plain-text CSV with full shortest
-round-trip decimals, so writing and re-reading reproduces every double
-bit-exactly.  Fields can additionally be written as 16-bit binary
+Fields and traces are stored as plain-text CSV with 17 significant
+digits, written and parsed by numpy's C routines, so writing and
+re-reading reproduces every double bit-exactly.  Fields can additionally be written as 16-bit binary
 portable graymaps (PGM) for viewing; the affine value mapping is recorded
 in a comment so the image is deterministic but not meant to be re-read.
 
@@ -15,6 +15,7 @@ the error message.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -33,45 +34,96 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+_CSV_FMT = "%.17g"  # 17 significant digits reproduce every double exactly
+
+
+def _read_csv(path, column_header: bool):
+    """Parse a numeric CSV with ``# key = value`` entries (several per comment
+    line, separated by ';') above the data.
+
+    Returns the header keys, the column-header row split on commas (None
+    when ``column_header`` is false) and the data as a 2-D array.  The data
+    go through numpy's C parser; when it rejects them, the file is scanned
+    again to name the offending line.
+    """
+    path = Path(path)
+    meta, columns, lineno = {}, None, 0
+    with open(path) as fh:
+        while True:
+            pos = fh.tell()
+            raw = fh.readline()
+            if not raw:
+                break
+            lineno += 1
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                for part in line[1:].split(";"):
+                    m = re.match(r"\s*(\w+)\s*=(.*)$", part)
+                    if m:
+                        meta[m.group(1)] = m.group(2).strip()
+                continue
+            if column_header:
+                columns = line.split(",")
+            else:
+                fh.seek(pos)
+                lineno -= 1
+            break
+        first = lineno + 1
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header only, no data
+                data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            data = None
+    return meta, columns, data, first
+
+
+def _bad_row(path, first: int, width: int) -> ParseError:
+    """The error for the first data line from ``first`` on that is not
+    ``width`` comma-separated numbers."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if lineno < first or not line:
+                continue
+            toks = line.split(",")
+            try:
+                [float(tok) for tok in toks]
+            except ValueError as exc:
+                return ParseError(f"{path}:{lineno}: {exc}")
+            if len(toks) != width:
+                return ParseError(
+                    f"{path}:{lineno}: expected {width} values per row, got {len(toks)}"
+                )
+    return ParseError(f"{path}: malformed data")
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
 
 def write_field_csv(path, f: ScalarField) -> None:
     """Row-major CSV of raw values, full double precision."""
-    lines = [f"# pacavity field v1", f"# n = {f.grid.n}"]
-    for row in f.values:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, f.values, fmt=_CSV_FMT, delimiter=",",
+               header=f"pacavity field v1\nn = {f.grid.n}", comments="# ")
 
 
 def read_field_csv(path) -> ScalarField:
     """Reload a field CSV; bit-identical to what was written."""
-    path = Path(path)
-    rows = []
-    n = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = re.match(r"#\s*n\s*=\s*(\d+)$", line)
-            if m:
-                n = int(m.group(1))
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if n is not None and len(rows[-1]) != n:
-            raise ParseError(
-                f"{path}:{lineno}: expected {n} values per row, got {len(rows[-1])}"
-            )
-    if n is None:
+    meta, _, data, first = _read_csv(path, column_header=False)
+    if "n" not in meta:
         raise ParseError(f"{path}: missing '# n = ...' header")
-    if len(rows) != n:
-        raise ParseError(f"{path}: expected {n} data rows, got {len(rows)}")
-    return ScalarField(Grid2D(n), np.array(rows))
+    try:
+        n = int(meta["n"])
+    except ValueError:
+        raise ParseError(f"{path}: header 'n' is not an integer: {meta['n']!r}") from None
+    if data is None or data.size and data.shape[1] != n:
+        raise _bad_row(path, first, n)
+    if data.shape[0] != n:
+        raise ParseError(f"{path}: expected {n} data rows, got {data.shape[0]}")
+    return ScalarField(Grid2D(n), data)
 
 
 def write_field_pgm(path, f: ScalarField) -> None:
@@ -113,57 +165,86 @@ def read_field(path) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 def write_trace(path, g: BoundaryTrace) -> None:
-    """CSV with header row t,node_0,...,node_{4n-5}; one row per time level."""
+    """CSV with header row t,node_0,...,node_{4n-5}; one row per time level.
+
+    The comment line above it records the time step, the measured set Gamma
+    ('full' or its node indices) and, when the trace carries it, lambda
+    (one value when uniform on Gamma, else one per Gamma node).
+    """
     nb = boundary_count(g.grid.n)
-    lines = ["# pacavity trace v1"]
-    lines.append(",".join(["t"] + [f"node_{b}" for b in range(nb)]))
-    for j, row in enumerate(g.samples):
-        lines.append(",".join([_fmt(j * g.dt)] + [_fmt(v) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    meta = ["pacavity trace v2", f"dt = {_fmt(g.dt)}",
+            "gamma = " + ("full" if g.gamma_mask.all()
+                          else ",".join(str(b) for b in np.flatnonzero(g.gamma_mask)))]
+    if g.lam is not None:
+        lam = g.lam[g.gamma_mask]
+        lam = lam[:1] if np.all(lam == lam[:1]) else lam
+        meta.append("lambda = " + ",".join(_fmt(v) for v in lam))
+    columns = ",".join(["t"] + [f"node_{b}" for b in range(nb)])
+    with open(path, "w") as fh:
+        fh.write("# " + "; ".join(meta) + "\n" + columns + "\n")
+        np.savetxt(fh, np.column_stack([g.times, g.samples]), fmt=_CSV_FMT, delimiter=",")
+
+
+def _trace_metadata(path, meta: dict, grid_n: int):
+    """Gamma mask and lambda from the header keys; absent keys mean every
+    node measured and lambda unknown."""
+    nb = boundary_count(grid_n)
+    text = meta.get("gamma", "full")
+    try:
+        nodes = (np.arange(nb) if text == "full"
+                 else np.array([int(tok) for tok in text.split(",")]))
+        if nodes.min() < 0 or nodes.max() >= nb:
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"{path}: header 'gamma' is not 'full' or a node list "
+                         f"in [0, {nb - 1}]: {text!r}") from None
+    mask = np.zeros(nb, dtype=bool)
+    mask[nodes] = True
+    if "lambda" not in meta:
+        return mask, None
+    try:
+        values = np.array([float(tok) for tok in meta["lambda"].split(",")])
+        lam = np.zeros(nb)
+        lam[mask] = values
+        BoundarySpec(Grid2D(grid_n), mask, lam)
+    except ValueError:
+        raise ParseError(f"{path}: header 'lambda' must hold one positive value or one "
+                         f"per Gamma node ({mask.sum()}): {meta['lambda']!r}") from None
+    return mask, lam
 
 
 def read_trace(path) -> BoundaryTrace:
     """Reload a trace CSV; sample values are bit-identical.
 
-    The time step is recovered from the time column; a trace with fewer
-    than two rows gets the default step of its grid.  The Gamma mask is not
-    stored, so the loaded trace treats every boundary node as measured.
+    The time step, Gamma mask and lambda come from the header.  A file
+    without them (format v1) gets the step from its time column (the grid
+    default below two rows) and counts every boundary node as measured.
     """
-    path = Path(path)
-    header = None
-    rows = []
-    times = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            if header[0] != "t" or len(header) < 2 or header[1] != "node_0":
-                raise ParseError(f"{path}:{lineno}: expected header 't,node_0,...'")
-            continue
-        try:
-            vals = [float(tok) for tok in line.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if len(vals) != len(header):
-            raise ParseError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(vals)}"
-            )
-        times.append(vals[0])
-        rows.append(vals[1:])
+    meta, header, data, first = _read_csv(path, column_header=True)
     if header is None:
         raise ParseError(f"{path}: missing header row")
+    if header[0] != "t" or len(header) < 2 or header[1] != "node_0":
+        raise ParseError(f"{path}:{first - 1}: expected header 't,node_0,...'")
     nb = len(header) - 1
-    if nb % 4 != 0:
-        raise ParseError(f"{path}: {nb} node columns is not 4n-4 for any grid size")
     n = nb // 4 + 1
-    if boundary_count(n) != nb:
+    if nb % 4 != 0 or boundary_count(n) != nb:
         raise ParseError(f"{path}: {nb} node columns is not 4n-4 for any grid size")
-    grid = Grid2D(n)
-    dt = times[1] - times[0] if len(times) >= 2 else grid.dt
-    samples = np.array(rows) if rows else np.zeros((0, nb))
-    return BoundaryTrace(grid, dt, samples)
+    if data is None or data.size and data.shape[1] != nb + 1:
+        raise _bad_row(path, first, nb + 1)
+    samples = data[:, 1:] if data.size else np.zeros((0, nb))
+    if "dt" in meta:
+        try:
+            dt = float(meta["dt"])
+        except ValueError:
+            raise ParseError(f"{path}: header 'dt' is not a number: {meta['dt']!r}") from None
+    else:
+        dt = data[1, 0] - data[0, 0] if data.shape[0] >= 2 else Grid2D(n).dt
+    mask, lam = _trace_metadata(path, meta, n)
+    try:
+        grid = Grid2D(n, dt)
+    except ConfigError as exc:
+        raise ParseError(f"{path}: header 'dt': {exc}") from None
+    return BoundaryTrace(grid, dt, samples, gamma_mask=mask, lam=lam)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ behavior of the reconstruction itself.  Its radial slope peaks at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,13 +91,11 @@ def add_noise(g: BoundaryTrace, level: float, seed: int) -> BoundaryTrace:
     if level < 0:
         raise ConfigError(f"noise level must be nonnegative, got {level!r}")
     if level == 0:
-        return BoundaryTrace(g.grid, g.dt, g.samples.copy(),
-                             gamma_mask=g.gamma_mask.copy())
+        return replace(g, samples=g.samples.copy())
     signal = np.linalg.norm(g.samples)
     if signal == 0.0:
         raise ConfigError("cannot scale noise relative to an all-zero trace")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(g.samples.shape) * g.gamma_mask[None, :]
     noise *= level * signal / np.linalg.norm(noise)
-    return BoundaryTrace(g.grid, g.dt, g.samples + noise,
-                         gamma_mask=g.gamma_mask.copy())
+    return replace(g, samples=g.samples + noise)

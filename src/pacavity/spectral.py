@@ -31,11 +31,13 @@ from .core import (
     Grid2D,
     GridMismatchError,
     ScalarField,
-    boundary_count,
     boundary_indices,
     num_steps,
 )
 from .fdtd import BoundaryTrace
+
+# synthesize_data restarts its cosine recurrence from exact values this often
+RESEED_STEPS = 256
 
 
 @dataclass
@@ -142,17 +144,51 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
 
     Samples u at every boundary node at times t_j = j*dt, j = 0 .. T/dt;
     nodes outside Gamma carry zeros.  T must be an integer multiple of dt.
+    Only the walls are evaluated (see _wall_coefficients); one batched DCT-I
+    then turns their cosine coefficients into node values.
     """
     if f.grid != bspec.grid:
         raise GridMismatchError("field and boundary spec live on different grids")
     steps = num_steps(T, dt)
-    grid = f.grid
-    c = dct2_forward(f)
-    lam = mode_frequencies(grid)
-    ks, ls = boundary_indices(grid.n)
-    rows = np.empty((steps + 1, boundary_count(grid.n)))
+    n = f.grid.n
+    walls = _wall_coefficients(dct2_forward(f), dt, steps)
+    walls[..., 1:-1] *= 0.5
+    walls = dct(walls, type=1, axis=-1, overwrite_x=True)
+    # position of each canonical boundary node in the flattened wall rows
+    ks, ls = boundary_indices(n)
+    gather = np.where(ls == 0, ks, np.where(ls == n - 1, n + ks,
+                                            np.where(ks == 0, 2 * n + ls, 3 * n + ls)))
+    rows = walls.reshape(steps + 1, 4 * n)[:, gather]
+    del walls  # freed before BoundaryTrace copies rows, to keep the peak at two arrays
+    return BoundaryTrace(f.grid, dt, rows, gamma_mask=bspec.gamma_mask.copy(),
+                         lam=bspec.lam.copy())
+
+
+def _wall_coefficients(c: CosineCoeffs, dt: float, steps: int) -> np.ndarray:
+    """Cosine coefficients of u(., t_j) along the walls y = -1, y = 1, x = -1
+    and x = 1, shape (steps + 1, 4, n).
+
+    On a wall every mode is a 1D cosine times +-1, so with
+    M_j = c * cos(lam t_j) the wall coefficients are the row sums M_j @ S and
+    the column sums S^T @ M_j, S = [1, (-1)^k].  M_j advances by the
+    three-term recurrence M_{j+1} = 2 cos(lam dt) M_j - M_{j-1}, restarted
+    from exact cosines every RESEED_STEPS steps so that rounding cannot
+    accumulate over long horizons.  The n x n work arrays live only in this
+    function, so they are freed before the caller allocates its output.
+    """
+    n = c.grid.n
+    lam = mode_frequencies(c.grid)
+    twice_cos = 2.0 * np.cos(lam * dt)
+    s_t = np.stack([np.ones(n), (-1.0) ** np.arange(n)])
+    walls = np.empty((steps + 1, 4, n))
+    prev, cur, work = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     for j in range(steps + 1):
-        u = _synthesis_axis0(_synthesis_axis0(c.coeffs * np.cos(lam * (j * dt))).T).T
-        rows[j] = u[ks, ls]
-    rows *= bspec.gamma_mask[None, :]
-    return BoundaryTrace(grid, dt, rows, gamma_mask=bspec.gamma_mask.copy())
+        if j % RESEED_STEPS == 0:
+            np.multiply(c.coeffs, np.cos(lam * ((j - 1) * dt)), out=prev)
+            np.multiply(c.coeffs, np.cos(lam * (j * dt)), out=cur)
+        np.matmul(s_t, cur.T, out=walls[j, :2])
+        np.matmul(s_t, cur, out=walls[j, 2:])
+        np.multiply(twice_cos, cur, out=work)
+        np.subtract(work, prev, out=prev)
+        prev, cur = cur, prev
+    return walls

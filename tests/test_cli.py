@@ -92,6 +92,34 @@ class TestReconstructCommand:
         assert rc != 0
         assert "does not match" in capsys.readouterr().err
 
+    def test_non_default_time_step_round_trip(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("forward", "--n", "33", "--T", "1.0", "--dt-factor", "0.4",
+                   "--out", str(out)) == 0
+        assert run("reconstruct", str(out / "trace.csv"), "--n", "33",
+                   "--dt-factor", "0.4", "--out", str(out)) == 0
+
+    @pytest.mark.parametrize("options, key", [
+        (["--dt-factor", "0.4"], "dt_factor"),
+        (["--gamma", "full"], "gamma"),
+        (["--gamma", "left_bottom", "--lambda", "2"], "lambda"),
+        (["--gamma", "left_bottom", "--taper", "0.2"], "lambda"),
+    ])
+    def test_configuration_conflicting_with_trace_names_key(self, tmp_path, capsys,
+                                                             options, key):
+        # a left+bottom trace inverted as full data would read the unmeasured
+        # walls as zero pressure and return a wrong image without complaint
+        out = tmp_path / "o"
+        assert run("forward", "--n", "33", "--T", "1.0", "--gamma", "left_bottom",
+                   "--out", str(out)) == 0
+        capsys.readouterr()
+        rc = run("reconstruct", str(out / "trace.csv"), "--n", "33", *options,
+                 "--out", str(out))
+        assert rc != 0
+        assert f"'{key}'" in capsys.readouterr().err
+        assert run("reconstruct", str(out / "trace.csv"), "--n", "33",
+                   "--gamma", "left_bottom", "--out", str(out)) == 0
+
 
 class TestDemoCommand:
     def test_unknown_name_lists_valid(self, tmp_path, capsys):

@@ -83,6 +83,44 @@ class TestTraceFiles:
         pio.write_trace(tmp_path / "again.csv", back)
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
+    def test_header_carries_dt_gamma_and_lambda(self, tmp_path):
+        g = pv.Grid2D(17, dt=0.3 * pv.Grid2D(17).dx)
+        bs = pv.BoundarySpec.left_bottom(g, lambda_value=2.5, taper=0.3)
+        trace = pv.synthesize_data(smooth_random_field(g, np.random.default_rng(3)),
+                                   bs, 60 * g.dt, g.dt)
+        path = tmp_path / "trace.csv"
+        pio.write_trace(path, trace)
+        back = pio.read_trace(path)
+        assert back.grid == g and back.dt == g.dt
+        assert np.array_equal(back.gamma_mask, bs.gamma_mask)
+        assert np.array_equal(back.lam, bs.lam)
+        assert np.array_equal(back.samples, trace.samples)
+
+    def test_header_free_trace_reads_as_full_boundary(self, tmp_path):
+        g = pv.Grid2D(9)
+        path = tmp_path / "old.csv"
+        cols = ",".join(f"node_{b}" for b in range(32))
+        rows = [",".join([repr(j * 0.1)] + ["1.5"] * 32) for j in range(3)]
+        path.write_text("# pacavity trace v1\nt," + cols + "\n" + "\n".join(rows) + "\n")
+        back = pio.read_trace(path)
+        assert back.dt == 0.1 and back.grid == pv.Grid2D(9, 0.1)
+        assert back.gamma_mask.all() and back.lam is None
+        assert np.all(back.samples == 1.5)
+
+    @pytest.mark.parametrize("entry, key", [("dt = soon", "'dt'"),
+                                            ("gamma = 0,99", "'gamma'"),
+                                            ("gamma = full; lambda = 1,2", "'lambda'"),
+                                            ("gamma = 0,1; lambda = -1", "'lambda'")])
+    def test_bad_header_entry_names_key(self, tmp_path, entry, key):
+        g = pv.Grid2D(9)
+        path = tmp_path / "trace.csv"
+        pio.write_trace(path, pv.BoundaryTrace(g, g.dt, np.ones((2, 32))))
+        text = path.read_text().splitlines()
+        text[0] = f"# pacavity trace v2; {entry}"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(pio.ParseError, match=key):
+            pio.read_trace(path)
+
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         cols = ",".join(f"node_{b}" for b in range(7))

@@ -169,6 +169,21 @@ class TestSynthesize:
         expected = np.cos(lam * g.times)  # phi_{1,1}(-1,-1) = 1, node index 0
         assert np.allclose(g.samples[:, 0], expected, atol=1e-10)
 
+    @pytest.mark.parametrize("n, T", [(33, 5.0), (65, 20.0)])
+    @pytest.mark.parametrize("aperture", ["full", "left_bottom"])
+    def test_matches_full_field_series_at_every_step(self, n, T, aperture):
+        # the wall-only synthesis agrees with the boundary of the full-field
+        # series solution; T = 20 at n = 65 spans five recurrence restarts
+        grid = pv.Grid2D(n)
+        bs = getattr(pv.BoundarySpec, aperture)(grid)
+        f = smooth_random_field(grid, np.random.default_rng(8), kmax=n - 1)
+        g = pv.synthesize_data(f, bs, T, grid.dt)
+        c = pv.dct2_forward(f)
+        oracle = np.array([pv.boundary_values(pv.spectral_propagate(c, t)) for t in g.times])
+        oracle *= bs.gamma_mask
+        assert g.samples.shape == oracle.shape
+        assert np.abs(g.samples - oracle).max() <= 1e-11 * np.abs(oracle).max()
+
     def test_non_integer_step_count_rejected(self, grid):
         bs = pv.BoundarySpec.full(grid)
         with pytest.raises(pv.ConfigError):
