@@ -41,7 +41,6 @@ from .phantom import PAPER_SIX, BumpSpec, add_noise, paper_six_phantom, radial_b
 from .recon import (
     ReconConfig,
     ReconReport,
-    error_history,
     estimate_contraction,
     initial_approximation,
     neumann_iterate,
@@ -66,7 +65,7 @@ __all__ = [
     "add_noise", "boundary_count", "boundary_indices", "boundary_mean",
     "boundary_values", "dct2_forward", "dct2_inverse",
     "dissipative_boundary_update", "dissipative_reverse_solve", "energy",
-    "error_history", "estimate_contraction", "forward_solve", "full_norm",
+    "estimate_contraction", "forward_solve", "full_norm",
     "initial_approximation", "interior_step", "l2_norm", "mode_frequencies",
     "neumann_iterate", "num_steps", "paper_six_phantom", "project_H0",
     "project_H1", "radial_bump", "relative_l2", "render_phantom", "seminorm",

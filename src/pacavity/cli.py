@@ -8,6 +8,7 @@ override the built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -69,8 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(args) -> RunConfig:
+def load_config(args, preset: dict | None = None) -> RunConfig:
+    """The configuration file, then a demo preset (with snap_time on), then
+    the option flags, then --out; each later source overrides the earlier."""
     cfg = parse_config(args.config) if args.config else RunConfig()
+    if preset is not None:
+        cfg.snap_time = True
+        for key, val in preset.items():
+            apply_config_entry(cfg, key, val)
     for key in _OVERRIDE_KEYS:
         val = getattr(args, f"opt_{key}")
         if val is not None:
@@ -189,20 +196,7 @@ def cmd_reconstruct(cfg: RunConfig, trace_path: str) -> int:
     return 0
 
 
-def cmd_demo(cfg_overrides, name: str, out_override, config_path) -> int:
-    if name not in DEMOS:
-        raise ConfigError(
-            f"unknown demo {name!r}; valid names: " + ", ".join(sorted(DEMOS))
-        )
-    cfg = parse_config(config_path) if config_path else RunConfig()
-    cfg.snap_time = True
-    for key, val in DEMOS[name].items():
-        apply_config_entry(cfg, key, val)
-    for key, val in cfg_overrides.items():
-        apply_config_entry(cfg, key, val)
-    if out_override is not None:
-        cfg.out = out_override
-
+def cmd_demo(cfg: RunConfig, name: str) -> int:
     t0 = time.time()
     apertures = ["full", "left_bottom"] if name == "fig2-noise" else [cfg.gamma]
     grid = cfg.make_grid()
@@ -211,7 +205,7 @@ def cmd_demo(cfg_overrides, name: str, out_override, config_path) -> int:
     pio.write_field(out / "phantom.csv", f)
     pio.write_field(out / "phantom.pgm", f)
     for aperture in apertures:
-        sub = RunConfig(**{**cfg.__dict__, "gamma": aperture})
+        sub = dataclasses.replace(cfg, gamma=aperture)
         _, _, _, T, g, noise_ratio = _synthesize(sub)
         label = aperture if len(apertures) > 1 else ""
         pio.write_trace(out / (f"{label}_trace.csv" if label else "trace.csv"), g)
@@ -225,12 +219,15 @@ def cmd_demo(cfg_overrides, name: str, out_override, config_path) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        preset = None
         if args.command == "demo":
-            overrides = {key: getattr(args, f"opt_{key}")
-                         for key in _OVERRIDE_KEYS
-                         if getattr(args, f"opt_{key}") is not None}
-            return cmd_demo(overrides, args.name, args.out, args.config)
-        cfg = load_config(args)
+            preset = DEMOS.get(args.name)
+            if preset is None:
+                raise ConfigError(f"unknown demo {args.name!r}; valid names: "
+                                  + ", ".join(sorted(DEMOS)))
+        cfg = load_config(args, preset)
+        if args.command == "demo":
+            return cmd_demo(cfg, args.name)
         if args.command == "phantom":
             return cmd_phantom(cfg)
         if args.command == "forward":

@@ -17,10 +17,10 @@ with that choice constants and linear ramps integrate exactly.
 Boundary nodes are enumerated counter-clockwise starting at the bottom-left
 corner: bottom row left to right, right column bottom to top, top row right
 to left, left column top to bottom, each corner appearing exactly once
-(4n - 4 nodes total).  For boundary-condition updates every corner belongs
-to exactly one side, with priority bottom, right, top, left; for line
-integrals along the boundary each corner contributes half its weight to
-both incident sides, which makes all boundary nodes carry equal weight.
+(4n - 4 nodes total).  For boundary-condition updates a corner takes one
+ghost node for each of its two walls; for line integrals along the
+boundary each corner contributes half its weight to both incident sides,
+which makes all boundary nodes carry equal weight.
 """
 
 from __future__ import annotations

@@ -32,6 +32,12 @@ its two walls.
 When g is the forward solver's own trace, the forward levels satisfy the
 backward update with the data terms cancelling, so the backward error u - v
 obeys the homogeneous absorbing update exactly and its energy decays.
+
+Both solvers run the same march (_march) in opposite directions of time:
+one Taylor start, one leapfrog loop, one snapshot capture and one
+one-sided end velocity.  They differ only in the rule that finishes each
+new level: the forward solve records its trace row, the backward solve
+applies the absorbing update on Gamma.
 """
 
 from __future__ import annotations
@@ -90,8 +96,11 @@ class BoundaryTrace:
             mask = np.asarray(self.gamma_mask, dtype=bool)
             if mask.shape != (nb,):
                 raise GridMismatchError("gamma_mask length does not match the grid")
-            s = s.copy()
-            s[:, ~mask] = 0.0
+            # samples that are already zero off Gamma are kept as they are;
+            # otherwise a copy is zeroed, so the caller's array never changes
+            if np.any(s, axis=0)[~mask].any():
+                s = s.copy()
+                s[:, ~mask] = 0.0
             self.gamma_mask = mask
         if self.lam is not None:
             self.lam = np.asarray(self.lam, dtype=float)
@@ -114,7 +123,6 @@ class SolveResult:
 
     trace: BoundaryTrace
     final_state: StatePair
-    snapshots: list | None = None
 
 
 @lru_cache(maxsize=None)
@@ -238,53 +246,81 @@ def _check_setup(grid: Grid2D, c: ScalarField, bspec: BoundarySpec, dt: float) -
     Grid2D(grid.n, dt).check_cfl(float(c.values.max()))
 
 
-def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float,
-                  record_every: int = 0) -> SolveResult:
+def _march(start: StatePair, c: ScalarField, dt: float, steps: int, sign: int,
+           boundary, snapshots: dict[int, StatePair] | None) -> StatePair:
+    """March the leapfrog scheme over steps levels in the direction sign.
+
+    sign = +1 starts at t = 0 and ends at t = steps dt; sign = -1 starts at
+    t = steps dt and ends at t = 0.  The second-order Taylor start from
+    start gives the first new level, _advance every later one.  Each new
+    level is handed to boundary(j, level, behind), with j its time index and
+    behind the level two steps back along the march (at the Taylor start,
+    the array -sign dt u_t that stands in for it); the rule finishes the
+    boundary values of level in place.  For every key j of snapshots the
+    state at t_j is stored, with the centered-difference velocity.  Returns
+    the state at the last level, its velocity from the one-sided
+    second-order difference of the last three levels.
+    """
+    if snapshots is None:
+        snapshots = {}
+    bad = [j for j in snapshots if not (isinstance(j, (int, np.integer)) and 0 < j < steps)]
+    if bad:
+        raise ConfigError(f"snapshot steps must be integers in 1 .. {steps - 1}, got {bad}")
+    grid = start.grid
+    coef = _coefficient(c.values, dt, grid.dx)
+    centre = 2.0 - 4.0 * coef
+    first = 0 if sign > 0 else steps
+    work = np.empty_like(start.first.values)
+
+    prev = start.first.values.copy()
+    behind = (-sign * dt) * start.second.values
+    cur = _advance(np.empty_like(prev), prev, behind, 0.5 * coef, 1.0 - 2.0 * coef, work)
+    boundary(first + sign, cur, behind)
+    nxt = np.empty_like(prev)
+    # the velocities below negate each operand, not the difference, so they
+    # equal the differences taken in time order bit for bit, signed zeros too
+    for j in range(first + sign, first + sign * steps, sign):
+        _advance(nxt, cur, prev, coef, centre, work)
+        boundary(j + sign, nxt, prev)
+        if j in snapshots:
+            vel = (sign * nxt - sign * prev) / (2.0 * dt)
+            snapshots[j] = StatePair(ScalarField(grid, cur.copy()), ScalarField(grid, vel))
+        prev, cur, nxt = cur, nxt, prev
+    # steps >= 2, so nxt now holds the level before prev
+    vel = (3.0 * sign * cur - 4.0 * sign * prev + sign * nxt) / (2.0 * dt)
+    return StatePair(ScalarField(grid, cur), ScalarField(grid, vel))
+
+
+def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, *,
+                  snapshots: dict[int, StatePair] | None = None) -> SolveResult:
     """Solve the Neumann problem from initial state s0 and record the trace.
 
     The trace holds u at every boundary node for t_j = 0 .. T (zeroed off
     Gamma).  The terminal velocity is extracted with the one-sided
-    second-order difference (3 u^J - 4 u^{J-1} + u^{J-2}) / (2 dt).  With
-    record_every > 0, snapshots (j, state at t_j) with centered-difference
-    velocities are collected every record_every steps.
+    second-order difference (3 u^J - 4 u^{J-1} + u^{J-2}) / (2 dt).  The
+    keys of snapshots are the steps j (1 .. J-1) to record: each value is
+    set to the state at t_j, its velocity the centered difference.
     """
     grid = s0.grid
     dt = grid.dt
     _check_setup(grid, c, bspec, dt)
     steps = num_steps(T, dt)
-    coef = _coefficient(c.values, dt, grid.dx)
-    centre = 2.0 - 4.0 * coef
     flat, _ = _boundary_layout(grid.n)
-    work = np.empty_like(s0.first.values)
-
-    prev = s0.first.values.copy()
-    cur = _advance(np.empty_like(prev), prev, -dt * s0.second.values,
-                   0.5 * coef, 1.0 - 2.0 * coef, work)
-    nxt = np.empty_like(prev)
     rows = np.empty((steps + 1, flat.size))
-    np.take(prev, flat, out=rows[0])
-    np.take(cur, flat, out=rows[1])
-    snapshots: list | None = [] if record_every else None
-    for j in range(1, steps):
-        _advance(nxt, cur, prev, coef, centre, work)
-        np.take(nxt, flat, out=rows[j + 1])
-        if record_every and j % record_every == 0:
-            vel = (nxt - prev) / (2.0 * dt)
-            snapshots.append((j, StatePair(ScalarField(grid, cur.copy()),
-                                           ScalarField(grid, vel))))
-        prev, cur, nxt = cur, nxt, prev
-    # num_steps guarantees steps >= 2, so nxt now holds u^{J-2}
-    rows *= bspec.gamma_mask[None, :]
-    u_t = (3.0 * cur - 4.0 * prev + nxt) / (2.0 * dt)
-    final = StatePair(ScalarField(grid, cur), ScalarField(grid, u_t))
+    np.take(s0.first.values, flat, out=rows[0])
+
+    def record(j, level, behind):
+        np.take(level, flat, out=rows[j])
+
+    final = _march(s0, c, dt, steps, +1, record, snapshots)
+    rows[:, ~bspec.gamma_mask] = 0.0
     trace = BoundaryTrace(grid, dt, rows, gamma_mask=bspec.gamma_mask.copy())
-    return SolveResult(trace=trace, final_state=final, snapshots=snapshots)
+    return SolveResult(trace=trace, final_state=final)
 
 
 def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, bspec: BoundarySpec,
-                              terminal_state: StatePair | None = None,
-                              record_every: int = 0,
-                              snapshots: list | None = None) -> StatePair:
+                              terminal_state: StatePair | None = None, *,
+                              snapshots: dict[int, StatePair] | None = None) -> StatePair:
     """Integrate backward from t = T with the absorbing boundary condition.
 
     Terminal data default to (0, 0); the measured trace g drives the
@@ -293,8 +329,7 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, bspec: BoundaryS
 
     A nonzero terminal_state runs the same absorbing dynamics from that
     state instead, which with g = 0 realizes the free decay of the error
-    equation.  If ``snapshots`` is a list, (j, state at t_j) pairs with
-    centered-difference velocities are appended every record_every steps.
+    equation.  snapshots records states as in forward_solve.
     """
     grid = g.grid
     dt = g.dt
@@ -302,40 +337,21 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, bspec: BoundaryS
     steps = g.n_steps
     if steps < 2:
         raise ConfigError(f"trace must cover at least two time steps, got {steps}")
-    n = grid.n
-    coef = _coefficient(c.values, dt, grid.dx)
-    centre = 2.0 - 4.0 * coef
-    flat, _ = _boundary_layout(n)
+    if terminal_state is None:
+        terminal_state = StatePair.zeros(grid)
+    elif terminal_state.grid != grid:
+        raise GridMismatchError("terminal state lives on a different grid")
+    flat, _ = _boundary_layout(grid.n)
     G = _absorption(c.values, bspec, dt)
     data = g.samples
-    work = np.empty((n, n))
 
-    if terminal_state is None:
-        later = np.zeros((n, n))
-        w1 = np.zeros((n, n))
-    else:
-        if terminal_state.grid != grid:
-            raise GridMismatchError("terminal state lives on a different grid")
-        later = terminal_state.first.values.copy()
-        w1 = terminal_state.second.values
+    def absorb(j, level, behind):
+        new = level.reshape(-1)
+        if j == steps - 1:
+            # Taylor start: the absorbing ghost at t = T takes v_t(T) (behind
+            # is dt v_t) and the one-sided data derivative (g^J - g^{J-1}) / dt
+            new[flat] += G * (behind.reshape(-1)[flat] - data[j + 1] + data[j])
+        else:
+            new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], data[j], data[j + 2], G)
 
-    # second-order start: v(T - dt) = v(T) - dt v_t(T) + dt^2/2 c^2 lap v(T),
-    # with the absorbing ghost at t = T taking v_t(T) and the one-sided data
-    # derivative (g^J - g^{J-1}) / dt
-    cur = _advance(np.empty((n, n)), later, dt * w1, 0.5 * coef, 1.0 - 2.0 * coef, work)
-    cur.reshape(-1)[flat] += G * (dt * w1.reshape(-1)[flat] - data[steps] + data[steps - 1])
-
-    nxt = np.empty((n, n))
-    for j in range(steps - 1, 0, -1):
-        _advance(nxt, cur, later, coef, centre, work)
-        fnew = nxt.reshape(-1)
-        fnew[flat] = _absorb(fnew[flat], later.reshape(-1)[flat], data[j - 1], data[j + 1], G)
-        if snapshots is not None and record_every and j % record_every == 0:
-            vel = (later - nxt) / (2.0 * dt)
-            snapshots.append((j, StatePair(ScalarField(grid, cur.copy()),
-                                           ScalarField(grid, vel))))
-        later, cur, nxt = cur, nxt, later
-
-    # cur, later and nxt now hold v^0, v^1 and v^2
-    v_t = (-3.0 * cur + 4.0 * later - nxt) / (2.0 * dt)
-    return StatePair(ScalarField(grid, cur), ScalarField(grid, v_t))
+    return _march(terminal_state, c, dt, steps, -1, absorb, snapshots)

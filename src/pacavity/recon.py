@@ -53,7 +53,6 @@ class ReconConfig:
     c: ScalarField
     bspec: BoundarySpec
     subspace: str = "H1"
-    record_history: bool = True
 
     def __post_init__(self):
         if self.T <= 0:
@@ -77,13 +76,11 @@ class ReconConfig:
 
 @dataclass
 class ReconReport:
-    """Final iterate plus optional per-iteration error diagnostics."""
+    """Final iterate plus, when a reference was given, the relative L2 error
+    of each iterate's first component against it."""
 
     estimate: StatePair
     per_iteration_errors: list = field(default_factory=list)
-    empirical_ratios: list = field(default_factory=list)
-    iterations_run: int = 0
-    tracked: bool = False
 
 
 def _check_trace(g: BoundaryTrace, cfg: ReconConfig) -> None:
@@ -106,21 +103,18 @@ def neumann_iterate(g: BoundaryTrace, cfg: ReconConfig,
                     reference: ScalarField | None = None) -> ReconReport:
     """Run cfg.iterations steps of u <- u - P A L u + P A g.
 
-    When a reference field is given (and cfg.record_history), the relative
-    L2 error of each iterate's first component against it is recorded along
-    with the successive error ratios.
+    When a reference field is given, the relative L2 error of each
+    iterate's first component against it is recorded.
     """
     _check_trace(g, cfg)
-    track = reference is not None and cfg.record_history
-    report = ReconReport(estimate=StatePair.zeros(cfg.grid),
-                         iterations_run=cfg.iterations, tracked=track)
+    report = ReconReport(estimate=StatePair.zeros(cfg.grid))
     if cfg.iterations == 0:
         return report
     base = cfg.project(fdtd.dissipative_reverse_solve(g, cfg.c, cfg.bspec))
     u = base.copy()
 
     def record(state):
-        if track:
+        if reference is not None:
             report.per_iteration_errors.append(relative_l2(state.first, reference))
 
     record(u)
@@ -130,8 +124,6 @@ def neumann_iterate(g: BoundaryTrace, cfg: ReconConfig,
         u = u - cfg.project(back) + base
         record(u)
     report.estimate = u
-    errs = report.per_iteration_errors
-    report.empirical_ratios = [errs[i + 1] / errs[i] for i in range(len(errs) - 1)]
     return report
 
 
@@ -149,10 +141,3 @@ def estimate_contraction(f: ScalarField, cfg: ReconConfig) -> float:
     back = fdtd.dissipative_reverse_solve(fwd.trace, cfg.c, cfg.bspec)
     residual = state - cfg.project(back)
     return seminorm(residual, cfg.c) / denom
-
-
-def error_history(report: ReconReport) -> list[tuple[int, float]]:
-    """(iteration, relative L2 error) pairs recorded during neumann_iterate."""
-    if report.iterations_run > 0 and not report.tracked:
-        raise ConfigError("report was built without a reference field")
-    return list(enumerate(report.per_iteration_errors, start=1))

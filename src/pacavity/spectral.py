@@ -158,8 +158,9 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
     ks, ls = boundary_indices(n)
     gather = np.where(ls == 0, ks, np.where(ls == n - 1, n + ks,
                                             np.where(ks == 0, 2 * n + ls, 3 * n + ls)))
-    rows = walls.reshape(steps + 1, 4 * n)[:, gather]
-    del walls  # freed before BoundaryTrace copies rows, to keep the peak at two arrays
+    rows = np.take(walls.reshape(steps + 1, 4 * n), gather, axis=1)  # C order: one row per level
+    del walls  # freed before the trace's checks allocate their temporaries
+    rows[:, ~bspec.gamma_mask] = 0.0
     return BoundaryTrace(f.grid, dt, rows, gamma_mask=bspec.gamma_mask.copy(),
                          lam=bspec.lam.copy())
 

@@ -57,6 +57,8 @@ def trace_partial_t5(trace_full_t5, grid257, bspec_lb257):
 
 @pytest.fixture(scope="session")
 def forward_t5_recorded(grid257, phantom257, unit_speed257, bspec_full257):
-    """Forward Neumann solve of the phantom over [0, 5] with snapshots."""
+    """Forward Neumann solve of the phantom over [0, 5], and its snapshots
+    every 100 steps."""
     s0 = pv.StatePair(phantom257, pv.ScalarField.zeros(grid257))
-    return pv.forward_solve(s0, unit_speed257, bspec_full257, 5.0, record_every=100)
+    snaps = dict.fromkeys(range(100, pv.num_steps(5.0, grid257.dt), 100))
+    return pv.forward_solve(s0, unit_speed257, bspec_full257, 5.0, snapshots=snaps), snaps

@@ -129,11 +129,10 @@ def test_criterion_06_empirical_contraction(grid257, phantom257, unit_speed257,
 def test_criterion_07_dissipation(grid257, phantom257, unit_speed257,
                                   bspec_full257, forward_t5_recorded):
     # (a) the backward error u - v sheds energy monotonically toward t = 0
-    vsnaps = []
-    pv.dissipative_reverse_solve(forward_t5_recorded.trace, unit_speed257,
-                                 bspec_full257, record_every=100, snapshots=vsnaps)
-    u = dict(forward_t5_recorded.snapshots)
-    pairs = sorted((j, pv.energy(u[j] - v, unit_speed257)) for j, v in vsnaps)
+    fwd, u = forward_t5_recorded
+    vsnaps = dict.fromkeys(u)
+    pv.dissipative_reverse_solve(fwd.trace, unit_speed257, bspec_full257, snapshots=vsnaps)
+    pairs = sorted((j, pv.energy(u[j] - v, unit_speed257)) for j, v in vsnaps.items())
     worst = max((earlier - later) / later
                 for (_, earlier), (_, later) in zip(pairs[:-1], pairs[1:]))
     # (b) free decay: zero data from a random smooth state loses >= 50% by T=5
@@ -158,19 +157,20 @@ def test_criterion_08_conservation(grid257, phantom257, unit_speed257,
                                    bspec_full257, forward_t5_recorded):
     s0 = pv.StatePair(phantom257, pv.ScalarField.zeros(grid257))
     e0 = pv.energy(s0, unit_speed257)
-    drift = max(abs(pv.energy(s, unit_speed257) - e0) / e0
-                for _, s in forward_t5_recorded.snapshots)
+    _, snaps = forward_t5_recorded
+    drift = max(abs(pv.energy(s, unit_speed257) - e0) / e0 for s in snaps.values())
     # the scheme conserves a discrete energy exactly; energy() differs from
     # it at second order, so the drift shrinks about fourfold when n doubles
     g129 = pv.Grid2D(129)
     f129 = pv.paper_six_phantom(g129)
-    res129 = pv.forward_solve(pv.StatePair(f129, pv.ScalarField.zeros(g129)),
-                              pv.ScalarField.constant(g129, 1.0),
-                              pv.BoundarySpec.full(g129), 5.0, record_every=100)
+    snaps129 = dict.fromkeys(range(100, pv.num_steps(5.0, g129.dt), 100))
+    pv.forward_solve(pv.StatePair(f129, pv.ScalarField.zeros(g129)),
+                     pv.ScalarField.constant(g129, 1.0),
+                     pv.BoundarySpec.full(g129), 5.0, snapshots=snaps129)
     e0_129 = pv.energy(pv.StatePair(f129, pv.ScalarField.zeros(g129)),
                        pv.ScalarField.constant(g129, 1.0))
     drift129 = max(abs(pv.energy(s, pv.ScalarField.constant(g129, 1.0)) - e0_129) / e0_129
-                   for _, s in res129.snapshots)
+                   for s in snaps129.values())
     ok = verdict("criterion 08 forward conservation",
                  drift < 0.02 and drift129 > drift,
                  f"energy drift over T=5 at n=257: {drift * 100:.3f}% (limit 2%); "

@@ -139,6 +139,16 @@ class TestDemoCommand:
                      "cross_section.csv"):
             assert (d / name).exists()
 
+    def test_file_then_preset_then_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 33\niterations = 4\n")
+        out = tmp_path / "demo"
+        assert run("demo", "fig3-iter-full", "--config", str(cfg),
+                   "--iterations", "2", "--out", str(out)) == 0
+        d = out / "fig3-iter-full"
+        assert pio.read_field(d / "recon.csv").grid.n == 33
+        assert len((d / "errors.csv").read_text().splitlines()) == 1 + 2
+
     def test_noise_demo_covers_both_apertures(self, tmp_path, capsys):
         out = tmp_path / "demo"
         assert run("demo", "fig2-noise", "--n", "33", "--out", str(out)) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pacavity as pv
-from pacavity.core import GridMismatchError, boundary_indices
+from pacavity.core import GridMismatchError, boundary_indices, corner_positions
 
 from helpers import eigenfield, smooth_random_field, smooth_random_state
 
@@ -80,6 +80,13 @@ class TestBoundaryTrace:
         g = pv.BoundaryTrace(grid, grid.dt, samples, gamma_mask=bs.gamma_mask)
         assert np.all(g.samples[:, ~bs.gamma_mask] == 0.0)
         assert np.all(g.samples[:, bs.gamma_mask] == 1.0)
+        assert np.all(samples == 1.0)
+
+    def test_masked_samples_kept_without_copy(self, grid):
+        bs = pv.BoundarySpec.left_bottom(grid)
+        samples = np.ones((3, pv.boundary_count(grid.n))) * bs.gamma_mask
+        g = pv.BoundaryTrace(grid, grid.dt, samples, gamma_mask=bs.gamma_mask)
+        assert np.shares_memory(g.samples, samples)
 
     def test_times(self, grid):
         g = zero_trace(grid, pv.BoundarySpec.full(grid), 20 * grid.dt)
@@ -253,9 +260,21 @@ class TestForwardSolve:
     def test_snapshot_recording(self, grid, unit, bs_full):
         rng = np.random.default_rng(4)
         s0 = pv.StatePair(smooth_random_field(grid, rng), pv.ScalarField.zeros(grid))
-        res = pv.forward_solve(s0, unit, bs_full, 1.0, record_every=10)
         steps = pv.num_steps(1.0, grid.dt)
-        assert [j for j, _ in res.snapshots] == list(range(10, steps - 1 + 1, 10))
+        snaps = dict.fromkeys(range(10, steps, 10))
+        pv.forward_solve(s0, unit, bs_full, 1.0, snapshots=snaps)
+        for j, s in snaps.items():
+            direct = pv.forward_solve(s0, unit, bs_full, j * grid.dt).final_state
+            assert np.array_equal(s.first.values, direct.first.values)
+
+    def test_snapshot_step_outside_the_march_rejected(self, grid, unit, bs_full):
+        s0 = pv.StatePair.zeros(grid)
+        g = zero_trace(grid, bs_full, 1.0)
+        for j in (0, g.n_steps, 2.5):
+            with pytest.raises(pv.ConfigError):
+                pv.forward_solve(s0, unit, bs_full, 1.0, snapshots={j: None})
+            with pytest.raises(pv.ConfigError):
+                pv.dissipative_reverse_solve(g, unit, bs_full, snapshots={j: None})
 
 
 class TestReverseSolve:
@@ -272,10 +291,10 @@ class TestReverseSolve:
         bs = pv.BoundarySpec.full(g)
         rng = np.random.default_rng(5)
         w = smooth_random_state(g, rng, kmax=7)
-        snaps = []
-        pv.dissipative_reverse_solve(zero_trace(g, bs, 2.0), unit, bs,
-                                     terminal_state=w, record_every=1, snapshots=snaps)
-        energies = [pv.energy(s, unit) for _, s in sorted(snaps)]
+        zero = zero_trace(g, bs, 2.0)
+        snaps = dict.fromkeys(range(1, zero.n_steps))
+        pv.dissipative_reverse_solve(zero, unit, bs, terminal_state=w, snapshots=snaps)
+        energies = [pv.energy(s, unit) for _, s in sorted(snaps.items())]
         assert len(energies) > 100
         for earlier, later in zip(energies[:-1], energies[1:]):
             assert earlier <= later * (1.0 + 1e-12)
@@ -302,6 +321,21 @@ class TestReverseSolve:
         target = a * r1.first.values + b * r2.first.values
         assert np.abs(rc.first.values - target).max() <= 1e-10 * np.abs(target).max()
 
+    def test_taylor_start_takes_the_absorbing_ghost(self, grid, unit, bs_full):
+        # from (0, w1) with zero data the first backward level is -dt w1, times
+        # (1 - G) on Gamma, where G = (dt/dx) lambda for each wall through a node
+        w1 = smooth_random_field(grid, np.random.default_rng(9))
+        zero = zero_trace(grid, bs_full, 1.0)
+        snaps = {zero.n_steps - 1: None}
+        pv.dissipative_reverse_solve(zero, unit, bs_full, snapshots=snaps,
+                                     terminal_state=pv.StatePair(pv.ScalarField.zeros(grid), w1))
+        walls = np.ones(pv.boundary_count(grid.n))
+        walls[list(corner_positions(grid.n))] = 2.0
+        expected = -grid.dt * w1.values
+        expected[boundary_indices(grid.n)] *= 1.0 - grid.dt / grid.dx * bs_full.lam * walls
+        got = snaps[zero.n_steps - 1].first.values
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
     def test_short_trace_rejected(self, grid, unit, bs_full):
         samples = np.zeros((2, pv.boundary_count(grid.n)))
         g = pv.BoundaryTrace(grid, grid.dt, samples)
@@ -312,8 +346,8 @@ class TestReverseSolve:
             self, grid257, phantom257, unit_speed257, bspec_full257, forward_t5_recorded):
         # with data produced by the forward solver itself, one backward pass
         # at T = 5 already lands within about 1% of the initial pressure
-        back = pv.dissipative_reverse_solve(forward_t5_recorded.trace,
-                                            unit_speed257, bspec_full257)
+        fwd, _ = forward_t5_recorded
+        back = pv.dissipative_reverse_solve(fwd.trace, unit_speed257, bspec_full257)
         est = pv.project_H1(back).first
         assert pv.relative_l2(est, phantom257) <= 0.011
 
@@ -323,11 +357,10 @@ class TestReverseSolve:
         rng = np.random.default_rng(8)
         f = smooth_random_field(grid, rng, kmax=6)
         s0 = pv.StatePair(f, pv.ScalarField.zeros(grid))
-        fwd = pv.forward_solve(s0, unit, bs_full, 2.0, record_every=16)
-        vsnaps = []
-        pv.dissipative_reverse_solve(fwd.trace, unit, bs_full,
-                                     record_every=16, snapshots=vsnaps)
-        u = dict(fwd.snapshots)
-        pairs = sorted((j, pv.energy(u[j] - v, unit)) for j, v in vsnaps)
+        u = dict.fromkeys(range(16, pv.num_steps(2.0, grid.dt), 16))
+        fwd = pv.forward_solve(s0, unit, bs_full, 2.0, snapshots=u)
+        vsnaps = dict.fromkeys(u)
+        pv.dissipative_reverse_solve(fwd.trace, unit, bs_full, snapshots=vsnaps)
+        pairs = sorted((j, pv.energy(u[j] - v, unit)) for j, v in vsnaps.items())
         for (_, earlier), (_, later) in zip(pairs[:-1], pairs[1:]):
             assert earlier <= later * (1.0 + 1e-3)
