@@ -46,7 +46,7 @@ w0 = pv.dct2_inverse(pv.CosineCoeffs(grid, coeffs))
 coeffs2 = np.zeros((N, N))
 coeffs2[:8, :8] = rng.standard_normal((8, 8))
 w1 = pv.dct2_inverse(pv.CosineCoeffs(grid, coeffs2))
-zero = pv.BoundaryTrace(grid, grid.dt, np.zeros((steps + 1, pv.boundary_count(N))),
+zero = pv.BoundaryTrace(grid, np.zeros((steps + 1, pv.boundary_count(N))),
                         gamma_mask=bspec.gamma_mask)
 snaps = dict.fromkeys(range(100, steps, 100))
 out = pv.dissipative_reverse_solve(zero, speed, bspec,

@@ -8,7 +8,6 @@ override the built-in defaults.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -26,7 +25,7 @@ from .core import (
     relative_l2,
 )
 from .fdtd import BoundaryTrace
-from .io import RunConfig, apply_config_entry, parse_config
+from .io import CONFIG_KEYS, RunConfig, apply_config_entry, parse_config
 from .phantom import add_noise
 from .recon import ReconConfig, neumann_iterate
 from .spectral import synthesize_data
@@ -39,15 +38,11 @@ DEMOS = {
     "fig4-iter-partial": dict(T="3", iterations="5", gamma="left_bottom"),
 }
 
-_OVERRIDE_KEYS = ("n", "dt_factor", "T", "gamma", "lambda", "taper", "phantom",
-                  "bumps", "noise", "seed", "iterations", "subspace", "snap_time")
-
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value configuration file")
-    common.add_argument("--out", help="output directory (default: out)")
-    for key in _OVERRIDE_KEYS:
+    for key in CONFIG_KEYS:
         common.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
                             metavar="V", help=f"override config key '{key}'")
 
@@ -72,18 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args, preset: dict | None = None) -> RunConfig:
     """The configuration file, then a demo preset (with snap_time on), then
-    the option flags, then --out; each later source overrides the earlier."""
+    the option flags; each later source overrides the earlier."""
     cfg = parse_config(args.config) if args.config else RunConfig()
     if preset is not None:
         cfg.snap_time = True
         for key, val in preset.items():
             apply_config_entry(cfg, key, val)
-    for key in _OVERRIDE_KEYS:
+    for key in CONFIG_KEYS:
         val = getattr(args, f"opt_{key}")
         if val is not None:
             apply_config_entry(cfg, key, val)
-    if args.out is not None:
-        cfg.out = args.out
     return cfg
 
 
@@ -127,15 +120,15 @@ def _synthesize(cfg: RunConfig):
         g = add_noise(g, cfg.noise, cfg.seed)
         noise_ratio = float(np.linalg.norm(g.samples - clean.samples)
                             / np.linalg.norm(clean.samples))
-    return grid, bspec, f, T, g, noise_ratio
+    return f, T, g, noise_ratio
 
 
 def cmd_forward(cfg: RunConfig) -> int:
-    grid, _, _, T, g, noise_ratio = _synthesize(cfg)
+    _, T, g, noise_ratio = _synthesize(cfg)
     out = _outdir(cfg)
     pio.write_trace(out / "trace.csv", g)
     metrics = [f"T_effective = {T!r}", f"steps = {g.n_steps}",
-               f"dt = {grid.dt!r}", f"noise_ratio = {noise_ratio!r}"]
+               f"dt = {g.dt!r}", f"noise_ratio = {noise_ratio!r}"]
     (out / "metrics.txt").write_text("\n".join(metrics) + "\n")
     print(f"wrote {out / 'trace.csv'} ({g.n_steps} steps, T = {T:g}, "
           f"noise ratio {noise_ratio:.3f})")
@@ -156,8 +149,8 @@ def _require_consistent(g: BoundaryTrace, grid: Grid2D, bspec: BoundarySpec) -> 
                           "(or taper) than the configuration sets")
 
 
-def _reconstruct(cfg: RunConfig, g: BoundaryTrace, grid: Grid2D, out: Path,
-                 label: str = "") -> float:
+def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path) -> None:
+    grid = cfg.make_grid()
     bspec = cfg.make_bspec(grid)
     _require_consistent(g, grid, bspec)
     c = ScalarField.constant(grid, 1.0)
@@ -167,51 +160,39 @@ def _reconstruct(cfg: RunConfig, g: BoundaryTrace, grid: Grid2D, out: Path,
                      subspace=cfg.subspace)
     report = neumann_iterate(g, rc, reference=reference)
     est = report.estimate.first
-    tag = f"{label}_" if label else ""
-    pio.write_field(out / f"{tag}recon.csv", est)
-    pio.write_field(out / f"{tag}recon.pgm", est)
-    _write_cross_section(out / f"{tag}cross_section.csv", grid, reference, est)
+    pio.write_field(out / "recon.csv", est)
+    pio.write_field(out / "recon.pgm", est)
+    _write_cross_section(out / "cross_section.csv", grid, reference, est)
     errs = report.per_iteration_errors
     lines = ["iteration,relative_l2_error"]
     lines += [f"{k},{repr(e)}" for k, e in enumerate(errs, start=1)]
-    (out / f"{tag}errors.csv").write_text("\n".join(lines) + "\n")
+    (out / "errors.csv").write_text("\n".join(lines) + "\n")
     final = errs[-1] if errs else relative_l2(est, reference)
-    name = label or "reconstruction"
-    print(f"{name}: relative L2 error = {final * 100:.2f}% "
+    print(f"reconstruction: relative L2 error = {final * 100:.2f}% "
           f"({cfg.iterations} iteration(s), T = {T:g})")
-    return final
 
 
 def cmd_reconstruct(cfg: RunConfig, trace_path: str) -> int:
-    path = Path(trace_path)
-    if not path.exists():
-        raise ConfigError(f"trace file not found: {path}")
-    g = pio.read_trace(path)
+    g = pio.read_trace(trace_path)
     if g.grid.n != cfg.n:
         raise ConfigError(
             f"trace grid n = {g.grid.n} does not match configured n = {cfg.n}"
         )
-    out = _outdir(cfg)
-    _reconstruct(cfg, g, cfg.make_grid(), out)
+    _reconstruct(cfg, g, _outdir(cfg))
     return 0
 
 
 def cmd_demo(cfg: RunConfig, name: str) -> int:
+    """One configured run: phantom, trace, reconstruction, all under out/name."""
     t0 = time.time()
-    apertures = ["full", "left_bottom"] if name == "fig2-noise" else [cfg.gamma]
-    grid = cfg.make_grid()
-    f = cfg.make_phantom(grid)
+    f, _, g, noise_ratio = _synthesize(cfg)
     out = _outdir(cfg, name)
     pio.write_field(out / "phantom.csv", f)
     pio.write_field(out / "phantom.pgm", f)
-    for aperture in apertures:
-        sub = dataclasses.replace(cfg, gamma=aperture)
-        _, _, _, T, g, noise_ratio = _synthesize(sub)
-        label = aperture if len(apertures) > 1 else ""
-        pio.write_trace(out / (f"{label}_trace.csv" if label else "trace.csv"), g)
-        if sub.noise > 0:
-            print(f"noise ratio = {noise_ratio:.3f}")
-        _reconstruct(sub, g, grid, out, label=label)
+    pio.write_trace(out / "trace.csv", g)
+    if cfg.noise > 0:
+        print(f"noise ratio = {noise_ratio:.3f}")
+    _reconstruct(cfg, g, out)
     print(f"demo {name} finished in {time.time() - t0:.1f}s; outputs in {out}")
     return 0
 

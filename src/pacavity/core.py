@@ -111,12 +111,6 @@ class ScalarField:
     def constant(cls, grid: Grid2D, value: float) -> "ScalarField":
         return cls(grid, np.full((grid.n, grid.n), float(value)))
 
-    @classmethod
-    def from_function(cls, grid: Grid2D, fn) -> "ScalarField":
-        x = grid.coords()
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        return cls(grid, np.asarray(fn(X, Y), dtype=float))
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 

@@ -66,15 +66,15 @@ class BoundaryTrace:
     """Pressure samples at every boundary node for every time level.
 
     samples[j, b] is the value at time t_j = j*dt at boundary node b in the
-    canonical enumeration.  Nodes outside Gamma are zeroed on construction
-    when a gamma_mask is supplied.  lam is the per-node dissipation weight of
-    the boundary spec the trace was recorded for, or None when unknown.  The
-    trace file stores dt, the mask and lam, so a reloaded trace carries all
-    three.
+    canonical enumeration, with dt the grid's time step: a trace has no time
+    step of its own, so the solvers that read it cannot step on another one.
+    Nodes outside Gamma are zeroed on construction when a gamma_mask is
+    supplied.  lam is the per-node dissipation weight of the boundary spec
+    the trace was recorded for, or None when unknown.  The trace file stores
+    dt, the mask and lam, so a reloaded trace carries all three.
     """
 
     grid: Grid2D
-    dt: float
     samples: np.ndarray
     gamma_mask: np.ndarray = None  # type: ignore[assignment]
     lam: np.ndarray | None = None
@@ -88,8 +88,6 @@ class BoundaryTrace:
             )
         if not np.all(np.isfinite(s)):
             raise ValueError("trace contains non-finite values")
-        if self.dt <= 0:
-            raise ConfigError(f"trace time step must be positive, got {self.dt!r}")
         if self.gamma_mask is None:
             self.gamma_mask = np.ones(nb, dtype=bool)
         else:
@@ -107,6 +105,10 @@ class BoundaryTrace:
             if self.lam.shape != (nb,):
                 raise GridMismatchError("lam length does not match the grid")
         self.samples = s
+
+    @property
+    def dt(self) -> float:
+        return self.grid.dt
 
     @property
     def n_steps(self) -> int:
@@ -138,15 +140,15 @@ def _boundary_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     return flat, walls
 
 
-def _coefficient(c: np.ndarray, dt: float, dx: float):
+def _coefficient(c: np.ndarray, grid: Grid2D):
     """(dt/dx)^2 c^2 per node, or one scalar when c is constant."""
-    coef = (dt / dx) ** 2 * c ** 2
+    coef = (grid.dt / grid.dx) ** 2 * c ** 2
     if np.all(coef == coef.flat[0]):
         return float(coef.flat[0])
     return coef
 
 
-def _absorption(c: np.ndarray | None, bspec: BoundarySpec, dt: float) -> np.ndarray:
+def _absorption(c: np.ndarray | None, bspec: BoundarySpec) -> np.ndarray:
     """G = (dt/dx)^2 c^2 gamma per boundary node, counted once per wall.
 
     c is None for unit sound speed.  G is zero off Gamma.
@@ -154,7 +156,7 @@ def _absorption(c: np.ndarray | None, bspec: BoundarySpec, dt: float) -> np.ndar
     grid = bspec.grid
     flat, walls = _boundary_layout(grid.n)
     c2 = 1.0 if c is None else c.reshape(-1)[flat] ** 2
-    return (dt / grid.dx) * c2 * bspec.lam * walls
+    return (grid.dt / grid.dx) * c2 * bspec.lam * walls
 
 
 def _advance(out: np.ndarray, cur: np.ndarray, prev: np.ndarray, coef, centre,
@@ -204,7 +206,7 @@ def interior_step(prev: ScalarField, curr: ScalarField, c: ScalarField) -> Scala
     if prev.grid != curr.grid or curr.grid != c.grid:
         raise GridMismatchError("fields live on different grids")
     grid = curr.grid
-    coef = _coefficient(c.values, grid.dt, grid.dx)
+    coef = _coefficient(c.values, grid)
     out = np.empty_like(curr.values)
     _advance(out, curr.values, prev.values, coef, 2.0 - 4.0 * coef, np.empty_like(out))
     return ScalarField(grid, out)
@@ -233,22 +235,23 @@ def dissipative_boundary_update(level_new: ScalarField, level_old: ScalarField,
     if g_new.shape != (nb,) or g_old.shape != (nb,):
         raise GridMismatchError(f"data rows must have length {nb}")
     flat, _ = _boundary_layout(grid.n)
-    G = _absorption(None if c is None else c.values, bspec, grid.dt)
+    G = _absorption(None if c is None else c.values, bspec)
     return _absorb(level_new.values.reshape(-1)[flat], level_old.values.reshape(-1)[flat],
                    g_new, g_old, G)
 
 
-def _check_setup(grid: Grid2D, c: ScalarField, bspec: BoundarySpec, dt: float) -> None:
+def _check_setup(grid: Grid2D, c: ScalarField, bspec: BoundarySpec) -> None:
     if c.grid != grid or bspec.grid != grid:
         raise GridMismatchError("grid, sound speed and boundary spec are inconsistent")
     if np.any(c.values <= 0):
         raise ValueError("sound speed must be strictly positive")
-    Grid2D(grid.n, dt).check_cfl(float(c.values.max()))
+    grid.check_cfl(float(c.values.max()))
 
 
-def _march(start: StatePair, c: ScalarField, dt: float, steps: int, sign: int,
+def _march(start: StatePair, c: ScalarField, steps: int, sign: int,
            boundary, snapshots: dict[int, StatePair] | None) -> StatePair:
-    """March the leapfrog scheme over steps levels in the direction sign.
+    """March the leapfrog scheme over steps levels of the grid's time step dt
+    in the direction sign.
 
     sign = +1 starts at t = 0 and ends at t = steps dt; sign = -1 starts at
     t = steps dt and ends at t = 0.  The second-order Taylor start from
@@ -267,7 +270,8 @@ def _march(start: StatePair, c: ScalarField, dt: float, steps: int, sign: int,
     if bad:
         raise ConfigError(f"snapshot steps must be integers in 1 .. {steps - 1}, got {bad}")
     grid = start.grid
-    coef = _coefficient(c.values, dt, grid.dx)
+    dt = grid.dt
+    coef = _coefficient(c.values, grid)
     centre = 2.0 - 4.0 * coef
     first = 0 if sign > 0 else steps
     work = np.empty_like(start.first.values)
@@ -302,9 +306,8 @@ def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, 
     set to the state at t_j, its velocity the centered difference.
     """
     grid = s0.grid
-    dt = grid.dt
-    _check_setup(grid, c, bspec, dt)
-    steps = num_steps(T, dt)
+    _check_setup(grid, c, bspec)
+    steps = num_steps(T, grid.dt)
     flat, _ = _boundary_layout(grid.n)
     rows = np.empty((steps + 1, flat.size))
     np.take(s0.first.values, flat, out=rows[0])
@@ -312,9 +315,9 @@ def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, 
     def record(j, level, behind):
         np.take(level, flat, out=rows[j])
 
-    final = _march(s0, c, dt, steps, +1, record, snapshots)
+    final = _march(s0, c, steps, +1, record, snapshots)
     rows[:, ~bspec.gamma_mask] = 0.0
-    trace = BoundaryTrace(grid, dt, rows, gamma_mask=bspec.gamma_mask.copy())
+    trace = BoundaryTrace(grid, rows, gamma_mask=bspec.gamma_mask.copy())
     return SolveResult(trace=trace, final_state=final)
 
 
@@ -332,8 +335,7 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, bspec: BoundaryS
     equation.  snapshots records states as in forward_solve.
     """
     grid = g.grid
-    dt = g.dt
-    _check_setup(grid, c, bspec, dt)
+    _check_setup(grid, c, bspec)
     steps = g.n_steps
     if steps < 2:
         raise ConfigError(f"trace must cover at least two time steps, got {steps}")
@@ -342,7 +344,7 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, bspec: BoundaryS
     elif terminal_state.grid != grid:
         raise GridMismatchError("terminal state lives on a different grid")
     flat, _ = _boundary_layout(grid.n)
-    G = _absorption(c.values, bspec, dt)
+    G = _absorption(c.values, bspec)
     data = g.samples
 
     def absorb(j, level, behind):
@@ -354,4 +356,4 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, bspec: BoundaryS
         else:
             new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], data[j], data[j + 2], G)
 
-    return _march(terminal_state, c, dt, steps, -1, absorb, snapshots)
+    return _march(terminal_state, c, steps, -1, absorb, snapshots)

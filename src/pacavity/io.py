@@ -7,21 +7,30 @@ portable graymaps (PGM) for viewing; the affine value mapping is recorded
 in a comment so the image is deterministic but not meant to be re-read.
 
 Run configuration is a flat ``key = value`` text file with ``#`` comments.
-Unknown keys are rejected rather than ignored, every key has a documented
-default, and all values are range-checked with the offending key named in
-the error message.
+The keys are listed once, in CONFIG_KEYS.  Unknown keys are rejected rather
+than ignored, every key has a documented default, and all values are
+range-checked with the offending key named in the error message.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import BoundarySpec, ConfigError, Grid2D, ScalarField, boundary_count
+from .core import (
+    BoundarySpec,
+    ConfigError,
+    Grid2D,
+    ScalarField,
+    boundary_count,
+    num_steps,
+    snap_duration,
+)
 from .fdtd import BoundaryTrace
 from .phantom import PAPER_SIX, BumpSpec, render_phantom
 
@@ -244,7 +253,7 @@ def read_trace(path) -> BoundaryTrace:
         grid = Grid2D(n, dt)
     except ConfigError as exc:
         raise ParseError(f"{path}: header 'dt': {exc}") from None
-    return BoundaryTrace(grid, dt, samples, gamma_mask=mask, lam=lam)
+    return BoundaryTrace(grid, samples, gamma_mask=mask, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +270,7 @@ class RunConfig:
     gamma: object = "full"          # "full" | "left_bottom" | list of node indices
     lambda_value: float = 1.0
     taper: float = 0.0
-    phantom: str = "paper-six"
-    bumps: tuple = None             # explicit BumpSpec list, overrides the preset
+    bumps: tuple = None             # explicit BumpSpec list; None gives PAPER_SIX
     noise: float = 0.0
     seed: int = 0
     iterations: int = 1
@@ -290,7 +298,6 @@ class RunConfig:
     def resolve_T(self, dt: float) -> float:
         """Snap T to the time grid when snap_time is set, else require an
         exact multiple of dt."""
-        from .core import num_steps, snap_duration
         if self.snap_time:
             return snap_duration(self.T, dt)
         num_steps(self.T, dt)
@@ -300,12 +307,12 @@ class RunConfig:
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _parse_int(key, text, lo=None, hi=None):
+def _parse_int(key, text, lo=None):
     try:
         val = int(text)
     except ValueError:
         raise ConfigError(f"key '{key}': expected an integer, got {text!r}") from None
-    if lo is not None and val < lo or hi is not None and val > hi:
+    if lo is not None and val < lo:
         raise ConfigError(f"key '{key}': value {val} out of range")
     return val
 
@@ -326,77 +333,79 @@ def _parse_float(key, text, lo=None, lo_strict=None, hi=None):
     return val
 
 
-def _parse_gamma(text):
+def _parse_gamma(key, text):
     if text in ("full", "left_bottom"):
         return text
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(
-            f"key 'gamma': expected 'full', 'left_bottom' or a comma-separated "
+            f"key '{key}': expected 'full', 'left_bottom' or a comma-separated "
             f"node list, got {text!r}"
         ) from None
 
 
-def _parse_bumps(text):
+def _parse_bumps(key, text):
     specs = []
     for i, chunk in enumerate(part for part in text.split(";") if part.strip()):
         toks = chunk.split(",")
         if len(toks) != 4:
             raise ConfigError(
-                f"key 'bumps': bump {i} must be 'cx,cy,radius,amplitude', got {chunk.strip()!r}"
+                f"key '{key}': bump {i} must be 'cx,cy,radius,amplitude', got {chunk.strip()!r}"
             )
         try:
             cx, cy, r, a = (float(t) for t in toks)
         except ValueError:
-            raise ConfigError(f"key 'bumps': bump {i} has a non-numeric entry") from None
+            raise ConfigError(f"key '{key}': bump {i} has a non-numeric entry") from None
         try:
             specs.append(BumpSpec((cx, cy), r, a))
         except ConfigError as exc:
-            raise ConfigError(f"key 'bumps': bump {i}: {exc}") from None
+            raise ConfigError(f"key '{key}': bump {i}: {exc}") from None
     if not specs:
-        raise ConfigError("key 'bumps': no bumps given")
+        raise ConfigError(f"key '{key}': no bumps given")
     return tuple(specs)
+
+
+def _parse_subspace(key, text):
+    if text.upper() not in ("H0", "H1"):
+        raise ConfigError(f"key '{key}': expected H0 or H1, got {text!r}")
+    return text.upper()
+
+
+def _parse_bool(key, text):
+    if text.lower() not in _BOOL:
+        raise ConfigError(f"key '{key}': expected true or false, got {text!r}")
+    return _BOOL[text.lower()]
+
+
+# Every configuration key: the RunConfig field it sets and its parser
+# parse(key, text), which validates the text and names the key on error.
+# The config file, the demo presets and the command-line flags all go
+# through this one table.
+CONFIG_KEYS = {
+    "n": ("n", partial(_parse_int, lo=4)),
+    "dt_factor": ("dt_factor",
+                  partial(_parse_float, lo_strict=0.0, hi=1.0 / np.sqrt(2.0) + 1e-12)),
+    "T": ("T", partial(_parse_float, lo_strict=0.0)),
+    "gamma": ("gamma", _parse_gamma),
+    "lambda": ("lambda_value", partial(_parse_float, lo_strict=0.0)),
+    "taper": ("taper", partial(_parse_float, lo=0.0)),
+    "bumps": ("bumps", _parse_bumps),
+    "noise": ("noise", partial(_parse_float, lo=0.0)),
+    "seed": ("seed", _parse_int),
+    "iterations": ("iterations", partial(_parse_int, lo=0)),
+    "subspace": ("subspace", _parse_subspace),
+    "out": ("out", lambda key, text: text),
+    "snap_time": ("snap_time", _parse_bool),
+}
 
 
 def apply_config_entry(cfg: RunConfig, key: str, text: str) -> None:
     """Set one key = value pair on a RunConfig, validating both."""
-    if key == "n":
-        cfg.n = _parse_int(key, text, lo=4)
-    elif key == "dt_factor":
-        cfg.dt_factor = _parse_float(key, text, lo_strict=0.0, hi=1.0 / np.sqrt(2.0) + 1e-12)
-    elif key == "T":
-        cfg.T = _parse_float(key, text, lo_strict=0.0)
-    elif key == "gamma":
-        cfg.gamma = _parse_gamma(text)
-    elif key == "lambda":
-        cfg.lambda_value = _parse_float(key, text, lo_strict=0.0)
-    elif key == "taper":
-        cfg.taper = _parse_float(key, text, lo=0.0)
-    elif key == "phantom":
-        if text != "paper-six":
-            raise ConfigError(f"key 'phantom': unknown preset {text!r} (only 'paper-six')")
-        cfg.phantom = text
-    elif key == "bumps":
-        cfg.bumps = _parse_bumps(text)
-    elif key == "noise":
-        cfg.noise = _parse_float(key, text, lo=0.0)
-    elif key == "seed":
-        cfg.seed = _parse_int(key, text)
-    elif key == "iterations":
-        cfg.iterations = _parse_int(key, text, lo=0)
-    elif key == "subspace":
-        if text.upper() not in ("H0", "H1"):
-            raise ConfigError(f"key 'subspace': expected H0 or H1, got {text!r}")
-        cfg.subspace = text.upper()
-    elif key == "out":
-        cfg.out = text
-    elif key == "snap_time":
-        if text.lower() not in _BOOL:
-            raise ConfigError(f"key 'snap_time': expected true or false, got {text!r}")
-        cfg.snap_time = _BOOL[text.lower()]
-    else:
+    if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown key {key!r}")
+    name, parse = CONFIG_KEYS[key]
+    setattr(cfg, name, parse(key, text))
 
 
 def parse_config(path) -> RunConfig:

@@ -93,30 +93,16 @@ def dct2_inverse(c: CosineCoeffs) -> ScalarField:
     return ScalarField(c.grid, v)
 
 
-def _require_unit_speed(c_sound) -> None:
-    if c_sound is None:
-        return
-    if isinstance(c_sound, ScalarField):
-        if np.allclose(c_sound.values, 1.0, rtol=0.0, atol=1e-14):
-            return
-    raise ConfigError(
-        "the cosine series solution is only valid for unit sound speed; "
-        "use the finite-difference solver for variable c(x)"
-    )
-
-
-def spectral_propagate(c: CosineCoeffs, t: float, c_sound: ScalarField | None = None) -> ScalarField:
+def spectral_propagate(c: CosineCoeffs, t: float) -> ScalarField:
     """Wave field u(., t) for initial data (f, 0), f = dct2_inverse(c)."""
-    _require_unit_speed(c_sound)
     if t < 0:
         raise ConfigError("propagation time must be nonnegative")
     lam = mode_frequencies(c.grid)
     return dct2_inverse(CosineCoeffs(c.grid, c.coeffs * np.cos(lam * t)))
 
 
-def spectral_velocity(c: CosineCoeffs, t: float, c_sound: ScalarField | None = None) -> ScalarField:
+def spectral_velocity(c: CosineCoeffs, t: float) -> ScalarField:
     """Time derivative u_t(., t) by term-wise differentiation of the series."""
-    _require_unit_speed(c_sound)
     if t < 0:
         raise ConfigError("propagation time must be nonnegative")
     lam = mode_frequencies(c.grid)
@@ -143,12 +129,17 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
     """Boundary pressure trace of the series solution with initial data (f, 0).
 
     Samples u at every boundary node at times t_j = j*dt, j = 0 .. T/dt;
-    nodes outside Gamma carry zeros.  T must be an integer multiple of dt.
-    Only the walls are evaluated (see _wall_coefficients); one batched DCT-I
-    then turns their cosine coefficients into node values.
+    nodes outside Gamma carry zeros.  dt must be the grid's own time step
+    f.grid.dt, the step the solvers take on the trace; any other value is a
+    ConfigError.  T must be an integer multiple of dt.  Only the walls are
+    evaluated (see _wall_coefficients); one batched DCT-I then turns their
+    cosine coefficients into node values.
     """
     if f.grid != bspec.grid:
         raise GridMismatchError("field and boundary spec live on different grids")
+    if dt != f.grid.dt:
+        raise ConfigError(f"dt = {dt!r} differs from the grid's time step {f.grid.dt!r}; "
+                          "the solvers step the trace on the grid's dt")
     steps = num_steps(T, dt)
     n = f.grid.n
     walls = _wall_coefficients(dct2_forward(f), dt, steps)
@@ -161,7 +152,7 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
     rows = np.take(walls.reshape(steps + 1, 4 * n), gather, axis=1)  # C order: one row per level
     del walls  # freed before the trace's checks allocate their temporaries
     rows[:, ~bspec.gamma_mask] = 0.0
-    return BoundaryTrace(f.grid, dt, rows, gamma_mask=bspec.gamma_mask.copy(),
+    return BoundaryTrace(f.grid, rows, gamma_mask=bspec.gamma_mask.copy(),
                          lam=bspec.lam.copy())
 
 

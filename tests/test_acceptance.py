@@ -139,7 +139,7 @@ def test_criterion_07_dissipation(grid257, phantom257, unit_speed257,
     rng = np.random.default_rng(3)
     w = smooth_random_state(grid257, rng, kmax=7)
     steps = pv.num_steps(5.0, grid257.dt)
-    zero = pv.BoundaryTrace(grid257, grid257.dt,
+    zero = pv.BoundaryTrace(grid257,
                             np.zeros((steps + 1, pv.boundary_count(257))),
                             gamma_mask=bspec_full257.gamma_mask)
     out = pv.dissipative_reverse_solve(zero, unit_speed257, bspec_full257,
@@ -320,7 +320,7 @@ def test_criterion_10_structural_invariants():
     m1 = pv.neumann_iterate(tr1, cfg).estimate
     m2 = pv.neumann_iterate(tr2, cfg).estimate
     mc = pv.neumann_iterate(
-        pv.BoundaryTrace(g, g.dt, a * tr1.samples + b * tr2.samples,
+        pv.BoundaryTrace(g, a * tr1.samples + b * tr2.samples,
                          gamma_mask=bs.gamma_mask), cfg).estimate
     lin_map = np.abs(mc.first.values - a * m1.first.values - b * m2.first.values).max() \
         / np.abs(mc.first.values).max()

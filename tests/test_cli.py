@@ -149,11 +149,12 @@ class TestDemoCommand:
         assert pio.read_field(d / "recon.csv").grid.n == 33
         assert len((d / "errors.csv").read_text().splitlines()) == 1 + 2
 
-    def test_noise_demo_covers_both_apertures(self, tmp_path, capsys):
+    def test_noise_demo_takes_configured_gamma(self, tmp_path):
         out = tmp_path / "demo"
-        assert run("demo", "fig2-noise", "--n", "33", "--out", str(out)) == 0
-        printed = capsys.readouterr().out
-        assert "full" in printed and "left_bottom" in printed
+        assert run("demo", "fig2-noise", "--n", "33", "--gamma", "0,1,2",
+                   "--out", str(out)) == 0
         d = out / "fig2-noise"
-        assert (d / "full_recon.csv").exists()
-        assert (d / "left_bottom_recon.csv").exists()
+        header = (d / "trace.csv").read_text().splitlines()[0]
+        assert "; gamma = 0,1,2;" in header
+        for name in ("phantom.csv", "recon.csv", "errors.csv", "cross_section.csv"):
+            assert (d / name).exists()

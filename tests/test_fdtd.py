@@ -27,7 +27,7 @@ def bs_full(grid):
 def zero_trace(grid, bspec, T):
     steps = pv.num_steps(T, grid.dt)
     samples = np.zeros((steps + 1, pv.boundary_count(grid.n)))
-    return pv.BoundaryTrace(grid, grid.dt, samples, gamma_mask=bspec.gamma_mask)
+    return pv.BoundaryTrace(grid, samples, gamma_mask=bspec.gamma_mask)
 
 
 class TestBoundaryEnumeration:
@@ -72,12 +72,12 @@ class TestBoundaryEnumeration:
 class TestBoundaryTrace:
     def test_wrong_column_count(self, grid):
         with pytest.raises(GridMismatchError):
-            pv.BoundaryTrace(grid, grid.dt, np.zeros((4, 7)))
+            pv.BoundaryTrace(grid, np.zeros((4, 7)))
 
     def test_off_gamma_zeroed_on_construction(self, grid):
         bs = pv.BoundarySpec.left_bottom(grid)
         samples = np.ones((3, pv.boundary_count(grid.n)))
-        g = pv.BoundaryTrace(grid, grid.dt, samples, gamma_mask=bs.gamma_mask)
+        g = pv.BoundaryTrace(grid, samples, gamma_mask=bs.gamma_mask)
         assert np.all(g.samples[:, ~bs.gamma_mask] == 0.0)
         assert np.all(g.samples[:, bs.gamma_mask] == 1.0)
         assert np.all(samples == 1.0)
@@ -85,7 +85,7 @@ class TestBoundaryTrace:
     def test_masked_samples_kept_without_copy(self, grid):
         bs = pv.BoundarySpec.left_bottom(grid)
         samples = np.ones((3, pv.boundary_count(grid.n))) * bs.gamma_mask
-        g = pv.BoundaryTrace(grid, grid.dt, samples, gamma_mask=bs.gamma_mask)
+        g = pv.BoundaryTrace(grid, samples, gamma_mask=bs.gamma_mask)
         assert np.shares_memory(g.samples, samples)
 
     def test_times(self, grid):
@@ -313,7 +313,7 @@ class TestReverseSolve:
         g1 = pv.synthesize_data(f1, bs_full, 1.0, grid.dt)
         g2 = pv.synthesize_data(f2, bs_full, 1.0, grid.dt)
         a, b = 1.3, -0.4
-        gc = pv.BoundaryTrace(grid, grid.dt, a * g1.samples + b * g2.samples,
+        gc = pv.BoundaryTrace(grid, a * g1.samples + b * g2.samples,
                               gamma_mask=bs_full.gamma_mask)
         r1 = pv.dissipative_reverse_solve(g1, unit, bs_full)
         r2 = pv.dissipative_reverse_solve(g2, unit, bs_full)
@@ -338,7 +338,7 @@ class TestReverseSolve:
 
     def test_short_trace_rejected(self, grid, unit, bs_full):
         samples = np.zeros((2, pv.boundary_count(grid.n)))
-        g = pv.BoundaryTrace(grid, grid.dt, samples)
+        g = pv.BoundaryTrace(grid, samples)
         with pytest.raises(pv.ConfigError):
             pv.dissipative_reverse_solve(g, unit, bs_full)
 

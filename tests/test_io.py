@@ -1,5 +1,8 @@
 """File formats: exact CSV round trips, graymaps, configuration parsing."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,7 +64,7 @@ class TestFieldFiles:
 class TestTraceFiles:
     def test_empty_trace_header_only(self, tmp_path):
         g = pv.Grid2D(9)
-        empty = pv.BoundaryTrace(g, g.dt, np.zeros((0, pv.boundary_count(9))))
+        empty = pv.BoundaryTrace(g, np.zeros((0, pv.boundary_count(9))))
         path = tmp_path / "empty.csv"
         pio.write_trace(path, empty)
         lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
@@ -92,6 +95,8 @@ class TestTraceFiles:
         pio.write_trace(path, trace)
         back = pio.read_trace(path)
         assert back.grid == g and back.dt == g.dt
+        # a trace has no time step of its own: dt is always its grid's
+        assert "dt" not in {fld.name for fld in dataclasses.fields(back)}
         assert np.array_equal(back.gamma_mask, bs.gamma_mask)
         assert np.array_equal(back.lam, bs.lam)
         assert np.array_equal(back.samples, trace.samples)
@@ -114,7 +119,7 @@ class TestTraceFiles:
     def test_bad_header_entry_names_key(self, tmp_path, entry, key):
         g = pv.Grid2D(9)
         path = tmp_path / "trace.csv"
-        pio.write_trace(path, pv.BoundaryTrace(g, g.dt, np.ones((2, 32))))
+        pio.write_trace(path, pv.BoundaryTrace(g, np.ones((2, 32))))
         text = path.read_text().splitlines()
         text[0] = f"# pacavity trace v2; {entry}"
         path.write_text("\n".join(text) + "\n")
@@ -130,7 +135,7 @@ class TestTraceFiles:
 
     def test_ragged_row_rejected(self, tmp_path):
         g = pv.Grid2D(9)
-        trace = pv.BoundaryTrace(g, g.dt, np.ones((2, 32)))
+        trace = pv.BoundaryTrace(g, np.ones((2, 32)))
         path = tmp_path / "trace.csv"
         pio.write_trace(path, trace)
         text = path.read_text().splitlines()
@@ -150,7 +155,6 @@ class TestConfig:
         assert cfg.T == 5.0
         assert cfg.gamma == "full"
         assert cfg.lambda_value == 1.0
-        assert cfg.phantom == "paper-six"
         assert cfg.noise == 0.0
         assert cfg.iterations == 1
         assert cfg.subspace == "H1"
@@ -171,9 +175,28 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("gamm = full\n")
-        with pytest.raises(pv.ConfigError, match="gamm"):
-            pio.parse_config(path)
+        # 'phantom' is not a key: bumps sets the phantom, the six-bump one by default
+        for key, value in (("gamm", "full"), ("phantom", "paper-six")):
+            path.write_text(f"{key} = {value}\n")
+            with pytest.raises(pv.ConfigError, match=f"unknown key '{key}'"):
+                pio.parse_config(path)
+
+    def test_readme_lists_every_key_with_its_default(self):
+        # the README's key = value block is the documentation of the table
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Keys and defaults:", 1)[1].split("```")[1]
+        documented = {}
+        for line in block.strip().splitlines():
+            key, _, value = line.partition("=")
+            documented[key.strip()] = value.split("#", 1)[0].strip()
+        assert list(documented) == list(pio.CONFIG_KEYS)
+        defaults = pio.RunConfig()
+        for key, text in documented.items():
+            name, parse = pio.CONFIG_KEYS[key]
+            assert (parse(key, text) if text else None) == getattr(defaults, name), key
+        # and every RunConfig field is set by exactly one key
+        assert (sorted(name for name, _ in pio.CONFIG_KEYS.values())
+                == sorted(fld.name for fld in dataclasses.fields(pio.RunConfig)))
 
     def test_out_of_range_n(self, tmp_path):
         path = tmp_path / "c.cfg"

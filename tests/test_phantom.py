@@ -95,7 +95,7 @@ class TestAddNoise:
 
     def test_zero_trace_rejected(self):
         g = pv.Grid2D(33)
-        z = pv.BoundaryTrace(g, g.dt, np.zeros((9, pv.boundary_count(g.n))))
+        z = pv.BoundaryTrace(g, np.zeros((9, pv.boundary_count(g.n))))
         with pytest.raises(pv.ConfigError):
             pv.add_noise(z, 0.5, seed=0)
 

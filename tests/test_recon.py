@@ -35,7 +35,7 @@ class TestInitialApproximation:
     def test_zero_data(self, setup65):
         g = setup65["grid"]
         steps = pv.num_steps(1.0, g.dt)
-        z = pv.BoundaryTrace(g, g.dt, np.zeros((steps + 1, pv.boundary_count(g.n))))
+        z = pv.BoundaryTrace(g, np.zeros((steps + 1, pv.boundary_count(g.n))))
         out = pv.initial_approximation(z, make_cfg(setup65, 1.0, 1))
         assert np.all(out.first.values == 0.0)
         assert np.all(out.second.values == 0.0)
@@ -134,7 +134,7 @@ class TestNeumannIterate:
         g1 = pv.synthesize_data(f1, bs, 1.0, g.dt)
         g2 = pv.synthesize_data(f2, bs, 1.0, g.dt)
         a, b = 0.7, -1.3
-        gc = pv.BoundaryTrace(g, g.dt, a * g1.samples + b * g2.samples,
+        gc = pv.BoundaryTrace(g, a * g1.samples + b * g2.samples,
                               gamma_mask=bs.gamma_mask)
         r1 = pv.neumann_iterate(g1, cfg).estimate
         r2 = pv.neumann_iterate(g2, cfg).estimate
