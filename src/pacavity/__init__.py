@@ -20,7 +20,6 @@ from .core import (
     boundary_mean,
     boundary_values,
     energy,
-    full_norm,
     l2_norm,
     num_steps,
     project_H0,
@@ -31,7 +30,6 @@ from .core import (
 )
 from .fdtd import (
     BoundaryTrace,
-    SolveResult,
     dissipative_boundary_update,
     dissipative_reverse_solve,
     forward_solve,
@@ -49,10 +47,9 @@ from .spectral import (
     CosineCoeffs,
     dct2_forward,
     dct2_inverse,
+    leapfrog_trace,
     mode_frequencies,
-    spectral_energy,
     spectral_propagate,
-    spectral_velocity,
     synthesize_data,
 )
 
@@ -61,14 +58,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundarySpec", "BoundaryTrace", "BumpSpec", "ConfigError", "CosineCoeffs",
     "Grid2D", "GridMismatchError", "PAPER_SIX", "ReconConfig", "ReconReport",
-    "ScalarField", "SolveResult", "StabilityError", "StatePair",
+    "ScalarField", "StabilityError", "StatePair",
     "add_noise", "boundary_count", "boundary_indices", "boundary_mean",
     "boundary_values", "dct2_forward", "dct2_inverse",
     "dissipative_boundary_update", "dissipative_reverse_solve", "energy",
-    "estimate_contraction", "forward_solve", "full_norm",
-    "initial_approximation", "interior_step", "l2_norm", "mode_frequencies",
-    "neumann_iterate", "num_steps", "paper_six_phantom", "project_H0",
-    "project_H1", "radial_bump", "relative_l2", "render_phantom", "seminorm",
-    "snap_duration", "spectral_energy", "spectral_propagate",
-    "spectral_velocity", "synthesize_data",
+    "estimate_contraction", "forward_solve",
+    "initial_approximation", "interior_step", "l2_norm", "leapfrog_trace",
+    "mode_frequencies", "neumann_iterate", "num_steps", "paper_six_phantom",
+    "project_H0", "project_H1", "radial_bump", "relative_l2", "render_phantom",
+    "seminorm", "snap_duration", "spectral_propagate", "synthesize_data",
 ]

@@ -344,15 +344,6 @@ def seminorm(s: StatePair, c: ScalarField) -> float:
     return float(np.sqrt(energy(s, c)))
 
 
-def full_norm(s: StatePair, c: ScalarField) -> float:
-    """Norm with the L2 part of u0 included: sqrt(||u0||^2 + E)."""
-    _check_speed(s, c)
-    w = s.grid.quad_weights()
-    W = np.outer(w, w)
-    l2sq = float(np.sum(W * s.first.values ** 2))
-    return float(np.sqrt(l2sq + energy(s, c)))
-
-
 def l2_norm(f: ScalarField) -> float:
     """Trapezoid-rule L2 norm of a field over the square."""
     w = f.grid.quad_weights()

@@ -346,6 +346,8 @@ def _parse_gamma(key, text):
 
 
 def _parse_bumps(key, text):
+    if not text.strip():
+        return None  # the default: the six-bump phantom
     specs = []
     for i, chunk in enumerate(part for part in text.split(";") if part.strip()):
         toks = chunk.split(",")

@@ -13,9 +13,17 @@ exactly.  The solution of the wave equation with initial data (f, 0) is
 
     u(x, y, t) = sum c_{k,l} phi_{k,l}(x, y) cos(lam_{k,l} t),
 
-which this module evaluates directly.  It is used to synthesize boundary
-measurements independently of the finite-difference solvers, so inversion
-is never tested against data produced by its own discretization.
+which this module evaluates directly.  synthesize_data samples it on the
+walls to make measurement data independently of the finite-difference
+solvers, so inversion is never tested against data produced by its own
+discretization.
+
+The same basis diagonalizes the finite-difference scheme itself: at
+constant sound speed c, the mirror-closed leapfrog of fdtd advances mode
+(k, l) as cos(j theta_{k,l}) with a discrete phase theta_{k,l} in place of
+lam_{k,l} dt.  leapfrog_trace evaluates the wall series with that phase,
+which gives fdtd.forward_solve's trace to rounding without the march; the
+reconstruction uses it as the measurement map L.
 """
 
 from __future__ import annotations
@@ -34,9 +42,9 @@ from .core import (
     boundary_indices,
     num_steps,
 )
-from .fdtd import BoundaryTrace
+from .fdtd import BoundaryTrace, _check_setup
 
-# synthesize_data restarts its cosine recurrence from exact values this often
+# the wall series restarts its cosine recurrence from exact values this often
 RESEED_STEPS = 256
 
 
@@ -101,30 +109,6 @@ def spectral_propagate(c: CosineCoeffs, t: float) -> ScalarField:
     return dct2_inverse(CosineCoeffs(c.grid, c.coeffs * np.cos(lam * t)))
 
 
-def spectral_velocity(c: CosineCoeffs, t: float) -> ScalarField:
-    """Time derivative u_t(., t) by term-wise differentiation of the series."""
-    if t < 0:
-        raise ConfigError("propagation time must be nonnegative")
-    lam = mode_frequencies(c.grid)
-    return dct2_inverse(CosineCoeffs(c.grid, -c.coeffs * lam * np.sin(lam * t)))
-
-
-def spectral_energy(c: CosineCoeffs) -> float:
-    """Conserved energy of the series solution, summed mode-wise.
-
-    Modes are orthogonal with squared norms prod(2 for index 0 or n-1 else 1);
-    the energy of initial data (f, 0) is sum c^2 lam^2 * weight, and stays
-    constant in time by cos^2 + sin^2 = 1.
-    """
-    n = c.grid.n
-    w1 = np.ones(n)
-    w1[0] = 2.0
-    w1[-1] = 2.0
-    W = np.outer(w1, w1)
-    lam = mode_frequencies(c.grid)
-    return float(np.sum(W * (c.coeffs * lam) ** 2))
-
-
 def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) -> BoundaryTrace:
     """Boundary pressure trace of the series solution with initial data (f, 0).
 
@@ -140,44 +124,82 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
     if dt != f.grid.dt:
         raise ConfigError(f"dt = {dt!r} differs from the grid's time step {f.grid.dt!r}; "
                           "the solvers step the trace on the grid's dt")
-    steps = num_steps(T, dt)
-    n = f.grid.n
-    walls = _wall_coefficients(dct2_forward(f), dt, steps)
+    return _trace_from_walls(
+        _wall_coefficients(dct2_forward(f), mode_frequencies(f.grid), dt, num_steps(T, dt)),
+        bspec)
+
+
+def leapfrog_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
+                   T: float) -> BoundaryTrace:
+    """The trace of fdtd.forward_solve from (f, 0) at constant sound speed c,
+    evaluated in the scheme's own eigenbasis instead of by marching.
+
+    The DCT-I diagonalizes the mirror-closed leapfrog and its Taylor start:
+    mode (k, l) advances exactly as cos(j theta_kl), with
+    sin^2(theta_kl / 2) = (dt c / dx)^2 (s_k + s_l) and
+    s_k = sin^2(k pi / (2 (n - 1))).  The trace is therefore the series of
+    synthesize_data with the discrete frequency theta_kl / dt in place of
+    lam_kl, and equals forward_solve's to rounding.  The same setup checks
+    apply, so a CFL violation raises StabilityError; a c that is not
+    constant is a ConfigError.
+    """
+    grid = f.grid
+    _check_setup(grid, c, bspec)
+    c0 = c.values.flat[0]
+    if np.any(c.values != c0):
+        raise ConfigError("leapfrog_trace needs a constant sound speed")
+    s = np.sin(0.5 * np.pi * np.arange(grid.n) / (grid.n - 1)) ** 2
+    coef = (grid.dt * c0 / grid.dx) ** 2
+    # arcsin keeps the digits of small phases that arccos(1 - 2 x) loses; the
+    # clip absorbs the rounding slack check_cfl allows at the bound itself
+    theta = 2.0 * np.arcsin(np.sqrt(np.minimum(coef * (s[:, None] + s[None, :]), 1.0)))
+    return _trace_from_walls(
+        _wall_coefficients(dct2_forward(f), theta / grid.dt, grid.dt, num_steps(T, grid.dt)),
+        bspec)
+
+
+def _trace_from_walls(walls: np.ndarray, bspec: BoundarySpec) -> BoundaryTrace:
+    """The boundary trace from the wall coefficients of _wall_coefficients:
+    one batched DCT-I turns them into node values, a gather puts those in
+    canonical order, and nodes outside Gamma are zeroed."""
+    n = bspec.grid.n
+    levels = walls.shape[0]
     walls[..., 1:-1] *= 0.5
     walls = dct(walls, type=1, axis=-1, overwrite_x=True)
     # position of each canonical boundary node in the flattened wall rows
     ks, ls = boundary_indices(n)
     gather = np.where(ls == 0, ks, np.where(ls == n - 1, n + ks,
                                             np.where(ks == 0, 2 * n + ls, 3 * n + ls)))
-    rows = np.take(walls.reshape(steps + 1, 4 * n), gather, axis=1)  # C order: one row per level
-    del walls  # freed before the trace's checks allocate their temporaries
+    rows = np.take(walls.reshape(levels, 4 * n), gather, axis=1)  # C order: one row per level
+    del walls  # the callers pass a temporary: freed before the trace's checks allocate
     rows[:, ~bspec.gamma_mask] = 0.0
-    return BoundaryTrace(f.grid, rows, gamma_mask=bspec.gamma_mask.copy(),
+    return BoundaryTrace(bspec.grid, rows, gamma_mask=bspec.gamma_mask.copy(),
                          lam=bspec.lam.copy())
 
 
-def _wall_coefficients(c: CosineCoeffs, dt: float, steps: int) -> np.ndarray:
+def _wall_coefficients(c: CosineCoeffs, omega: np.ndarray, dt: float,
+                       steps: int) -> np.ndarray:
     """Cosine coefficients of u(., t_j) along the walls y = -1, y = 1, x = -1
-    and x = 1, shape (steps + 1, 4, n).
+    and x = 1, shape (steps + 1, 4, n), for modes c_{k,l} that oscillate at
+    the angular frequencies omega_{k,l}.
 
     On a wall every mode is a 1D cosine times +-1, so with
-    M_j = c * cos(lam t_j) the wall coefficients are the row sums M_j @ S and
+    M_j = c * cos(omega t_j) the wall coefficients are the row sums M_j @ S and
     the column sums S^T @ M_j, S = [1, (-1)^k].  M_j advances by the
-    three-term recurrence M_{j+1} = 2 cos(lam dt) M_j - M_{j-1}, restarted
+    three-term recurrence M_{j+1} = 2 cos(omega dt) M_j - M_{j-1}, restarted
     from exact cosines every RESEED_STEPS steps so that rounding cannot
     accumulate over long horizons.  The n x n work arrays live only in this
     function, so they are freed before the caller allocates its output.
     """
     n = c.grid.n
-    lam = mode_frequencies(c.grid)
-    twice_cos = 2.0 * np.cos(lam * dt)
+    twice_cos = 2.0 * np.cos(omega * dt)
     s_t = np.stack([np.ones(n), (-1.0) ** np.arange(n)])
     walls = np.empty((steps + 1, 4, n))
     prev, cur, work = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     for j in range(steps + 1):
         if j % RESEED_STEPS == 0:
-            np.multiply(c.coeffs, np.cos(lam * ((j - 1) * dt)), out=prev)
-            np.multiply(c.coeffs, np.cos(lam * (j * dt)), out=cur)
+            np.multiply(c.coeffs, np.cos(omega * ((j - 1) * dt)), out=prev)
+            np.multiply(c.coeffs, np.cos(omega * (j * dt)), out=cur)
         np.matmul(s_t, cur.T, out=walls[j, :2])
         np.matmul(s_t, cur, out=walls[j, 2:])
         np.multiply(twice_cos, cur, out=work)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from pacavity import CosineCoeffs, Grid2D, ScalarField, StatePair, dct2_inverse
+from pacavity import (CosineCoeffs, Grid2D, ScalarField, StatePair, dct2_inverse, energy,
+                      mode_frequencies)
 
 
 def smooth_random_field(grid: Grid2D, rng, kmax: int = 9, scale: float = 1.0) -> ScalarField:
@@ -30,3 +31,30 @@ def eigenfield(grid: Grid2D, k: int, l: int) -> ScalarField:
 
 def plain_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def full_norm(s: StatePair, c: ScalarField) -> float:
+    """Norm with the L2 part of u0 included: sqrt(||u0||^2 + E)."""
+    w = s.grid.quad_weights()
+    l2sq = float(np.sum(np.outer(w, w) * s.first.values ** 2))
+    return float(np.sqrt(l2sq + energy(s, c)))
+
+
+def spectral_velocity(c: CosineCoeffs, t: float) -> ScalarField:
+    """Time derivative u_t(., t) of the series solution, differentiated term-wise."""
+    lam = mode_frequencies(c.grid)
+    return dct2_inverse(CosineCoeffs(c.grid, -c.coeffs * lam * np.sin(lam * t)))
+
+
+def spectral_energy(c: CosineCoeffs) -> float:
+    """Conserved energy of the series solution, summed mode-wise.
+
+    Modes are orthogonal with squared norms prod(2 for index 0 or n-1 else 1);
+    the energy of initial data (f, 0) is sum c^2 lam^2 * weight, and stays
+    constant in time by cos^2 + sin^2 = 1.
+    """
+    n = c.grid.n
+    w1 = np.ones(n)
+    w1[0] = 2.0
+    w1[-1] = 2.0
+    return float(np.sum(np.outer(w1, w1) * (c.coeffs * mode_frequencies(c.grid)) ** 2))

@@ -6,7 +6,7 @@ import pytest
 import pacavity as pv
 from pacavity.core import GridMismatchError
 
-from helpers import eigenfield, smooth_random_state
+from helpers import eigenfield, full_norm, smooth_random_state
 
 
 @pytest.fixture
@@ -119,14 +119,14 @@ class TestNorms:
 
     def test_constant_field_norm(self, grid, unit):
         s = pv.StatePair(pv.ScalarField.constant(grid, 1.0), pv.ScalarField.zeros(grid))
-        assert pv.full_norm(s, unit) == pytest.approx(2.0, rel=1e-12)
+        assert full_norm(s, unit) == pytest.approx(2.0, rel=1e-12)
 
     def test_norm_identity_and_domination(self, grid, unit):
         rng = np.random.default_rng(11)
         for _ in range(100):
             s = smooth_random_state(grid, rng)
             semi = pv.seminorm(s, unit)
-            full = pv.full_norm(s, unit)
+            full = full_norm(s, unit)
             assert semi <= full
             l2sq = pv.l2_norm(s.first) ** 2
             assert full**2 == pytest.approx(semi**2 + l2sq, rel=1e-12)

@@ -181,19 +181,16 @@ class TestConfig:
             with pytest.raises(pv.ConfigError, match=f"unknown key '{key}'"):
                 pio.parse_config(path)
 
-    def test_readme_lists_every_key_with_its_default(self):
-        # the README's key = value block is the documentation of the table
+    def test_readme_lists_every_key_with_its_default(self, tmp_path):
+        # the README's key = value block documents the table and is itself a
+        # valid configuration file that gives the defaults
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("Keys and defaults:", 1)[1].split("```")[1]
-        documented = {}
-        for line in block.strip().splitlines():
-            key, _, value = line.partition("=")
-            documented[key.strip()] = value.split("#", 1)[0].strip()
-        assert list(documented) == list(pio.CONFIG_KEYS)
-        defaults = pio.RunConfig()
-        for key, text in documented.items():
-            name, parse = pio.CONFIG_KEYS[key]
-            assert (parse(key, text) if text else None) == getattr(defaults, name), key
+        documented = [line.partition("=")[0].strip() for line in block.strip().splitlines()]
+        assert documented == list(pio.CONFIG_KEYS)
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert pio.parse_config(path) == pio.RunConfig()
         # and every RunConfig field is set by exactly one key
         assert (sorted(name for name, _ in pio.CONFIG_KEYS.values())
                 == sorted(fld.name for fld in dataclasses.fields(pio.RunConfig)))
@@ -225,6 +222,14 @@ class TestConfig:
         bad.write_text("bumps = 0.95,0.0,0.2,1.0\n")
         with pytest.raises(pv.ConfigError, match="bump 0"):
             pio.parse_config(bad)
+
+    def test_empty_bumps_give_the_six_bump_phantom(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("bumps =\n")
+        assert pio.parse_config(path).bumps is None
+        path.write_text("bumps = ;\n")
+        with pytest.raises(pv.ConfigError, match="no bumps given"):
+            pio.parse_config(path)
 
     def test_snap_time_resolution(self, tmp_path):
         path = tmp_path / "c.cfg"

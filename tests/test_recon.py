@@ -172,3 +172,76 @@ class TestConfigValidation:
     def test_nonpositive_time(self, setup65):
         with pytest.raises(pv.ConfigError):
             make_cfg(setup65, 0.0, 1)
+
+
+class TestModeSpaceMeasurement:
+    """At constant c the forward solve L runs in mode space; a count of the
+    leapfrog forward solves keeps that speed-up from silently going away."""
+
+    @pytest.fixture
+    def count_forward_solves(self, monkeypatch):
+        calls = []
+        solve = pv.fdtd.forward_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pv.fdtd, "forward_solve", counted)
+        return calls
+
+    @staticmethod
+    def spelled_out(g, cfg):
+        # the iteration with every L a leapfrog forward solve
+        base = cfg.project(pv.dissipative_reverse_solve(g, cfg.c, cfg.bspec))
+        u = base.copy()
+        for _ in range(1, cfg.iterations):
+            fwd = pv.forward_solve(u, cfg.c, cfg.bspec, cfg.T)
+            u = u - cfg.project(pv.dissipative_reverse_solve(fwd.trace, cfg.c, cfg.bspec)) + base
+        return u
+
+    def varying_speed(self, grid):
+        x = grid.coords()
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        return pv.ScalarField(grid, 1.0 + 0.2 * np.exp(-((X - 0.2) ** 2 + Y ** 2) / 0.2))
+
+    def test_constant_speed_h1_needs_no_leapfrog_forward_solve(self, setup65, data65,
+                                                                count_forward_solves):
+        T, g = data65
+        cfg = make_cfg(setup65, T, 4)
+        got = pv.neumann_iterate(g, cfg).estimate
+        assert len(count_forward_solves) == 0
+        want = self.spelled_out(g, cfg)
+        for a, b in ((got.first, want.first), (got.second, want.second)):
+            assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(want.first.values).max()
+
+    def test_varying_speed_keeps_the_leapfrog_bit_for_bit(self, setup65, data65,
+                                                          count_forward_solves):
+        T, g = data65
+        cfg = pv.ReconConfig(T=T, iterations=4, c=self.varying_speed(setup65["grid"]),
+                             bspec=setup65["bs"])
+        got = pv.neumann_iterate(g, cfg).estimate
+        assert len(count_forward_solves) == 3
+        want = self.spelled_out(g, cfg)
+        assert np.array_equal(got.first.values, want.first.values)
+
+    def test_h0_keeps_the_leapfrog(self, setup65, data65, count_forward_solves):
+        # H0 iterates carry a velocity, which the mode-space trace does not take
+        T, g = data65
+        cfg = make_cfg(setup65, T, 4, subspace="H0")
+        got = pv.neumann_iterate(g, cfg).estimate
+        assert len(count_forward_solves) == 3
+        want = self.spelled_out(g, cfg)
+        assert np.array_equal(got.first.values, want.first.values)
+        assert np.array_equal(got.second.values, want.second.values)
+
+    def test_contraction_estimate_at_constant_speed(self, setup65, count_forward_solves):
+        cfg = make_cfg(setup65, 2.0, 1)
+        f = setup65["phantom"]
+        factor = pv.estimate_contraction(f, cfg)
+        assert len(count_forward_solves) == 0
+        state = pv.StatePair(f, pv.ScalarField.zeros(setup65["grid"]))
+        fwd = pv.forward_solve(state, cfg.c, cfg.bspec, cfg.T)
+        back = cfg.project(pv.dissipative_reverse_solve(fwd.trace, cfg.c, cfg.bspec))
+        want = pv.seminorm(state - back, cfg.c) / pv.seminorm(state, cfg.c)
+        assert factor == pytest.approx(want, rel=1e-12)

@@ -6,7 +6,7 @@ import pytest
 import pacavity as pv
 from pacavity.spectral import mode_frequencies
 
-from helpers import eigenfield, smooth_random_field
+from helpers import eigenfield, smooth_random_field, spectral_energy, spectral_velocity
 
 
 @pytest.fixture
@@ -97,7 +97,7 @@ class TestPropagate:
 
         def series_energy(t):
             cu = pv.dct2_forward(pv.spectral_propagate(c, t)).coeffs
-            cv = pv.dct2_forward(pv.spectral_velocity(c, t)).coeffs
+            cv = pv.dct2_forward(spectral_velocity(c, t)).coeffs
             return float(np.sum(W * ((lam * cu) ** 2 + cv**2)))
 
         e0 = series_energy(0.0)
@@ -111,10 +111,10 @@ class TestPropagate:
         rng = np.random.default_rng(4)
         f = smooth_random_field(g, rng, kmax=7)
         c = pv.dct2_forward(f)
-        e_series = pv.spectral_energy(c)
+        e_series = spectral_energy(c)
         unit = pv.ScalarField.constant(g, 1.0)
         for t in (0.0, 0.7):
-            state = pv.StatePair(pv.spectral_propagate(c, t), pv.spectral_velocity(c, t))
+            state = pv.StatePair(pv.spectral_propagate(c, t), spectral_velocity(c, t))
             assert pv.energy(state, unit) == pytest.approx(e_series, rel=0.05)
 
     def test_even_time_extension_composition(self, grid):
@@ -214,3 +214,38 @@ class TestCrossValidation:
         assert errs[65] <= 0.03
         assert errs[129] <= 0.015
         assert errs[65] / errs[129] == pytest.approx(4.0, rel=0.25)
+
+
+class TestLeapfrogTrace:
+    @pytest.mark.parametrize("n", [33, 65])
+    @pytest.mark.parametrize("dt_factor", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("speed", [1.0, 0.8])
+    @pytest.mark.parametrize("aperture", ["full", "left_bottom"])
+    def test_equals_forward_solve_at_every_node(self, n, dt_factor, speed, aperture):
+        # the DCT-I diagonalizes the mirror-closed leapfrog exactly, so the
+        # mode-space trace pins every wall and corner node of the march to
+        # rounding, for a rough field that excites every mode
+        grid = pv.Grid2D(n, dt_factor * pv.Grid2D(n).dx)
+        bs = getattr(pv.BoundarySpec, aperture)(grid)
+        c = pv.ScalarField.constant(grid, speed)
+        f = pv.ScalarField(grid, np.random.default_rng(n).standard_normal((n, n)))
+        T = 150 * grid.dt
+        ref = pv.forward_solve(pv.StatePair(f, pv.ScalarField.zeros(grid)), c, bs, T).trace
+        got = pv.leapfrog_trace(f, c, bs, T)
+        assert got.samples.shape == ref.samples.shape
+        assert np.array_equal(got.gamma_mask, ref.gamma_mask)
+        assert np.all(got.samples[:, ~bs.gamma_mask] == 0.0)
+        assert np.abs(got.samples - ref.samples).max() <= 1e-12 * np.abs(ref.samples).max()
+
+    def test_speed_above_the_cfl_bound_rejected(self, grid):
+        # dt = dx/2 allows c up to sqrt(2); beyond it the phase would be NaN
+        bs = pv.BoundarySpec.full(grid)
+        f = smooth_random_field(grid, np.random.default_rng(9))
+        with pytest.raises(pv.StabilityError):
+            pv.leapfrog_trace(f, pv.ScalarField.constant(grid, 1.5), bs, 1.0)
+
+    def test_varying_speed_rejected(self, grid):
+        bs = pv.BoundarySpec.full(grid)
+        c = pv.ScalarField(grid, np.linspace(0.9, 1.0, grid.n)[:, None] * np.ones(grid.n))
+        with pytest.raises(pv.ConfigError, match="constant"):
+            pv.leapfrog_trace(pv.ScalarField.zeros(grid), c, bs, 1.0)
