@@ -46,11 +46,10 @@ w0 = pv.dct2_inverse(pv.CosineCoeffs(grid, coeffs))
 coeffs2 = np.zeros((N, N))
 coeffs2[:8, :8] = rng.standard_normal((8, 8))
 w1 = pv.dct2_inverse(pv.CosineCoeffs(grid, coeffs2))
-zero = pv.BoundaryTrace(grid, np.zeros((steps + 1, pv.boundary_count(N))),
-                        gamma_mask=bspec.gamma_mask)
+zero = pv.BoundaryTrace(bspec, np.zeros((steps + 1, pv.boundary_count(N))))
 snaps = dict.fromkeys(range(100, steps, 100))
-out = pv.dissipative_reverse_solve(zero, speed, bspec,
-                                   terminal_state=pv.StatePair(w0, w1), snapshots=snaps)
+out = pv.dissipative_reverse_solve(zero, speed, terminal_state=pv.StatePair(w0, w1),
+                                   snapshots=snaps)
 e_term = pv.energy(pv.StatePair(w0, w1), speed)
 print("free decay of a random state (energy relative to t = T):")
 for j, s in sorted(snaps.items(), reverse=True):

@@ -18,7 +18,6 @@ from .core import (
     boundary_count,
     boundary_indices,
     boundary_mean,
-    boundary_values,
     energy,
     l2_norm,
     num_steps,
@@ -49,7 +48,6 @@ from .spectral import (
     dct2_inverse,
     leapfrog_trace,
     mode_frequencies,
-    spectral_propagate,
     synthesize_data,
 )
 
@@ -58,13 +56,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundarySpec", "BoundaryTrace", "BumpSpec", "ConfigError", "CosineCoeffs",
     "Grid2D", "GridMismatchError", "PAPER_SIX", "ReconConfig", "ReconReport",
-    "ScalarField", "StabilityError", "StatePair",
-    "add_noise", "boundary_count", "boundary_indices", "boundary_mean",
-    "boundary_values", "dct2_forward", "dct2_inverse",
+    "ScalarField", "StabilityError", "StatePair", "add_noise", "boundary_count",
+    "boundary_indices", "boundary_mean", "dct2_forward", "dct2_inverse",
     "dissipative_boundary_update", "dissipative_reverse_solve", "energy",
-    "estimate_contraction", "forward_solve",
-    "initial_approximation", "interior_step", "l2_norm", "leapfrog_trace",
-    "mode_frequencies", "neumann_iterate", "num_steps", "paper_six_phantom",
-    "project_H0", "project_H1", "radial_bump", "relative_l2", "render_phantom",
-    "seminorm", "snap_duration", "spectral_propagate", "synthesize_data",
+    "estimate_contraction", "forward_solve", "initial_approximation",
+    "interior_step", "l2_norm", "leapfrog_trace", "mode_frequencies",
+    "neumann_iterate", "num_steps", "paper_six_phantom", "project_H0", "project_H1",
+    "radial_bump", "relative_l2", "render_phantom", "seminorm", "snap_duration",
+    "synthesize_data",
 ]

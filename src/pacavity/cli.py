@@ -135,16 +135,17 @@ def cmd_forward(cfg: RunConfig) -> int:
     return 0
 
 
-def _require_consistent(g: BoundaryTrace, grid: Grid2D, bspec: BoundarySpec) -> None:
+def _require_consistent(g: BoundaryTrace, bspec: BoundarySpec) -> None:
     """Refuse to invert a trace under a configuration it was not recorded for."""
-    if g.dt != grid.dt:
+    if g.dt != bspec.grid.dt:
         raise ConfigError(f"key 'dt_factor': the trace has dt = {g.dt!r}, "
-                          f"the configuration gives dt = {grid.dt!r}")
-    if not np.array_equal(g.gamma_mask, bspec.gamma_mask):
-        raise ConfigError(f"key 'gamma': the trace was measured on {int(g.gamma_mask.sum())} "
+                          f"the configuration gives dt = {bspec.grid.dt!r}")
+    mask = g.bspec.gamma_mask
+    if not np.array_equal(mask, bspec.gamma_mask):
+        raise ConfigError(f"key 'gamma': the trace was measured on {int(mask.sum())} "
                           f"boundary nodes, the configured Gamma differs "
                           f"({int(bspec.gamma_mask.sum())} nodes)")
-    if g.lam is not None and not np.array_equal(g.lam, bspec.lam):
+    if not np.array_equal(g.bspec.lam, bspec.lam):
         raise ConfigError("key 'lambda': the trace was recorded for a different lambda "
                           "(or taper) than the configuration sets")
 
@@ -152,7 +153,7 @@ def _require_consistent(g: BoundaryTrace, grid: Grid2D, bspec: BoundarySpec) -> 
 def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path) -> None:
     grid = cfg.make_grid()
     bspec = cfg.make_bspec(grid)
-    _require_consistent(g, grid, bspec)
+    _require_consistent(g, bspec)
     c = ScalarField.constant(grid, 1.0)
     reference = cfg.make_phantom(grid)
     T = g.n_steps * g.dt

@@ -25,7 +25,7 @@ which makes all boundary nodes carry equal weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -207,18 +207,13 @@ def corner_positions(n: int) -> tuple[int, int, int, int]:
     return 0, n - 1, 2 * n - 2, 3 * n - 3
 
 
-def boundary_values(f: ScalarField) -> np.ndarray:
-    """Field values at the boundary nodes, in canonical order."""
-    ks, ls = boundary_indices(f.grid.n)
-    return f.values[ks, ls]
-
-
-@dataclass
+@dataclass(eq=False)
 class BoundarySpec:
     """Measurement set Gamma and the dissipation weight lambda per node.
 
     gamma_mask and lam are indexed by the canonical boundary enumeration;
-    lam must be positive exactly on Gamma and zero elsewhere.
+    lam must be positive exactly on Gamma and zero elsewhere.  Two specs are
+    equal when their grids, masks and lambdas are.
     """
 
     grid: Grid2D
@@ -239,6 +234,12 @@ class BoundarySpec:
             raise ValueError("lambda must be positive exactly on Gamma and zero elsewhere")
         self.gamma_mask = mask
         self.lam = lam
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundarySpec):
+            return NotImplemented
+        return (self.grid == other.grid and np.array_equal(self.gamma_mask, other.gamma_mask)
+                and np.array_equal(self.lam, other.lam))
 
     @classmethod
     def full(cls, grid: Grid2D, lambda_value: float = 1.0) -> "BoundarySpec":

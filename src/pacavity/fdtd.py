@@ -63,21 +63,20 @@ from .core import (
 
 @dataclass
 class BoundaryTrace:
-    """Pressure samples at every boundary node for every time level.
+    """Pressure samples at every boundary node for every time level, and the
+    boundary spec they were measured on.
 
     samples[j, b] is the value at time t_j = j*dt at boundary node b in the
-    canonical enumeration, with dt the grid's time step: a trace has no time
-    step of its own, so the solvers that read it cannot step on another one.
-    Nodes outside Gamma are zeroed on construction when a gamma_mask is
-    supplied.  lam is the per-node dissipation weight of the boundary spec
-    the trace was recorded for, or None when unknown.  The trace file stores
-    dt, the mask and lam, so a reloaded trace carries all three.
+    canonical enumeration.  The spec holds the grid, and with it dt, the
+    measured set Gamma and lambda: a trace has none of its own, so the
+    solvers that read it cannot step on another time step or absorb on
+    another boundary.  Nodes outside Gamma are zeroed on construction.  The
+    trace file stores dt, Gamma and lambda, so a reloaded trace carries all
+    three.
     """
 
-    grid: Grid2D
+    bspec: BoundarySpec
     samples: np.ndarray
-    gamma_mask: np.ndarray = None  # type: ignore[assignment]
-    lam: np.ndarray | None = None
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -88,23 +87,17 @@ class BoundaryTrace:
             )
         if not np.all(np.isfinite(s)):
             raise ValueError("trace contains non-finite values")
-        if self.gamma_mask is None:
-            self.gamma_mask = np.ones(nb, dtype=bool)
-        else:
-            mask = np.asarray(self.gamma_mask, dtype=bool)
-            if mask.shape != (nb,):
-                raise GridMismatchError("gamma_mask length does not match the grid")
-            # samples that are already zero off Gamma are kept as they are;
-            # otherwise a copy is zeroed, so the caller's array never changes
-            if np.any(s, axis=0)[~mask].any():
-                s = s.copy()
-                s[:, ~mask] = 0.0
-            self.gamma_mask = mask
-        if self.lam is not None:
-            self.lam = np.asarray(self.lam, dtype=float)
-            if self.lam.shape != (nb,):
-                raise GridMismatchError("lam length does not match the grid")
+        # samples that are already zero off Gamma are kept as they are;
+        # otherwise a copy is zeroed, so the caller's array never changes
+        off = ~self.bspec.gamma_mask
+        if np.any(s, axis=0)[off].any():
+            s = s.copy()
+            s[:, off] = 0.0
         self.samples = s
+
+    @property
+    def grid(self) -> Grid2D:
+        return self.bspec.grid
 
     @property
     def dt(self) -> float:
@@ -317,25 +310,25 @@ def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, 
 
     final = _march(s0, c, steps, +1, record, snapshots)
     rows[:, ~bspec.gamma_mask] = 0.0
-    trace = BoundaryTrace(grid, rows, gamma_mask=bspec.gamma_mask.copy())
-    return SolveResult(trace=trace, final_state=final)
+    return SolveResult(trace=BoundaryTrace(bspec, rows), final_state=final)
 
 
-def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, bspec: BoundarySpec,
-                              terminal_state: StatePair | None = None, *,
+def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, *,
+                              terminal_state: StatePair | None = None,
                               snapshots: dict[int, StatePair] | None = None) -> StatePair:
     """Integrate backward from t = T with the absorbing boundary condition.
 
     Terminal data default to (0, 0); the measured trace g drives the
-    boundary on Gamma.  Returns (v(., 0), v_t(., 0)), the velocity from the
-    one-sided difference (-3 v^0 + 4 v^1 - v^2) / (2 dt).
+    boundary on its own Gamma, with its own lambda.  Returns (v(., 0),
+    v_t(., 0)), the velocity from the one-sided difference
+    (-3 v^0 + 4 v^1 - v^2) / (2 dt).
 
     A nonzero terminal_state runs the same absorbing dynamics from that
     state instead, which with g = 0 realizes the free decay of the error
     equation.  snapshots records states as in forward_solve.
     """
     grid = g.grid
-    _check_setup(grid, c, bspec)
+    _check_setup(grid, c, g.bspec)
     steps = g.n_steps
     if steps < 2:
         raise ConfigError(f"trace must cover at least two time steps, got {steps}")
@@ -344,7 +337,7 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, bspec: BoundaryS
     elif terminal_state.grid != grid:
         raise GridMismatchError("terminal state lives on a different grid")
     flat, _ = _boundary_layout(grid.n)
-    G = _absorption(c.values, bspec)
+    G = _absorption(c.values, g.bspec)
     data = g.samples
 
     def absorb(j, level, behind):

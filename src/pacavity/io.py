@@ -176,29 +176,35 @@ def read_field(path) -> ScalarField:
 def write_trace(path, g: BoundaryTrace) -> None:
     """CSV with header row t,node_0,...,node_{4n-5}; one row per time level.
 
-    The comment line above it records the time step, the measured set Gamma
-    ('full' or its node indices) and, when the trace carries it, lambda
+    The comment line above it records the trace's boundary spec: the time
+    step, the measured set Gamma ('full' or its node indices) and lambda
     (one value when uniform on Gamma, else one per Gamma node).
     """
+    bs = g.bspec
     nb = boundary_count(g.grid.n)
+    lam = bs.lam[bs.gamma_mask]
+    lam = lam[:1] if np.all(lam == lam[:1]) else lam
     meta = ["pacavity trace v2", f"dt = {_fmt(g.dt)}",
-            "gamma = " + ("full" if g.gamma_mask.all()
-                          else ",".join(str(b) for b in np.flatnonzero(g.gamma_mask)))]
-    if g.lam is not None:
-        lam = g.lam[g.gamma_mask]
-        lam = lam[:1] if np.all(lam == lam[:1]) else lam
-        meta.append("lambda = " + ",".join(_fmt(v) for v in lam))
+            "gamma = " + ("full" if bs.gamma_mask.all()
+                          else ",".join(str(b) for b in np.flatnonzero(bs.gamma_mask))),
+            "lambda = " + ",".join(_fmt(v) for v in lam)]
     columns = ",".join(["t"] + [f"node_{b}" for b in range(nb)])
     with open(path, "w") as fh:
         fh.write("# " + "; ".join(meta) + "\n" + columns + "\n")
         np.savetxt(fh, np.column_stack([g.times, g.samples]), fmt=_CSV_FMT, delimiter=",")
 
 
-def _trace_metadata(path, meta: dict, grid_n: int):
-    """Gamma mask and lambda from the header keys; absent keys mean every
-    node measured and lambda unknown."""
-    nb = boundary_count(grid_n)
-    text = meta.get("gamma", "full")
+def _trace_spec(path, meta: dict, n: int) -> BoundarySpec:
+    """The boundary spec from the header entries dt, gamma and lambda."""
+    for key in ("dt", "gamma", "lambda"):
+        if key not in meta:
+            raise ParseError(f"{path}: header entry '{key}' is missing")
+    try:
+        grid = Grid2D(n, float(meta["dt"]))
+    except ValueError as exc:
+        raise ParseError(f"{path}: header 'dt': {exc}") from None
+    nb = boundary_count(n)
+    text = meta["gamma"]
     try:
         nodes = (np.arange(nb) if text == "full"
                  else np.array([int(tok) for tok in text.split(",")]))
@@ -209,25 +215,20 @@ def _trace_metadata(path, meta: dict, grid_n: int):
                          f"in [0, {nb - 1}]: {text!r}") from None
     mask = np.zeros(nb, dtype=bool)
     mask[nodes] = True
-    if "lambda" not in meta:
-        return mask, None
+    lam = np.zeros(nb)
     try:
-        values = np.array([float(tok) for tok in meta["lambda"].split(",")])
-        lam = np.zeros(nb)
-        lam[mask] = values
-        BoundarySpec(Grid2D(grid_n), mask, lam)
+        lam[mask] = [float(tok) for tok in meta["lambda"].split(",")]
+        return BoundarySpec(grid, mask, lam)
     except ValueError:
         raise ParseError(f"{path}: header 'lambda' must hold one positive value or one "
                          f"per Gamma node ({mask.sum()}): {meta['lambda']!r}") from None
-    return mask, lam
 
 
 def read_trace(path) -> BoundaryTrace:
     """Reload a trace CSV; sample values are bit-identical.
 
-    The time step, Gamma mask and lambda come from the header.  A file
-    without them (format v1) gets the step from its time column (the grid
-    default below two rows) and counts every boundary node as measured.
+    The boundary spec (time step, Gamma mask and lambda) comes from the
+    header, which must carry all three.
     """
     meta, header, data, first = _read_csv(path, column_header=True)
     if header is None:
@@ -241,19 +242,7 @@ def read_trace(path) -> BoundaryTrace:
     if data is None or data.size and data.shape[1] != nb + 1:
         raise _bad_row(path, first, nb + 1)
     samples = data[:, 1:] if data.size else np.zeros((0, nb))
-    if "dt" in meta:
-        try:
-            dt = float(meta["dt"])
-        except ValueError:
-            raise ParseError(f"{path}: header 'dt' is not a number: {meta['dt']!r}") from None
-    else:
-        dt = data[1, 0] - data[0, 0] if data.shape[0] >= 2 else Grid2D(n).dt
-    mask, lam = _trace_metadata(path, meta, n)
-    try:
-        grid = Grid2D(n, dt)
-    except ConfigError as exc:
-        raise ParseError(f"{path}: header 'dt': {exc}") from None
-    return BoundaryTrace(grid, samples, gamma_mask=mask, lam=lam)
+    return BoundaryTrace(_trace_spec(path, meta, n), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +272,18 @@ class RunConfig:
         return Grid2D(self.n, self.dt_factor * grid.dx)
 
     def make_bspec(self, grid: Grid2D) -> BoundarySpec:
+        """Gamma and lambda on the grid.  lambda and taper are range-checked
+        when parsed, so an error from a node list is about that list."""
         if self.gamma == "full":
             if self.taper > 0:
-                raise ConfigError("taper has no effect on the full boundary")
+                raise ConfigError("key 'taper': taper has no effect on the full boundary")
             return BoundarySpec.full(grid, self.lambda_value)
         if self.gamma == "left_bottom":
             return BoundarySpec.left_bottom(grid, self.lambda_value, self.taper)
-        return BoundarySpec.from_node_list(grid, self.gamma, self.lambda_value, self.taper)
+        try:
+            return BoundarySpec.from_node_list(grid, self.gamma, self.lambda_value, self.taper)
+        except ConfigError as exc:
+            raise ConfigError(f"key 'gamma': {exc}") from None
 
     def make_phantom(self, grid: Grid2D) -> ScalarField:
         specs = self.bumps if self.bumps is not None else PAPER_SIX
@@ -394,7 +388,7 @@ CONFIG_KEYS = {
     "taper": ("taper", partial(_parse_float, lo=0.0)),
     "bumps": ("bumps", _parse_bumps),
     "noise": ("noise", partial(_parse_float, lo=0.0)),
-    "seed": ("seed", _parse_int),
+    "seed": ("seed", partial(_parse_int, lo=0)),
     "iterations": ("iterations", partial(_parse_int, lo=0)),
     "subspace": ("subspace", _parse_subspace),
     "out": ("out", lambda key, text: text),

@@ -96,6 +96,6 @@ def add_noise(g: BoundaryTrace, level: float, seed: int) -> BoundaryTrace:
     if signal == 0.0:
         raise ConfigError("cannot scale noise relative to an all-zero trace")
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(g.samples.shape) * g.gamma_mask[None, :]
+    noise = rng.standard_normal(g.samples.shape) * g.bspec.gamma_mask[None, :]
     noise *= level * signal / np.linalg.norm(noise)
     return replace(g, samples=g.samples + noise)

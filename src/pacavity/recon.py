@@ -91,6 +91,9 @@ class ReconReport:
 def _check_trace(g: BoundaryTrace, cfg: ReconConfig) -> None:
     if g.grid != cfg.grid:
         raise GridMismatchError("trace and configuration live on different grids")
+    if g.bspec != cfg.bspec:
+        raise ConfigError("the trace was measured on another Gamma or lambda "
+                          "than the configuration's boundary spec")
     steps = num_steps(cfg.T, g.dt)
     if g.n_steps != steps:
         raise ConfigError(
@@ -109,13 +112,13 @@ def _measure(u: StatePair, cfg: ReconConfig) -> BoundaryTrace:
 
 def _apply(u: StatePair, cfg: ReconConfig) -> StatePair:
     """P A L u, the operator of the fixed-point iteration."""
-    return cfg.project(fdtd.dissipative_reverse_solve(_measure(u, cfg), cfg.c, cfg.bspec))
+    return cfg.project(fdtd.dissipative_reverse_solve(_measure(u, cfg), cfg.c))
 
 
 def initial_approximation(g: BoundaryTrace, cfg: ReconConfig) -> StatePair:
     """One-shot estimate P(A g): project the backward solve at t = 0."""
     _check_trace(g, cfg)
-    return cfg.project(fdtd.dissipative_reverse_solve(g, cfg.c, cfg.bspec))
+    return cfg.project(fdtd.dissipative_reverse_solve(g, cfg.c))
 
 
 def neumann_iterate(g: BoundaryTrace, cfg: ReconConfig,
@@ -129,7 +132,7 @@ def neumann_iterate(g: BoundaryTrace, cfg: ReconConfig,
     report = ReconReport(estimate=StatePair.zeros(cfg.grid))
     if cfg.iterations == 0:
         return report
-    base = cfg.project(fdtd.dissipative_reverse_solve(g, cfg.c, cfg.bspec))
+    base = cfg.project(fdtd.dissipative_reverse_solve(g, cfg.c))
     u = base.copy()
 
     def record(state):

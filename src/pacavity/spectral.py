@@ -13,10 +13,9 @@ exactly.  The solution of the wave equation with initial data (f, 0) is
 
     u(x, y, t) = sum c_{k,l} phi_{k,l}(x, y) cos(lam_{k,l} t),
 
-which this module evaluates directly.  synthesize_data samples it on the
-walls to make measurement data independently of the finite-difference
-solvers, so inversion is never tested against data produced by its own
-discretization.
+and synthesize_data samples it on the walls to make measurement data
+independently of the finite-difference solvers, so inversion is never
+tested against data produced by its own discretization.
 
 The same basis diagonalizes the finite-difference scheme itself: at
 constant sound speed c, the mirror-closed leapfrog of fdtd advances mode
@@ -101,14 +100,6 @@ def dct2_inverse(c: CosineCoeffs) -> ScalarField:
     return ScalarField(c.grid, v)
 
 
-def spectral_propagate(c: CosineCoeffs, t: float) -> ScalarField:
-    """Wave field u(., t) for initial data (f, 0), f = dct2_inverse(c)."""
-    if t < 0:
-        raise ConfigError("propagation time must be nonnegative")
-    lam = mode_frequencies(c.grid)
-    return dct2_inverse(CosineCoeffs(c.grid, c.coeffs * np.cos(lam * t)))
-
-
 def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) -> BoundaryTrace:
     """Boundary pressure trace of the series solution with initial data (f, 0).
 
@@ -173,8 +164,7 @@ def _trace_from_walls(walls: np.ndarray, bspec: BoundarySpec) -> BoundaryTrace:
     rows = np.take(walls.reshape(levels, 4 * n), gather, axis=1)  # C order: one row per level
     del walls  # the callers pass a temporary: freed before the trace's checks allocate
     rows[:, ~bspec.gamma_mask] = 0.0
-    return BoundaryTrace(bspec.grid, rows, gamma_mask=bspec.gamma_mask.copy(),
-                         lam=bspec.lam.copy())
+    return BoundaryTrace(bspec, rows)
 
 
 def _wall_coefficients(c: CosineCoeffs, omega: np.ndarray, dt: float,

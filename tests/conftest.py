@@ -52,7 +52,7 @@ def trace_full_t5(grid257, phantom257, bspec_full257):
 def trace_partial_t5(trace_full_t5, grid257, bspec_lb257):
     g = trace_full_t5.value
     samples = g.samples * bspec_lb257.gamma_mask[None, :]
-    return pv.BoundaryTrace(grid257, samples, gamma_mask=bspec_lb257.gamma_mask)
+    return pv.BoundaryTrace(bspec_lb257, samples)
 
 
 @pytest.fixture(scope="session")

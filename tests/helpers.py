@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from pacavity import (CosineCoeffs, Grid2D, ScalarField, StatePair, dct2_inverse, energy,
-                      mode_frequencies)
+from pacavity import (ConfigError, CosineCoeffs, Grid2D, ScalarField, StatePair,
+                      boundary_indices, dct2_inverse, energy, mode_frequencies)
 
 
 def smooth_random_field(grid: Grid2D, rng, kmax: int = 9, scale: float = 1.0) -> ScalarField:
@@ -38,6 +38,20 @@ def full_norm(s: StatePair, c: ScalarField) -> float:
     w = s.grid.quad_weights()
     l2sq = float(np.sum(np.outer(w, w) * s.first.values ** 2))
     return float(np.sqrt(l2sq + energy(s, c)))
+
+
+def boundary_values(f: ScalarField) -> np.ndarray:
+    """Field values at the boundary nodes, in canonical order."""
+    ks, ls = boundary_indices(f.grid.n)
+    return f.values[ks, ls]
+
+
+def spectral_propagate(c: CosineCoeffs, t: float) -> ScalarField:
+    """Wave field u(., t) for initial data (f, 0), f = dct2_inverse(c)."""
+    if t < 0:
+        raise ConfigError("propagation time must be nonnegative")
+    lam = mode_frequencies(c.grid)
+    return dct2_inverse(CosineCoeffs(c.grid, c.coeffs * np.cos(lam * t)))
 
 
 def spectral_velocity(c: CosineCoeffs, t: float) -> ScalarField:

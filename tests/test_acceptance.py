@@ -131,7 +131,7 @@ def test_criterion_07_dissipation(grid257, phantom257, unit_speed257,
     # (a) the backward error u - v sheds energy monotonically toward t = 0
     fwd, u = forward_t5_recorded
     vsnaps = dict.fromkeys(u)
-    pv.dissipative_reverse_solve(fwd.trace, unit_speed257, bspec_full257, snapshots=vsnaps)
+    pv.dissipative_reverse_solve(fwd.trace, unit_speed257, snapshots=vsnaps)
     pairs = sorted((j, pv.energy(u[j] - v, unit_speed257)) for j, v in vsnaps.items())
     worst = max((earlier - later) / later
                 for (_, earlier), (_, later) in zip(pairs[:-1], pairs[1:]))
@@ -139,11 +139,8 @@ def test_criterion_07_dissipation(grid257, phantom257, unit_speed257,
     rng = np.random.default_rng(3)
     w = smooth_random_state(grid257, rng, kmax=7)
     steps = pv.num_steps(5.0, grid257.dt)
-    zero = pv.BoundaryTrace(grid257,
-                            np.zeros((steps + 1, pv.boundary_count(257))),
-                            gamma_mask=bspec_full257.gamma_mask)
-    out = pv.dissipative_reverse_solve(zero, unit_speed257, bspec_full257,
-                                       terminal_state=w)
+    zero = pv.BoundaryTrace(bspec_full257, np.zeros((steps + 1, pv.boundary_count(257))))
+    out = pv.dissipative_reverse_solve(zero, unit_speed257, terminal_state=w)
     kept = pv.energy(out, unit_speed257) / pv.energy(w, unit_speed257)
     ok = verdict("criterion 07 dissipation",
                  worst <= 1e-3 and kept <= 0.5,
@@ -311,17 +308,16 @@ def test_criterion_10_structural_invariants():
     trc = pv.forward_solve(combo, unit, bs, 1.0).trace
     lin_fwd = np.abs(trc.samples - a * tr1.samples - b * tr2.samples).max() \
         / np.abs(trc.samples).max()
-    r1 = pv.dissipative_reverse_solve(tr1, unit, bs)
-    r2 = pv.dissipative_reverse_solve(tr2, unit, bs)
-    rc = pv.dissipative_reverse_solve(trc, unit, bs)
+    r1 = pv.dissipative_reverse_solve(tr1, unit)
+    r2 = pv.dissipative_reverse_solve(tr2, unit)
+    rc = pv.dissipative_reverse_solve(trc, unit)
     lin_rev = np.abs(rc.first.values - a * r1.first.values - b * r2.first.values).max() \
         / np.abs(rc.first.values).max()
     cfg = pv.ReconConfig(T=1.0, iterations=2, c=unit, bspec=bs)
     m1 = pv.neumann_iterate(tr1, cfg).estimate
     m2 = pv.neumann_iterate(tr2, cfg).estimate
     mc = pv.neumann_iterate(
-        pv.BoundaryTrace(g, a * tr1.samples + b * tr2.samples,
-                         gamma_mask=bs.gamma_mask), cfg).estimate
+        pv.BoundaryTrace(bs, a * tr1.samples + b * tr2.samples), cfg).estimate
     lin_map = np.abs(mc.first.values - a * m1.first.values - b * m2.first.values).max() \
         / np.abs(mc.first.values).max()
     lin = max(lin_fwd, lin_rev, lin_map)

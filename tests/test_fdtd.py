@@ -1,5 +1,7 @@
 """Leapfrog stepping, boundary updates, and the two solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ def bs_full(grid):
 def zero_trace(grid, bspec, T):
     steps = pv.num_steps(T, grid.dt)
     samples = np.zeros((steps + 1, pv.boundary_count(grid.n)))
-    return pv.BoundaryTrace(grid, samples, gamma_mask=bspec.gamma_mask)
+    return pv.BoundaryTrace(bspec, samples)
 
 
 class TestBoundaryEnumeration:
@@ -68,16 +70,23 @@ class TestBoundaryEnumeration:
         assert np.array_equal(bs.lam > 0, bs.gamma_mask)
         assert bs.lam.max() <= 1.0
 
+    def test_equality_compares_grid_gamma_and_lambda(self, grid):
+        bs = pv.BoundarySpec.left_bottom(grid, taper=0.3)
+        assert bs == pv.BoundarySpec.left_bottom(pv.Grid2D(grid.n), taper=0.3)
+        assert bs != pv.BoundarySpec.left_bottom(grid)
+        assert bs != pv.BoundarySpec.full(grid)
+        assert bs != pv.BoundarySpec.left_bottom(pv.Grid2D(grid.n, 0.4 * grid.dx), taper=0.3)
+
 
 class TestBoundaryTrace:
     def test_wrong_column_count(self, grid):
         with pytest.raises(GridMismatchError):
-            pv.BoundaryTrace(grid, np.zeros((4, 7)))
+            pv.BoundaryTrace(pv.BoundarySpec.full(grid), np.zeros((4, 7)))
 
     def test_off_gamma_zeroed_on_construction(self, grid):
         bs = pv.BoundarySpec.left_bottom(grid)
         samples = np.ones((3, pv.boundary_count(grid.n)))
-        g = pv.BoundaryTrace(grid, samples, gamma_mask=bs.gamma_mask)
+        g = pv.BoundaryTrace(bs, samples)
         assert np.all(g.samples[:, ~bs.gamma_mask] == 0.0)
         assert np.all(g.samples[:, bs.gamma_mask] == 1.0)
         assert np.all(samples == 1.0)
@@ -85,8 +94,17 @@ class TestBoundaryTrace:
     def test_masked_samples_kept_without_copy(self, grid):
         bs = pv.BoundarySpec.left_bottom(grid)
         samples = np.ones((3, pv.boundary_count(grid.n))) * bs.gamma_mask
-        g = pv.BoundaryTrace(grid, samples, gamma_mask=bs.gamma_mask)
+        g = pv.BoundaryTrace(bs, samples)
         assert np.shares_memory(g.samples, samples)
+
+    def test_boundary_spec_is_the_only_metadata(self, grid, unit, bs_full):
+        # Gamma, lambda and dt have one home, the spec; the backward solve
+        # takes none of them separately, so a call that passes a spec fails
+        assert [f.name for f in dataclasses.fields(pv.BoundaryTrace)] == ["bspec", "samples"]
+        g = zero_trace(grid, bs_full, 1.0)
+        assert g.grid is bs_full.grid and g.dt == grid.dt
+        with pytest.raises(TypeError):
+            pv.dissipative_reverse_solve(g, unit, bs_full)
 
     def test_times(self, grid):
         g = zero_trace(grid, pv.BoundarySpec.full(grid), 20 * grid.dt)
@@ -274,12 +292,12 @@ class TestForwardSolve:
             with pytest.raises(pv.ConfigError):
                 pv.forward_solve(s0, unit, bs_full, 1.0, snapshots={j: None})
             with pytest.raises(pv.ConfigError):
-                pv.dissipative_reverse_solve(g, unit, bs_full, snapshots={j: None})
+                pv.dissipative_reverse_solve(g, unit, snapshots={j: None})
 
 
 class TestReverseSolve:
     def test_zero_data_zero_terminal(self, grid, unit, bs_full):
-        out = pv.dissipative_reverse_solve(zero_trace(grid, bs_full, 1.0), unit, bs_full)
+        out = pv.dissipative_reverse_solve(zero_trace(grid, bs_full, 1.0), unit)
         assert np.all(out.first.values == 0.0)
         assert np.all(out.second.values == 0.0)
 
@@ -293,7 +311,7 @@ class TestReverseSolve:
         w = smooth_random_state(g, rng, kmax=7)
         zero = zero_trace(g, bs, 2.0)
         snaps = dict.fromkeys(range(1, zero.n_steps))
-        pv.dissipative_reverse_solve(zero, unit, bs, terminal_state=w, snapshots=snaps)
+        pv.dissipative_reverse_solve(zero, unit, terminal_state=w, snapshots=snaps)
         energies = [pv.energy(s, unit) for _, s in sorted(snaps.items())]
         assert len(energies) > 100
         for earlier, later in zip(energies[:-1], energies[1:]):
@@ -302,7 +320,7 @@ class TestReverseSolve:
     def test_free_decay_loses_most_energy(self, grid, unit, bs_full):
         rng = np.random.default_rng(6)
         w = smooth_random_state(grid, rng, kmax=7)
-        out = pv.dissipative_reverse_solve(zero_trace(grid, bs_full, 2.0), unit, bs_full,
+        out = pv.dissipative_reverse_solve(zero_trace(grid, bs_full, 2.0), unit,
                                            terminal_state=w)
         assert pv.energy(out, unit) <= 0.5 * pv.energy(w, unit)
 
@@ -313,11 +331,10 @@ class TestReverseSolve:
         g1 = pv.synthesize_data(f1, bs_full, 1.0, grid.dt)
         g2 = pv.synthesize_data(f2, bs_full, 1.0, grid.dt)
         a, b = 1.3, -0.4
-        gc = pv.BoundaryTrace(grid, a * g1.samples + b * g2.samples,
-                              gamma_mask=bs_full.gamma_mask)
-        r1 = pv.dissipative_reverse_solve(g1, unit, bs_full)
-        r2 = pv.dissipative_reverse_solve(g2, unit, bs_full)
-        rc = pv.dissipative_reverse_solve(gc, unit, bs_full)
+        gc = pv.BoundaryTrace(bs_full, a * g1.samples + b * g2.samples)
+        r1 = pv.dissipative_reverse_solve(g1, unit)
+        r2 = pv.dissipative_reverse_solve(g2, unit)
+        rc = pv.dissipative_reverse_solve(gc, unit)
         target = a * r1.first.values + b * r2.first.values
         assert np.abs(rc.first.values - target).max() <= 1e-10 * np.abs(target).max()
 
@@ -327,7 +344,7 @@ class TestReverseSolve:
         w1 = smooth_random_field(grid, np.random.default_rng(9))
         zero = zero_trace(grid, bs_full, 1.0)
         snaps = {zero.n_steps - 1: None}
-        pv.dissipative_reverse_solve(zero, unit, bs_full, snapshots=snaps,
+        pv.dissipative_reverse_solve(zero, unit, snapshots=snaps,
                                      terminal_state=pv.StatePair(pv.ScalarField.zeros(grid), w1))
         walls = np.ones(pv.boundary_count(grid.n))
         walls[list(corner_positions(grid.n))] = 2.0
@@ -338,16 +355,16 @@ class TestReverseSolve:
 
     def test_short_trace_rejected(self, grid, unit, bs_full):
         samples = np.zeros((2, pv.boundary_count(grid.n)))
-        g = pv.BoundaryTrace(grid, samples)
+        g = pv.BoundaryTrace(bs_full, samples)
         with pytest.raises(pv.ConfigError):
-            pv.dissipative_reverse_solve(g, unit, bs_full)
+            pv.dissipative_reverse_solve(g, unit)
 
     def test_reversal_of_own_forward_data_recovers_phantom(
             self, grid257, phantom257, unit_speed257, bspec_full257, forward_t5_recorded):
         # with data produced by the forward solver itself, one backward pass
         # at T = 5 already lands within about 1% of the initial pressure
         fwd, _ = forward_t5_recorded
-        back = pv.dissipative_reverse_solve(fwd.trace, unit_speed257, bspec_full257)
+        back = pv.dissipative_reverse_solve(fwd.trace, unit_speed257)
         est = pv.project_H1(back).first
         assert pv.relative_l2(est, phantom257) <= 0.011
 
@@ -360,7 +377,7 @@ class TestReverseSolve:
         u = dict.fromkeys(range(16, pv.num_steps(2.0, grid.dt), 16))
         fwd = pv.forward_solve(s0, unit, bs_full, 2.0, snapshots=u)
         vsnaps = dict.fromkeys(u)
-        pv.dissipative_reverse_solve(fwd.trace, unit, bs_full, snapshots=vsnaps)
+        pv.dissipative_reverse_solve(fwd.trace, unit, snapshots=vsnaps)
         pairs = sorted((j, pv.energy(u[j] - v, unit)) for j, v in vsnaps.items())
         for (_, earlier), (_, later) in zip(pairs[:-1], pairs[1:]):
             assert earlier <= later * (1.0 + 1e-3)

@@ -64,7 +64,7 @@ class TestFieldFiles:
 class TestTraceFiles:
     def test_empty_trace_header_only(self, tmp_path):
         g = pv.Grid2D(9)
-        empty = pv.BoundaryTrace(g, np.zeros((0, pv.boundary_count(9))))
+        empty = pv.BoundaryTrace(pv.BoundarySpec.full(g), np.zeros((0, pv.boundary_count(9))))
         path = tmp_path / "empty.csv"
         pio.write_trace(path, empty)
         lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
@@ -97,31 +97,40 @@ class TestTraceFiles:
         assert back.grid == g and back.dt == g.dt
         # a trace has no time step of its own: dt is always its grid's
         assert "dt" not in {fld.name for fld in dataclasses.fields(back)}
-        assert np.array_equal(back.gamma_mask, bs.gamma_mask)
-        assert np.array_equal(back.lam, bs.lam)
+        assert np.array_equal(back.bspec.gamma_mask, bs.gamma_mask)
+        assert np.array_equal(back.bspec.lam, bs.lam)
         assert np.array_equal(back.samples, trace.samples)
 
-    def test_header_free_trace_reads_as_full_boundary(self, tmp_path):
-        g = pv.Grid2D(9)
-        path = tmp_path / "old.csv"
-        cols = ",".join(f"node_{b}" for b in range(32))
-        rows = [",".join([repr(j * 0.1)] + ["1.5"] * 32) for j in range(3)]
-        path.write_text("# pacavity trace v1\nt," + cols + "\n" + "\n".join(rows) + "\n")
+    def test_forward_solve_trace_keeps_its_boundary_spec(self, tmp_path):
+        g = pv.Grid2D(17)
+        bs = pv.BoundarySpec.left_bottom(g, lambda_value=2.5, taper=0.3)
+        s0 = pv.StatePair(smooth_random_field(g, np.random.default_rng(4)),
+                          pv.ScalarField.zeros(g))
+        trace = pv.forward_solve(s0, pv.ScalarField.constant(g, 1.0), bs, 1.0).trace
+        path = tmp_path / "trace.csv"
+        pio.write_trace(path, trace)
         back = pio.read_trace(path)
-        assert back.dt == 0.1 and back.grid == pv.Grid2D(9, 0.1)
-        assert back.gamma_mask.all() and back.lam is None
-        assert np.all(back.samples == 1.5)
+        assert back.bspec == bs
+        assert np.array_equal(back.samples, trace.samples)
 
     @pytest.mark.parametrize("entry, key", [("dt = soon", "'dt'"),
                                             ("gamma = 0,99", "'gamma'"),
                                             ("gamma = full; lambda = 1,2", "'lambda'"),
-                                            ("gamma = 0,1; lambda = -1", "'lambda'")])
+                                            ("gamma = 0,1; lambda = -1", "'lambda'"),
+                                            ("dt", "'dt'"),
+                                            ("gamma", "'gamma'"),
+                                            ("lambda", "'lambda'")])
     def test_bad_header_entry_names_key(self, tmp_path, entry, key):
+        # each entry replaces the written one of its key; a bare key drops it
         g = pv.Grid2D(9)
         path = tmp_path / "trace.csv"
-        pio.write_trace(path, pv.BoundaryTrace(g, np.ones((2, 32))))
+        pio.write_trace(path, pv.BoundaryTrace(pv.BoundarySpec.full(g), np.ones((2, 32))))
         text = path.read_text().splitlines()
-        text[0] = f"# pacavity trace v2; {entry}"
+        header = {"dt": repr(g.dt), "gamma": "full", "lambda": "1.0"}
+        for part in entry.split("; "):
+            name, _, value = part.partition(" = ")
+            header[name] = value
+        text[0] = "# pacavity trace v2; " + "; ".join(f"{k} = {v}" for k, v in header.items() if v)
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(pio.ParseError, match=key):
             pio.read_trace(path)
@@ -135,7 +144,7 @@ class TestTraceFiles:
 
     def test_ragged_row_rejected(self, tmp_path):
         g = pv.Grid2D(9)
-        trace = pv.BoundaryTrace(g, np.ones((2, 32)))
+        trace = pv.BoundaryTrace(pv.BoundarySpec.full(g), np.ones((2, 32)))
         path = tmp_path / "trace.csv"
         pio.write_trace(path, trace)
         text = path.read_text().splitlines()
@@ -195,11 +204,22 @@ class TestConfig:
         assert (sorted(name for name, _ in pio.CONFIG_KEYS.values())
                 == sorted(fld.name for fld in dataclasses.fields(pio.RunConfig)))
 
-    def test_out_of_range_n(self, tmp_path):
+    @pytest.mark.parametrize("entry, key", [("n = -5", "'n'"), ("seed = -1", "'seed'")])
+    def test_out_of_range_n(self, tmp_path, entry, key):
         path = tmp_path / "c.cfg"
-        path.write_text("n = -5\n")
-        with pytest.raises(pv.ConfigError, match="'n'"):
+        path.write_text(entry + "\n")
+        with pytest.raises(pv.ConfigError, match=key):
             pio.parse_config(path)
+
+    @pytest.mark.parametrize("entry, key", [("gamma = 0,99", "'gamma'"),
+                                            ("gamma = ,", "'gamma'"),
+                                            ("taper = 0.2", "'taper'")])
+    def test_boundary_spec_error_names_key(self, tmp_path, entry, key):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"n = 9\n{entry}\n")
+        cfg = pio.parse_config(path)
+        with pytest.raises(pv.ConfigError, match=key):
+            cfg.make_bspec(cfg.make_grid())
 
     def test_type_mismatch_names_key(self, tmp_path):
         path = tmp_path / "c.cfg"

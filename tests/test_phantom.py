@@ -84,7 +84,7 @@ class TestAddNoise:
 
     def test_off_gamma_stays_zero(self, trace):
         out = pv.add_noise(trace, 0.5, seed=1)
-        assert np.all(out.samples[:, ~trace.gamma_mask] == 0.0)
+        assert np.all(out.samples[:, ~trace.bspec.gamma_mask] == 0.0)
 
     def test_seed_determinism(self, trace):
         a = pv.add_noise(trace, 0.3, seed=42)
@@ -95,7 +95,7 @@ class TestAddNoise:
 
     def test_zero_trace_rejected(self):
         g = pv.Grid2D(33)
-        z = pv.BoundaryTrace(g, np.zeros((9, pv.boundary_count(g.n))))
+        z = pv.BoundaryTrace(pv.BoundarySpec.full(g), np.zeros((9, pv.boundary_count(g.n))))
         with pytest.raises(pv.ConfigError):
             pv.add_noise(z, 0.5, seed=0)
 

@@ -35,7 +35,7 @@ class TestInitialApproximation:
     def test_zero_data(self, setup65):
         g = setup65["grid"]
         steps = pv.num_steps(1.0, g.dt)
-        z = pv.BoundaryTrace(g, np.zeros((steps + 1, pv.boundary_count(g.n))))
+        z = pv.BoundaryTrace(setup65["bs"], np.zeros((steps + 1, pv.boundary_count(g.n))))
         out = pv.initial_approximation(z, make_cfg(setup65, 1.0, 1))
         assert np.all(out.first.values == 0.0)
         assert np.all(out.second.values == 0.0)
@@ -53,6 +53,22 @@ class TestInitialApproximation:
         cfg = make_cfg(setup65, 3.0, 1)
         with pytest.raises(pv.ConfigError):
             pv.initial_approximation(g, cfg)
+
+    @pytest.mark.parametrize("configured", [
+        lambda grid: pv.BoundarySpec.full(grid),
+        lambda grid: pv.BoundarySpec.left_bottom(grid, lambda_value=3.0),
+    ], ids=["full_gamma", "lambda_3"])
+    def test_trace_from_another_boundary_spec_rejected(self, setup65, configured):
+        # a left+bottom trace inverted as full data returns ~54% error where
+        # its own Gamma gives ~11%; a trace is only inverted on its own spec
+        grid = setup65["grid"]
+        g = pv.synthesize_data(setup65["phantom"], pv.BoundarySpec.left_bottom(grid), 3.0,
+                               grid.dt)
+        cfg = pv.ReconConfig(T=3.0, iterations=3, c=setup65["c"], bspec=configured(grid))
+        with pytest.raises(pv.ConfigError, match="Gamma or lambda"):
+            pv.initial_approximation(g, cfg)
+        with pytest.raises(pv.ConfigError, match="Gamma or lambda"):
+            pv.neumann_iterate(g, cfg)
 
 
 class TestNeumannIterate:
@@ -117,8 +133,8 @@ class TestNeumannIterate:
         report = pv.neumann_iterate(g, cfg, reference=setup65["phantom"])
         u = report.estimate
         fwd = pv.forward_solve(u, setup65["c"], setup65["bs"], T)
-        back = pv.dissipative_reverse_solve(fwd.trace, setup65["c"], setup65["bs"])
-        base = cfg.project(pv.dissipative_reverse_solve(g, setup65["c"], setup65["bs"]))
+        back = pv.dissipative_reverse_solve(fwd.trace, setup65["c"])
+        base = cfg.project(pv.dissipative_reverse_solve(g, setup65["c"]))
         u_next = u - cfg.project(back) + base
         change = (np.linalg.norm((u_next - u).first.values)
                   / np.linalg.norm(setup65["phantom"].values))
@@ -134,8 +150,7 @@ class TestNeumannIterate:
         g1 = pv.synthesize_data(f1, bs, 1.0, g.dt)
         g2 = pv.synthesize_data(f2, bs, 1.0, g.dt)
         a, b = 0.7, -1.3
-        gc = pv.BoundaryTrace(g, a * g1.samples + b * g2.samples,
-                              gamma_mask=bs.gamma_mask)
+        gc = pv.BoundaryTrace(bs, a * g1.samples + b * g2.samples)
         r1 = pv.neumann_iterate(g1, cfg).estimate
         r2 = pv.neumann_iterate(g2, cfg).estimate
         rc = pv.neumann_iterate(gc, cfg).estimate
@@ -193,11 +208,11 @@ class TestModeSpaceMeasurement:
     @staticmethod
     def spelled_out(g, cfg):
         # the iteration with every L a leapfrog forward solve
-        base = cfg.project(pv.dissipative_reverse_solve(g, cfg.c, cfg.bspec))
+        base = cfg.project(pv.dissipative_reverse_solve(g, cfg.c))
         u = base.copy()
         for _ in range(1, cfg.iterations):
             fwd = pv.forward_solve(u, cfg.c, cfg.bspec, cfg.T)
-            u = u - cfg.project(pv.dissipative_reverse_solve(fwd.trace, cfg.c, cfg.bspec)) + base
+            u = u - cfg.project(pv.dissipative_reverse_solve(fwd.trace, cfg.c)) + base
         return u
 
     def varying_speed(self, grid):
@@ -242,6 +257,6 @@ class TestModeSpaceMeasurement:
         assert len(count_forward_solves) == 0
         state = pv.StatePair(f, pv.ScalarField.zeros(setup65["grid"]))
         fwd = pv.forward_solve(state, cfg.c, cfg.bspec, cfg.T)
-        back = cfg.project(pv.dissipative_reverse_solve(fwd.trace, cfg.c, cfg.bspec))
+        back = cfg.project(pv.dissipative_reverse_solve(fwd.trace, cfg.c))
         want = pv.seminorm(state - back, cfg.c) / pv.seminorm(state, cfg.c)
         assert factor == pytest.approx(want, rel=1e-12)
