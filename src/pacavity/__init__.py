@@ -33,6 +33,7 @@ from .fdtd import (
     dissipative_reverse_solve,
     forward_solve,
     interior_step,
+    reversal_error,
 )
 from .phantom import PAPER_SIX, BumpSpec, add_noise, paper_six_phantom, radial_bump, render_phantom
 from .recon import (
@@ -46,7 +47,7 @@ from .spectral import (
     CosineCoeffs,
     dct2_forward,
     dct2_inverse,
-    leapfrog_trace,
+    leapfrog_levels,
     mode_frequencies,
     synthesize_data,
 )
@@ -60,8 +61,8 @@ __all__ = [
     "boundary_indices", "boundary_mean", "dct2_forward", "dct2_inverse",
     "dissipative_boundary_update", "dissipative_reverse_solve", "energy",
     "estimate_contraction", "forward_solve", "initial_approximation",
-    "interior_step", "l2_norm", "leapfrog_trace", "mode_frequencies",
+    "interior_step", "l2_norm", "leapfrog_levels", "mode_frequencies",
     "neumann_iterate", "num_steps", "paper_six_phantom", "project_H0", "project_H1",
-    "radial_bump", "relative_l2", "render_phantom", "seminorm", "snap_duration",
-    "synthesize_data",
+    "radial_bump", "relative_l2", "render_phantom", "reversal_error", "seminorm",
+    "snap_duration", "synthesize_data",
 ]

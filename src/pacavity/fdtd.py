@@ -32,12 +32,15 @@ its two walls.
 When g is the forward solver's own trace, the forward levels satisfy the
 backward update with the data terms cancelling, so the backward error u - v
 obeys the homogeneous absorbing update exactly and its energy decays.
+reversal_error marches that error from the forward solve's last two levels,
+which gives the backward solve's result without forming the trace.
 
 Both solvers run the same march (_march) in opposite directions of time:
-one Taylor start, one leapfrog loop, one snapshot capture and one
-one-sided end velocity.  They differ only in the rule that finishes each
-new level: the forward solve records its trace row, the backward solve
-applies the absorbing update on Gamma.
+one Taylor start, one leapfrog loop (_leapfrog, which reversal_error enters
+directly from its two levels), one snapshot capture and one one-sided end
+velocity.  They differ only in the rule that finishes each new level: the
+forward solve records its trace row, the backward solve applies the
+absorbing update on Gamma.
 """
 
 from __future__ import annotations
@@ -233,8 +236,8 @@ def dissipative_boundary_update(level_new: ScalarField, level_old: ScalarField,
                    g_new, g_old, G)
 
 
-def _check_setup(grid: Grid2D, c: ScalarField, bspec: BoundarySpec) -> None:
-    if c.grid != grid or bspec.grid != grid:
+def _check_setup(grid: Grid2D, c: ScalarField, bspec: BoundarySpec | None = None) -> None:
+    if c.grid != grid or (bspec is not None and bspec.grid != grid):
         raise GridMismatchError("grid, sound speed and boundary spec are inconsistent")
     if np.any(c.values <= 0):
         raise ValueError("sound speed must be strictly positive")
@@ -248,7 +251,7 @@ def _march(start: StatePair, c: ScalarField, steps: int, sign: int,
 
     sign = +1 starts at t = 0 and ends at t = steps dt; sign = -1 starts at
     t = steps dt and ends at t = 0.  The second-order Taylor start from
-    start gives the first new level, _advance every later one.  Each new
+    start gives the first new level, _leapfrog every later one.  Each new
     level is handed to boundary(j, level, behind), with j its time index and
     behind the level two steps back along the march (at the Taylor start,
     the array -sign dt u_t that stands in for it); the rule finishes the
@@ -263,27 +266,36 @@ def _march(start: StatePair, c: ScalarField, steps: int, sign: int,
     if bad:
         raise ConfigError(f"snapshot steps must be integers in 1 .. {steps - 1}, got {bad}")
     grid = start.grid
-    dt = grid.dt
     coef = _coefficient(c.values, grid)
-    centre = 2.0 - 4.0 * coef
     first = 0 if sign > 0 else steps
     work = np.empty_like(start.first.values)
 
     prev = start.first.values.copy()
-    behind = (-sign * dt) * start.second.values
+    behind = (-sign * grid.dt) * start.second.values
     cur = _advance(np.empty_like(prev), prev, behind, 0.5 * coef, 1.0 - 2.0 * coef, work)
     boundary(first + sign, cur, behind)
+    return _leapfrog(prev, cur, first + sign, steps - 1, sign, grid, coef, boundary,
+                     snapshots, work)
+
+
+def _leapfrog(prev: np.ndarray, cur: np.ndarray, j0: int, count: int, sign: int,
+              grid: Grid2D, coef, boundary, snapshots: dict, work: np.ndarray) -> StatePair:
+    """From level j0 in cur and the level before it along the march in prev,
+    march count >= 1 more levels in the direction sign, finishing each with
+    boundary as _march does.  prev and cur are overwritten."""
+    dt = grid.dt
+    centre = 2.0 - 4.0 * coef
     nxt = np.empty_like(prev)
     # the velocities below negate each operand, not the difference, so they
     # equal the differences taken in time order bit for bit, signed zeros too
-    for j in range(first + sign, first + sign * steps, sign):
+    for j in range(j0, j0 + sign * count, sign):
         _advance(nxt, cur, prev, coef, centre, work)
         boundary(j + sign, nxt, prev)
         if j in snapshots:
             vel = (sign * nxt - sign * prev) / (2.0 * dt)
             snapshots[j] = StatePair(ScalarField(grid, cur.copy()), ScalarField(grid, vel))
         prev, cur, nxt = cur, nxt, prev
-    # steps >= 2, so nxt now holds the level before prev
+    # count >= 1, so nxt now holds the level before prev
     vel = (3.0 * sign * cur - 4.0 * sign * prev + sign * nxt) / (2.0 * dt)
     return StatePair(ScalarField(grid, cur), ScalarField(grid, vel))
 
@@ -350,3 +362,38 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, *,
             new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], data[j], data[j + 2], G)
 
     return _march(terminal_state, c, steps, -1, absorb, snapshots)
+
+
+def reversal_error(levels: tuple[ScalarField, ScalarField], c: ScalarField,
+                   bspec: BoundarySpec, T: float) -> ScalarField:
+    """The error u - v at t = 0 of dissipative time reversal when the data are
+    the forward solve's own trace, so that A L u = (u^0 - e^0, ...).
+
+    levels holds u^{J-1} and u^J, the last two levels of the forward solve
+    over T from initial velocity zero.  With g = u on Gamma the data terms of
+    the backward update cancel (see the module docstring): the error starts
+    from e^J = u^J and, after the data-driven Taylor start from (0, 0),
+    e^{J-1} = u^{J-1} - G (u^{J-1} - u^J) on Gamma, and then runs the
+    absorbing update with zero data down to t = 0.  No trace is formed.
+    """
+    before, last = levels
+    grid = last.grid
+    _check_setup(grid, c, bspec)
+    if before.grid != grid:
+        raise GridMismatchError("the two levels live on different grids")
+    steps = num_steps(T, grid.dt)
+    if steps < 2:
+        raise ConfigError(f"T must cover at least two time steps, got {steps}")
+    flat, _ = _boundary_layout(grid.n)
+    G = _absorption(c.values, bspec)
+    prev = last.values.copy()
+    cur = before.values.copy()
+    edge = cur.reshape(-1)
+    edge[flat] -= G * (edge[flat] - prev.reshape(-1)[flat])
+
+    def absorb(j, level, behind):
+        new = level.reshape(-1)
+        new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], 0.0, 0.0, G)
+
+    return _leapfrog(prev, cur, steps - 1, steps - 1, -1, grid, _coefficient(c.values, grid),
+                     absorb, {}, np.empty_like(cur)).first

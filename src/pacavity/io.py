@@ -18,6 +18,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -89,23 +90,29 @@ def _read_csv(path, column_header: bool):
     return meta, columns, data, first
 
 
-def _bad_row(path, first: int, width: int) -> ParseError:
-    """The error for the first data line from ``first`` on that is not
-    ``width`` comma-separated numbers."""
+def _data_lines(path, first: int):
+    """Line number and text of each data line from line ``first`` on;
+    comments and blank lines are skipped, as the parser skips them."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if lineno < first or not line:
-                continue
-            toks = line.split(",")
-            try:
-                [float(tok) for tok in toks]
-            except ValueError as exc:
-                return ParseError(f"{path}:{lineno}: {exc}")
-            if len(toks) != width:
-                return ParseError(
-                    f"{path}:{lineno}: expected {width} values per row, got {len(toks)}"
-                )
+            if lineno >= first and line:
+                yield lineno, line
+
+
+def _bad_row(path, first: int, width: int) -> ParseError:
+    """The error for the first data line from ``first`` on that is not
+    ``width`` comma-separated numbers."""
+    for lineno, line in _data_lines(path, first):
+        toks = line.split(",")
+        try:
+            [float(tok) for tok in toks]
+        except ValueError as exc:
+            return ParseError(f"{path}:{lineno}: {exc}")
+        if len(toks) != width:
+            return ParseError(
+                f"{path}:{lineno}: expected {width} values per row, got {len(toks)}"
+            )
     return ParseError(f"{path}: malformed data")
 
 
@@ -228,7 +235,8 @@ def read_trace(path) -> BoundaryTrace:
     """Reload a trace CSV; sample values are bit-identical.
 
     The boundary spec (time step, Gamma mask and lambda) comes from the
-    header, which must carry all three.
+    header, which must carry all three; the time column must read j * dt
+    at row j for that dt.
     """
     meta, header, data, first = _read_csv(path, column_header=True)
     if header is None:
@@ -237,12 +245,23 @@ def read_trace(path) -> BoundaryTrace:
         raise ParseError(f"{path}:{first - 1}: expected header 't,node_0,...'")
     nb = len(header) - 1
     n = nb // 4 + 1
-    if nb % 4 != 0 or boundary_count(n) != nb:
-        raise ParseError(f"{path}: {nb} node columns is not 4n-4 for any grid size")
+    # the grid size is checked here, so that Grid2D(n, dt) can fail only on dt
+    if nb % 4 != 0 or n < 4:
+        raise ParseError(f"{path}: {nb} node columns is not 4n-4 for any grid size n >= 4")
     if data is None or data.size and data.shape[1] != nb + 1:
         raise _bad_row(path, first, nb + 1)
-    samples = data[:, 1:] if data.size else np.zeros((0, nb))
-    return BoundaryTrace(_trace_spec(path, meta, n), samples)
+    bspec = _trace_spec(path, meta, n)
+    if not data.size:
+        return BoundaryTrace(bspec, np.zeros((0, nb)))
+    dt = bspec.grid.dt
+    expected = dt * np.arange(data.shape[0])
+    off = np.flatnonzero(~np.isclose(data[:, 0], expected, rtol=1e-12, atol=0.0))
+    if off.size:
+        j = off[0]
+        lineno, _ = next(islice(_data_lines(path, first), j, None))
+        raise ParseError(f"{path}:{lineno}: time {data[j, 0]!r} is not {j} * dt "
+                         f"for header 'dt' = {dt!r}")
+    return BoundaryTrace(bspec, data[:, 1:])
 
 
 # ---------------------------------------------------------------------------

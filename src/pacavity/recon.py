@@ -17,13 +17,18 @@ the iteration geometrically convergent; estimate_contraction measures the
 realized factor for a given configuration.
 
 L is the finite-difference scheme of fdtd, so the operator pair (L, A) is
-self-consistent.  When c is constant and the state has zero velocity (every
-H1 iterate), L is evaluated in the scheme's own cosine eigenbasis, each mode
-advancing with its discrete phase theta_kl (spectral.leapfrog_trace); the
-result equals fdtd.forward_solve's trace to rounding at a third of the cost.
-Otherwise L is the leapfrog march.  The data still come from the continuous
-lam_kl series (spectral.synthesize_data), so no inversion uses data made by
-the model it inverts.
+self-consistent.  When c is constant and the iterates live in H1 (zero
+velocity), P A L u is applied without forming the trace L u: for data that
+are the forward solve's own trace, the error e = u - v of the backward solve
+obeys the absorbing scheme with zero data, so A L u = u(0) - e(0) in its
+first component.  The forward solve's last two levels come from the
+scheme's own cosine eigenbasis (spectral.leapfrog_levels) and one backward
+march of the error gives e(0) (fdtd.reversal_error); the result equals
+dissipative_reverse_solve(forward_solve(u).trace) to rounding.  Otherwise
+P A L u is that composition of the leapfrog march and the data-driven
+backward solve.  The data still come from the continuous lam_kl series
+(spectral.synthesize_data), so no inversion uses data made by the model it
+inverts.
 """
 
 from __future__ import annotations
@@ -101,18 +106,17 @@ def _check_trace(g: BoundaryTrace, cfg: ReconConfig) -> None:
         )
 
 
-def _measure(u: StatePair, cfg: ReconConfig) -> BoundaryTrace:
-    """L u: the boundary trace of the forward solve from u, in mode space
-    when c is constant and u has zero velocity, else by the leapfrog march."""
-    c = cfg.c.values
-    if np.all(c == c.flat[0]) and not u.second.values.any():
-        return spectral.leapfrog_trace(u.first, cfg.c, cfg.bspec, cfg.T)
-    return fdtd.forward_solve(u, cfg.c, cfg.bspec, cfg.T).trace
-
-
 def _apply(u: StatePair, cfg: ReconConfig) -> StatePair:
-    """P A L u, the operator of the fixed-point iteration."""
-    return cfg.project(fdtd.dissipative_reverse_solve(_measure(u, cfg), cfg.c))
+    """P A L u, the operator of the fixed-point iteration: through the
+    reversal error when c is constant and u is an H1 state (zero velocity),
+    else through the trace L u."""
+    c = cfg.c.values
+    if cfg.subspace == "H1" and np.all(c == c.flat[0]) and not u.second.values.any():
+        levels = spectral.leapfrog_levels(u.first, cfg.c, cfg.T)
+        error = fdtd.reversal_error(levels, cfg.c, cfg.bspec, cfg.T)
+        return cfg.project(StatePair(u.first - error, u.second))
+    trace = fdtd.forward_solve(u, cfg.c, cfg.bspec, cfg.T).trace
+    return cfg.project(fdtd.dissipative_reverse_solve(trace, cfg.c))
 
 
 def initial_approximation(g: BoundaryTrace, cfg: ReconConfig) -> StatePair:

@@ -20,9 +20,9 @@ tested against data produced by its own discretization.
 The same basis diagonalizes the finite-difference scheme itself: at
 constant sound speed c, the mirror-closed leapfrog of fdtd advances mode
 (k, l) as cos(j theta_{k,l}) with a discrete phase theta_{k,l} in place of
-lam_{k,l} dt.  leapfrog_trace evaluates the wall series with that phase,
-which gives fdtd.forward_solve's trace to rounding without the march; the
-reconstruction uses it as the measurement map L.
+lam_{k,l} dt.  leapfrog_levels evaluates the forward solve's last two
+levels that way, without the march; the reconstruction starts the
+reversal error from them.
 """
 
 from __future__ import annotations
@@ -120,33 +120,40 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
         bspec)
 
 
-def leapfrog_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
-                   T: float) -> BoundaryTrace:
-    """The trace of fdtd.forward_solve from (f, 0) at constant sound speed c,
-    evaluated in the scheme's own eigenbasis instead of by marching.
-
-    The DCT-I diagonalizes the mirror-closed leapfrog and its Taylor start:
-    mode (k, l) advances exactly as cos(j theta_kl), with
-    sin^2(theta_kl / 2) = (dt c / dx)^2 (s_k + s_l) and
-    s_k = sin^2(k pi / (2 (n - 1))).  The trace is therefore the series of
-    synthesize_data with the discrete frequency theta_kl / dt in place of
-    lam_kl, and equals forward_solve's to rounding.  The same setup checks
-    apply, so a CFL violation raises StabilityError; a c that is not
-    constant is a ConfigError.
-    """
-    grid = f.grid
-    _check_setup(grid, c, bspec)
+def _leapfrog_phases(grid: Grid2D, c: ScalarField) -> np.ndarray:
+    """The discrete phases theta_kl with which the mirror-closed leapfrog of
+    fdtd advances mode (k, l) at constant sound speed c: cos(j theta_kl) at
+    level j, sin^2(theta_kl / 2) = (dt c / dx)^2 (s_k + s_l) and
+    s_k = sin^2(k pi / (2 (n - 1))).  The solvers' setup checks apply, so a
+    CFL violation raises StabilityError; a c that is not constant is a
+    ConfigError."""
+    _check_setup(grid, c)
     c0 = c.values.flat[0]
     if np.any(c.values != c0):
-        raise ConfigError("leapfrog_trace needs a constant sound speed")
+        raise ConfigError("the leapfrog's eigenbasis needs a constant sound speed")
     s = np.sin(0.5 * np.pi * np.arange(grid.n) / (grid.n - 1)) ** 2
     coef = (grid.dt * c0 / grid.dx) ** 2
     # arcsin keeps the digits of small phases that arccos(1 - 2 x) loses; the
     # clip absorbs the rounding slack check_cfl allows at the bound itself
-    theta = 2.0 * np.arcsin(np.sqrt(np.minimum(coef * (s[:, None] + s[None, :]), 1.0)))
-    return _trace_from_walls(
-        _wall_coefficients(dct2_forward(f), theta / grid.dt, grid.dt, num_steps(T, grid.dt)),
-        bspec)
+    return 2.0 * np.arcsin(np.sqrt(np.minimum(coef * (s[:, None] + s[None, :]), 1.0)))
+
+
+def leapfrog_levels(f: ScalarField, c: ScalarField,
+                    T: float) -> tuple[ScalarField, ScalarField]:
+    """Levels J - 1 and J = T / dt of fdtd.forward_solve from (f, 0) at
+    constant sound speed c, evaluated in the scheme's own eigenbasis instead
+    of by marching.
+
+    The DCT-I diagonalizes the mirror-closed leapfrog and its Taylor start,
+    so level j is the cosine series of f with each coefficient times
+    cos(j theta_kl) (see _leapfrog_phases), equal to the march to rounding.
+    """
+    grid = f.grid
+    theta = _leapfrog_phases(grid, c)
+    coeffs = dct2_forward(f).coeffs
+    steps = num_steps(T, grid.dt)
+    return tuple(dct2_inverse(CosineCoeffs(grid, coeffs * np.cos(j * theta)))
+                 for j in (steps - 1, steps))
 
 
 def _trace_from_walls(walls: np.ndarray, bspec: BoundarySpec) -> BoundaryTrace:

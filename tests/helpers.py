@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from pacavity import (ConfigError, CosineCoeffs, Grid2D, ScalarField, StatePair,
-                      boundary_indices, dct2_inverse, energy, mode_frequencies)
+from pacavity import (BoundarySpec, BoundaryTrace, ConfigError, CosineCoeffs, Grid2D,
+                      ScalarField, StatePair, boundary_indices, dct2_forward, dct2_inverse,
+                      energy, mode_frequencies, num_steps)
+from pacavity.spectral import _leapfrog_phases, _trace_from_walls, _wall_coefficients
 
 
 def smooth_random_field(grid: Grid2D, rng, kmax: int = 9, scale: float = 1.0) -> ScalarField:
@@ -52,6 +54,24 @@ def spectral_propagate(c: CosineCoeffs, t: float) -> ScalarField:
         raise ConfigError("propagation time must be nonnegative")
     lam = mode_frequencies(c.grid)
     return dct2_inverse(CosineCoeffs(c.grid, c.coeffs * np.cos(lam * t)))
+
+
+def leapfrog_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
+                   T: float) -> BoundaryTrace:
+    """The trace of forward_solve from (f, 0) at constant sound speed c,
+    evaluated in the scheme's own eigenbasis instead of by marching.
+
+    Mode (k, l) of the leapfrog advances exactly as cos(j theta_kl), so the
+    trace is the wall series of synthesize_data with the discrete frequency
+    theta_kl / dt in place of lam_kl.  The phases carry the solvers' setup
+    checks: a CFL violation raises StabilityError, a c that is not constant
+    a ConfigError.
+    """
+    grid = f.grid
+    theta = _leapfrog_phases(grid, c)
+    return _trace_from_walls(
+        _wall_coefficients(dct2_forward(f), theta / grid.dt, grid.dt, num_steps(T, grid.dt)),
+        bspec)
 
 
 def spectral_velocity(c: CosineCoeffs, t: float) -> ScalarField:

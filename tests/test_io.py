@@ -142,6 +142,28 @@ class TestTraceFiles:
         with pytest.raises(pio.ParseError, match="4n-4"):
             pio.read_trace(path)
 
+    def test_too_few_node_columns_is_a_column_error(self, tmp_path):
+        # 8 node columns would be n = 3, below the smallest grid: the error
+        # is about the columns, not about the header's dt
+        path = tmp_path / "small.csv"
+        cols = ",".join(f"node_{b}" for b in range(8))
+        path.write_text(f"# pacavity trace v2; dt = 0.5; gamma = full; lambda = 1.0\n"
+                        f"t,{cols}\n" + "0.0," + ",".join(["0"] * 8) + "\n")
+        with pytest.raises(pio.ParseError, match="8 node columns") as info:
+            pio.read_trace(path)
+        assert "'dt'" not in str(info.value)
+
+    def test_time_column_must_follow_the_header_dt(self, tmp_path):
+        g = pv.Grid2D(9)
+        assert g.dt == 0.125
+        path = tmp_path / "trace.csv"
+        pio.write_trace(path, pv.BoundaryTrace(pv.BoundarySpec.full(g), np.ones((3, 32))))
+        text = path.read_text()
+        path.write_text(text.replace("dt = 0.125", "dt = 0.1"))
+        # line 3 holds t = 0 and agrees; line 4 holds t = 0.125
+        with pytest.raises(pio.ParseError, match=r":4: .*'dt' = 0\.1"):
+            pio.read_trace(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         g = pv.Grid2D(9)
         trace = pv.BoundaryTrace(pv.BoundarySpec.full(g), np.ones((2, 32)))

@@ -190,20 +190,29 @@ class TestConfigValidation:
 
 
 class TestModeSpaceMeasurement:
-    """At constant c the forward solve L runs in mode space; a count of the
-    leapfrog forward solves keeps that speed-up from silently going away."""
+    """At constant c an H1 iteration applies P A L through the reversal error,
+    with no trace L u: counts of the leapfrog solves keep that speed-up from
+    silently going away."""
 
-    @pytest.fixture
-    def count_forward_solves(self, monkeypatch):
+    @staticmethod
+    def counter(monkeypatch, name):
         calls = []
-        solve = pv.fdtd.forward_solve
+        solve = getattr(pv.fdtd, name)
 
         def counted(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(pv.fdtd, "forward_solve", counted)
+        monkeypatch.setattr(pv.fdtd, name, counted)
         return calls
+
+    @pytest.fixture
+    def count_forward_solves(self, monkeypatch):
+        return self.counter(monkeypatch, "forward_solve")
+
+    @pytest.fixture
+    def count_backward_solves(self, monkeypatch):
+        return self.counter(monkeypatch, "dissipative_reverse_solve")
 
     @staticmethod
     def spelled_out(g, cfg):
@@ -221,11 +230,15 @@ class TestModeSpaceMeasurement:
         return pv.ScalarField(grid, 1.0 + 0.2 * np.exp(-((X - 0.2) ** 2 + Y ** 2) / 0.2))
 
     def test_constant_speed_h1_needs_no_leapfrog_forward_solve(self, setup65, data65,
-                                                                count_forward_solves):
+                                                                count_forward_solves,
+                                                                count_backward_solves):
         T, g = data65
         cfg = make_cfg(setup65, T, 4)
         got = pv.neumann_iterate(g, cfg).estimate
         assert len(count_forward_solves) == 0
+        # the one backward solve driven by the data g; every P A L u marches
+        # the reversal error instead
+        assert len(count_backward_solves) == 1
         want = self.spelled_out(g, cfg)
         for a, b in ((got.first, want.first), (got.second, want.second)):
             assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(want.first.values).max()

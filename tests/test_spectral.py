@@ -6,8 +6,8 @@ import pytest
 import pacavity as pv
 from pacavity.spectral import mode_frequencies
 
-from helpers import (boundary_values, eigenfield, smooth_random_field, spectral_energy,
-                     spectral_propagate, spectral_velocity)
+from helpers import (boundary_values, eigenfield, leapfrog_trace, smooth_random_field,
+                     spectral_energy, spectral_propagate, spectral_velocity)
 
 
 @pytest.fixture
@@ -232,7 +232,7 @@ class TestLeapfrogTrace:
         f = pv.ScalarField(grid, np.random.default_rng(n).standard_normal((n, n)))
         T = 150 * grid.dt
         ref = pv.forward_solve(pv.StatePair(f, pv.ScalarField.zeros(grid)), c, bs, T).trace
-        got = pv.leapfrog_trace(f, c, bs, T)
+        got = leapfrog_trace(f, c, bs, T)
         assert got.samples.shape == ref.samples.shape
         assert np.array_equal(got.bspec.gamma_mask, ref.bspec.gamma_mask)
         assert np.all(got.samples[:, ~bs.gamma_mask] == 0.0)
@@ -243,10 +243,37 @@ class TestLeapfrogTrace:
         bs = pv.BoundarySpec.full(grid)
         f = smooth_random_field(grid, np.random.default_rng(9))
         with pytest.raises(pv.StabilityError):
-            pv.leapfrog_trace(f, pv.ScalarField.constant(grid, 1.5), bs, 1.0)
+            leapfrog_trace(f, pv.ScalarField.constant(grid, 1.5), bs, 1.0)
 
     def test_varying_speed_rejected(self, grid):
         bs = pv.BoundarySpec.full(grid)
         c = pv.ScalarField(grid, np.linspace(0.9, 1.0, grid.n)[:, None] * np.ones(grid.n))
         with pytest.raises(pv.ConfigError, match="constant"):
-            pv.leapfrog_trace(pv.ScalarField.zeros(grid), c, bs, 1.0)
+            leapfrog_trace(pv.ScalarField.zeros(grid), c, bs, 1.0)
+
+
+class TestLeapfrogLevels:
+    @pytest.mark.parametrize("n", [33, 65])
+    @pytest.mark.parametrize("dt_factor", [0.3, 0.7])
+    @pytest.mark.parametrize("speed", [1.0, 0.8])
+    def test_equal_the_last_two_levels_of_forward_solve(self, n, dt_factor, speed):
+        grid = pv.Grid2D(n, dt_factor * pv.Grid2D(n).dx)
+        c = pv.ScalarField.constant(grid, speed)
+        f = pv.ScalarField(grid, np.random.default_rng(n).standard_normal((n, n)))
+        T = 150 * grid.dt
+        snaps = {149: None}
+        fwd = pv.forward_solve(pv.StatePair(f, pv.ScalarField.zeros(grid)), c,
+                               pv.BoundarySpec.full(grid), T, snapshots=snaps)
+        before, last = pv.leapfrog_levels(f, c, T)
+        for got, want in ((before, snaps[149].first), (last, fwd.final_state.first)):
+            assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+
+    def test_speed_above_the_cfl_bound_rejected(self, grid):
+        f = smooth_random_field(grid, np.random.default_rng(9))
+        with pytest.raises(pv.StabilityError):
+            pv.leapfrog_levels(f, pv.ScalarField.constant(grid, 1.5), 1.0)
+
+    def test_varying_speed_rejected(self, grid):
+        c = pv.ScalarField(grid, np.linspace(0.9, 1.0, grid.n)[:, None] * np.ones(grid.n))
+        with pytest.raises(pv.ConfigError, match="constant"):
+            pv.leapfrog_levels(pv.ScalarField.zeros(grid), c, 1.0)
