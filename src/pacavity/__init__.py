@@ -9,6 +9,7 @@ convergent fixed-point iteration.
 
 from .core import (
     BoundarySpec,
+    BoundaryTrace,
     ConfigError,
     Grid2D,
     GridMismatchError,
@@ -28,11 +29,11 @@ from .core import (
     snap_duration,
 )
 from .fdtd import (
-    BoundaryTrace,
     dissipative_boundary_update,
     dissipative_reverse_solve,
     forward_solve,
     interior_step,
+    leapfrog_levels,
     reversal_error,
 )
 from .phantom import PAPER_SIX, BumpSpec, add_noise, paper_six_phantom, radial_bump, render_phantom
@@ -47,7 +48,6 @@ from .spectral import (
     CosineCoeffs,
     dct2_forward,
     dct2_inverse,
-    leapfrog_levels,
     mode_frequencies,
     synthesize_data,
 )

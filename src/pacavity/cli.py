@@ -17,6 +17,7 @@ import numpy as np
 from . import io as pio
 from .core import (
     BoundarySpec,
+    BoundaryTrace,
     ConfigError,
     Grid2D,
     GridMismatchError,
@@ -24,7 +25,6 @@ from .core import (
     StabilityError,
     relative_l2,
 )
-from .fdtd import BoundaryTrace
 from .io import CONFIG_KEYS, RunConfig, apply_config_entry, parse_config
 from .phantom import add_noise
 from .recon import ReconConfig, neumann_iterate
@@ -109,29 +109,26 @@ def cmd_phantom(cfg: RunConfig) -> int:
 
 
 def _synthesize(cfg: RunConfig):
+    """Phantom, T and trace; add_noise makes the noise exactly cfg.noise of it."""
     grid = cfg.make_grid()
     bspec = cfg.make_bspec(grid)
     f = cfg.make_phantom(grid)
     T = cfg.resolve_T(grid.dt)
     g = synthesize_data(f, bspec, T, grid.dt)
-    noise_ratio = 0.0
     if cfg.noise > 0:
-        clean = g
         g = add_noise(g, cfg.noise, cfg.seed)
-        noise_ratio = float(np.linalg.norm(g.samples - clean.samples)
-                            / np.linalg.norm(clean.samples))
-    return f, T, g, noise_ratio
+    return f, T, g
 
 
 def cmd_forward(cfg: RunConfig) -> int:
-    _, T, g, noise_ratio = _synthesize(cfg)
+    _, T, g = _synthesize(cfg)
     out = _outdir(cfg)
     pio.write_trace(out / "trace.csv", g)
     metrics = [f"T_effective = {T!r}", f"steps = {g.n_steps}",
-               f"dt = {g.dt!r}", f"noise_ratio = {noise_ratio!r}"]
+               f"dt = {g.dt!r}", f"noise_ratio = {cfg.noise!r}"]
     (out / "metrics.txt").write_text("\n".join(metrics) + "\n")
     print(f"wrote {out / 'trace.csv'} ({g.n_steps} steps, T = {T:g}, "
-          f"noise ratio {noise_ratio:.3f})")
+          f"noise ratio {cfg.noise:.3f})")
     return 0
 
 
@@ -150,12 +147,14 @@ def _require_consistent(g: BoundaryTrace, bspec: BoundarySpec) -> None:
                           "(or taper) than the configuration sets")
 
 
-def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path) -> None:
+def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path,
+                 reference: ScalarField | None = None) -> None:
+    """Write recon.csv and recon.pgm; with the phantom the trace was made from
+    as reference, also score the estimate in errors.csv and cross_section.csv."""
     grid = cfg.make_grid()
     bspec = cfg.make_bspec(grid)
     _require_consistent(g, bspec)
     c = ScalarField.constant(grid, 1.0)
-    reference = cfg.make_phantom(grid)
     T = g.n_steps * g.dt
     rc = ReconConfig(T=T, iterations=cfg.iterations, c=c, bspec=bspec,
                      subspace=cfg.subspace)
@@ -163,14 +162,17 @@ def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path) -> None:
     est = report.estimate.first
     pio.write_field(out / "recon.csv", est)
     pio.write_field(out / "recon.pgm", est)
+    ran = f"{cfg.iterations} iteration(s), T = {T:g}"
+    if reference is None:
+        print(f"reconstruction ({ran}): wrote {out / 'recon.csv'} and {out / 'recon.pgm'}")
+        return
     _write_cross_section(out / "cross_section.csv", grid, reference, est)
     errs = report.per_iteration_errors
     lines = ["iteration,relative_l2_error"]
     lines += [f"{k},{repr(e)}" for k, e in enumerate(errs, start=1)]
     (out / "errors.csv").write_text("\n".join(lines) + "\n")
     final = errs[-1] if errs else relative_l2(est, reference)
-    print(f"reconstruction: relative L2 error = {final * 100:.2f}% "
-          f"({cfg.iterations} iteration(s), T = {T:g})")
+    print(f"reconstruction: relative L2 error = {final * 100:.2f}% ({ran})")
 
 
 def cmd_reconstruct(cfg: RunConfig, trace_path: str) -> int:
@@ -186,14 +188,14 @@ def cmd_reconstruct(cfg: RunConfig, trace_path: str) -> int:
 def cmd_demo(cfg: RunConfig, name: str) -> int:
     """One configured run: phantom, trace, reconstruction, all under out/name."""
     t0 = time.time()
-    f, _, g, noise_ratio = _synthesize(cfg)
+    f, _, g = _synthesize(cfg)
     out = _outdir(cfg, name)
     pio.write_field(out / "phantom.csv", f)
     pio.write_field(out / "phantom.pgm", f)
     pio.write_trace(out / "trace.csv", g)
     if cfg.noise > 0:
-        print(f"noise ratio = {noise_ratio:.3f}")
-    _reconstruct(cfg, g, out)
+        print(f"noise ratio = {cfg.noise:.3f}")
+    _reconstruct(cfg, g, out, reference=f)
     print(f"demo {name} finished in {time.time() - t0:.1f}s; outputs in {out}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Grid geometry, field containers, energy functionals and subspace projectors.
+"""Grid geometry, field and trace containers, energy functionals and subspace projectors.
 
 The computational domain is the square [-1,1] x [-1,1], discretized by an
 n x n Cartesian grid that includes both endpoints, so the node spacing is
@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+STEP_TOL = 1e-9  # num_steps accepts T / dt this close to an integer, relative
 
 
 class GridMismatchError(ValueError):
@@ -295,6 +297,57 @@ class BoundarySpec:
         return cls.from_mask(grid, mask, lambda_value, taper)
 
 
+@dataclass
+class BoundaryTrace:
+    """Pressure samples at every boundary node for every time level, and the
+    boundary spec they were measured on.
+
+    samples[j, b] is the value at time t_j = j*dt at boundary node b in the
+    canonical enumeration.  The spec holds the grid, and with it dt, the
+    measured set Gamma and lambda: a trace has none of its own, so the
+    solvers that read it cannot step on another time step or absorb on
+    another boundary.  Nodes outside Gamma are zeroed on construction.  The
+    trace file stores dt, Gamma and lambda, so a reloaded trace carries all
+    three.
+    """
+
+    bspec: BoundarySpec
+    samples: np.ndarray
+
+    def __post_init__(self):
+        s = np.asarray(self.samples, dtype=float)
+        nb = boundary_count(self.grid.n)
+        if s.ndim != 2 or s.shape[1] != nb:
+            raise GridMismatchError(
+                f"trace must have {nb} columns for n = {self.grid.n}, got shape {s.shape}"
+            )
+        if not np.all(np.isfinite(s)):
+            raise ValueError("trace contains non-finite values")
+        # samples that are already zero off Gamma are kept as they are;
+        # otherwise a copy is zeroed, so the caller's array never changes
+        off = ~self.bspec.gamma_mask
+        if np.any(s, axis=0)[off].any():
+            s = s.copy()
+            s[:, off] = 0.0
+        self.samples = s
+
+    @property
+    def grid(self) -> Grid2D:
+        return self.bspec.grid
+
+    @property
+    def dt(self) -> float:
+        return self.grid.dt
+
+    @property
+    def n_steps(self) -> int:
+        return self.samples.shape[0] - 1
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(self.samples.shape[0])
+
+
 def _arc_distance_to_complement(mask: np.ndarray) -> np.ndarray:
     """Cyclic distance (in node steps) from each node to the nearest node
     outside the mask."""
@@ -385,17 +438,17 @@ def project_H1(s: StatePair) -> StatePair:
     return StatePair(ScalarField(s.grid, s.first.values - m), ScalarField.zeros(s.grid))
 
 
-def num_steps(T: float, dt: float, tol: float = 1e-9) -> int:
+def num_steps(T: float, dt: float) -> int:
     """Number of time steps covering [0, T]; T must be a multiple of dt.
 
-    Raises ConfigError when T/dt is not an integer to within ``tol``
+    Raises ConfigError when T/dt is not an integer to within STEP_TOL
     (relative).  Use snap_duration to round a requested T to the time grid.
     """
     if T <= 0 or dt <= 0:
         raise ConfigError(f"T and dt must be positive, got T = {T!r}, dt = {dt!r}")
     x = T / dt
     steps = int(round(x))
-    if abs(x - steps) > tol * max(1.0, x):
+    if abs(x - steps) > STEP_TOL * max(1.0, x):
         raise ConfigError(
             f"T = {T!r} is not an integer multiple of dt = {dt!r} "
             f"(T/dt = {x!r}); adjust T or enable time snapping"

@@ -29,18 +29,23 @@ its two walls.
   each wall through the node (twice that at a corner).  Off Gamma, G = 0 and
   the update is the forward closure.
 
+At constant sound speed c the type-I DCT of spectral diagonalizes the
+mirror-closed leapfrog and its Taylor start: mode (k, l) advances as
+cos(j theta_{k,l}) with a discrete phase theta_{k,l} in place of the
+continuous lam_{k,l} dt.  leapfrog_levels evaluates the forward solve's last
+two levels that way, without the march.
+
 When g is the forward solver's own trace, the forward levels satisfy the
 backward update with the data terms cancelling, so the backward error u - v
 obeys the homogeneous absorbing update exactly and its energy decays.
 reversal_error marches that error from the forward solve's last two levels,
 which gives the backward solve's result without forming the trace.
 
-Both solvers run the same march (_march) in opposite directions of time:
-one Taylor start, one leapfrog loop (_leapfrog, which reversal_error enters
-directly from its two levels), one snapshot capture and one one-sided end
-velocity.  They differ only in the rule that finishes each new level: the
-forward solve records its trace row, the backward solve applies the
-absorbing update on Gamma.
+One leapfrog loop (_leapfrog), with the snapshot capture and the one-sided
+end velocity, runs all three solves from their first two levels: the two
+solvers take theirs from the Taylor start (_taylor_start), reversal_error
+from leapfrog_levels.  Each new level is finished by the solve's own rule:
+the forward solve records its trace row, the others absorb on Gamma.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import numpy as np
 
 from .core import (
     BoundarySpec,
+    BoundaryTrace,
     ConfigError,
     Grid2D,
     GridMismatchError,
@@ -62,57 +68,7 @@ from .core import (
     corner_positions,
     num_steps,
 )
-
-
-@dataclass
-class BoundaryTrace:
-    """Pressure samples at every boundary node for every time level, and the
-    boundary spec they were measured on.
-
-    samples[j, b] is the value at time t_j = j*dt at boundary node b in the
-    canonical enumeration.  The spec holds the grid, and with it dt, the
-    measured set Gamma and lambda: a trace has none of its own, so the
-    solvers that read it cannot step on another time step or absorb on
-    another boundary.  Nodes outside Gamma are zeroed on construction.  The
-    trace file stores dt, Gamma and lambda, so a reloaded trace carries all
-    three.
-    """
-
-    bspec: BoundarySpec
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        nb = boundary_count(self.grid.n)
-        if s.ndim != 2 or s.shape[1] != nb:
-            raise GridMismatchError(
-                f"trace must have {nb} columns for n = {self.grid.n}, got shape {s.shape}"
-            )
-        if not np.all(np.isfinite(s)):
-            raise ValueError("trace contains non-finite values")
-        # samples that are already zero off Gamma are kept as they are;
-        # otherwise a copy is zeroed, so the caller's array never changes
-        off = ~self.bspec.gamma_mask
-        if np.any(s, axis=0)[off].any():
-            s = s.copy()
-            s[:, off] = 0.0
-        self.samples = s
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.bspec.grid
-
-    @property
-    def dt(self) -> float:
-        return self.grid.dt
-
-    @property
-    def n_steps(self) -> int:
-        return self.samples.shape[0] - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.samples.shape[0])
+from .spectral import CosineCoeffs, dct2_forward, dct2_inverse
 
 
 @dataclass
@@ -244,58 +200,92 @@ def _check_setup(grid: Grid2D, c: ScalarField, bspec: BoundarySpec | None = None
     grid.check_cfl(float(c.values.max()))
 
 
-def _march(start: StatePair, c: ScalarField, steps: int, sign: int,
-           boundary, snapshots: dict[int, StatePair] | None) -> StatePair:
-    """March the leapfrog scheme over steps levels of the grid's time step dt
-    in the direction sign.
+def _leapfrog_phases(grid: Grid2D, c: ScalarField) -> np.ndarray:
+    """The discrete phases theta_kl with which the mirror-closed leapfrog
+    advances mode (k, l) at constant sound speed c: cos(j theta_kl) at
+    level j, sin^2(theta_kl / 2) = (dt c / dx)^2 (s_k + s_l) and
+    s_k = sin^2(k pi / (2 (n - 1))).  The solvers' setup checks apply, so a
+    CFL violation raises StabilityError; a c that is not constant is a
+    ConfigError."""
+    _check_setup(grid, c)
+    c0 = c.values.flat[0]
+    if np.any(c.values != c0):
+        raise ConfigError("the leapfrog's eigenbasis needs a constant sound speed")
+    s = np.sin(0.5 * np.pi * np.arange(grid.n) / (grid.n - 1)) ** 2
+    coef = (grid.dt * c0 / grid.dx) ** 2
+    # arcsin keeps the digits of small phases that arccos(1 - 2 x) loses; the
+    # clip absorbs the rounding slack check_cfl allows at the bound itself
+    return 2.0 * np.arcsin(np.sqrt(np.minimum(coef * (s[:, None] + s[None, :]), 1.0)))
 
-    sign = +1 starts at t = 0 and ends at t = steps dt; sign = -1 starts at
-    t = steps dt and ends at t = 0.  The second-order Taylor start from
-    start gives the first new level, _leapfrog every later one.  Each new
-    level is handed to boundary(j, level, behind), with j its time index and
-    behind the level two steps back along the march (at the Taylor start,
-    the array -sign dt u_t that stands in for it); the rule finishes the
-    boundary values of level in place.  For every key j of snapshots the
-    state at t_j is stored, with the centered-difference velocity.  Returns
-    the state at the last level, its velocity from the one-sided
-    second-order difference of the last three levels.
+
+def leapfrog_levels(f: ScalarField, c: ScalarField,
+                    T: float) -> tuple[ScalarField, ScalarField]:
+    """Levels J - 1 and J = T / dt of forward_solve from (f, 0) at
+    constant sound speed c, evaluated in the scheme's own eigenbasis instead
+    of by marching.
+
+    The DCT-I diagonalizes the mirror-closed leapfrog and its Taylor start,
+    so level j is the cosine series of f with each coefficient times
+    cos(j theta_kl) (see _leapfrog_phases), equal to the march to rounding.
     """
-    if snapshots is None:
-        snapshots = {}
-    bad = [j for j in snapshots if not (isinstance(j, (int, np.integer)) and 0 < j < steps)]
-    if bad:
-        raise ConfigError(f"snapshot steps must be integers in 1 .. {steps - 1}, got {bad}")
-    grid = start.grid
+    grid = f.grid
+    theta = _leapfrog_phases(grid, c)
+    coeffs = dct2_forward(f).coeffs
+    steps = num_steps(T, grid.dt)
+    return tuple(dct2_inverse(CosineCoeffs(grid, coeffs * np.cos(j * theta)))
+                 for j in (steps - 1, steps))
+
+
+def _taylor_start(state: StatePair, c: ScalarField,
+                  sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first two levels of a march from state in the direction sign (the
+    second from the mirror-closed second-order Taylor step), and the array
+    -sign dt u_t that stands in for the level before the first."""
+    grid = state.grid
     coef = _coefficient(c.values, grid)
-    first = 0 if sign > 0 else steps
-    work = np.empty_like(start.first.values)
-
-    prev = start.first.values.copy()
-    behind = (-sign * grid.dt) * start.second.values
-    cur = _advance(np.empty_like(prev), prev, behind, 0.5 * coef, 1.0 - 2.0 * coef, work)
-    boundary(first + sign, cur, behind)
-    return _leapfrog(prev, cur, first + sign, steps - 1, sign, grid, coef, boundary,
-                     snapshots, work)
+    first = state.first.values.copy()
+    behind = (-sign * grid.dt) * state.second.values
+    second = _advance(np.empty_like(first), first, behind, 0.5 * coef, 1.0 - 2.0 * coef,
+                      np.empty_like(first))
+    return first, second, behind
 
 
-def _leapfrog(prev: np.ndarray, cur: np.ndarray, j0: int, count: int, sign: int,
-              grid: Grid2D, coef, boundary, snapshots: dict, work: np.ndarray) -> StatePair:
-    """From level j0 in cur and the level before it along the march in prev,
-    march count >= 1 more levels in the direction sign, finishing each with
-    boundary as _march does.  prev and cur are overwritten."""
+def _leapfrog(prev: np.ndarray, cur: np.ndarray, j0: int, j_end: int, c: ScalarField,
+              boundary, snapshots: dict[int, StatePair] | None) -> StatePair:
+    """March the leapfrog scheme from level j0 in cur, with the level before
+    it along the march in prev, to level j_end, forward in time when
+    j_end > j0 and backward otherwise; prev and cur are overwritten.
+
+    Each new level is handed to boundary(j, level, behind), with j its time
+    index and behind the level two steps back along the march; the rule
+    finishes the boundary values of level in place.  For every key j of
+    snapshots (levels j0 up to the one before j_end) the state at t_j is
+    stored, with the centered-difference velocity.  Returns the state at
+    level j_end, its velocity from the one-sided second-order difference of
+    the last three levels.
+    """
+    sign = 1 if j_end > j0 else -1
+    lo, hi = sorted((j0, j_end - sign))
+    snapshots = {} if snapshots is None else snapshots
+    bad = [j for j in snapshots if not (isinstance(j, (int, np.integer)) and lo <= j <= hi)]
+    if bad:
+        raise ConfigError(f"snapshot steps must be integers in {lo} .. {hi}, got {bad}")
+    grid = c.grid
     dt = grid.dt
+    coef = _coefficient(c.values, grid)
     centre = 2.0 - 4.0 * coef
+    work = np.empty_like(prev)
     nxt = np.empty_like(prev)
     # the velocities below negate each operand, not the difference, so they
     # equal the differences taken in time order bit for bit, signed zeros too
-    for j in range(j0, j0 + sign * count, sign):
+    for j in range(j0, j_end, sign):
         _advance(nxt, cur, prev, coef, centre, work)
         boundary(j + sign, nxt, prev)
         if j in snapshots:
             vel = (sign * nxt - sign * prev) / (2.0 * dt)
             snapshots[j] = StatePair(ScalarField(grid, cur.copy()), ScalarField(grid, vel))
         prev, cur, nxt = cur, nxt, prev
-    # count >= 1, so nxt now holds the level before prev
+    # the loop ran at least once, so nxt now holds the level before prev
     vel = (3.0 * sign * cur - 4.0 * sign * prev + sign * nxt) / (2.0 * dt)
     return StatePair(ScalarField(grid, cur), ScalarField(grid, vel))
 
@@ -315,12 +305,14 @@ def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, 
     steps = num_steps(T, grid.dt)
     flat, _ = _boundary_layout(grid.n)
     rows = np.empty((steps + 1, flat.size))
-    np.take(s0.first.values, flat, out=rows[0])
 
     def record(j, level, behind):
         np.take(level, flat, out=rows[j])
 
-    final = _march(s0, c, steps, +1, record, snapshots)
+    prev, cur, _ = _taylor_start(s0, c, +1)
+    record(0, prev, None)
+    record(1, cur, None)
+    final = _leapfrog(prev, cur, 1, steps, c, record, snapshots)
     rows[:, ~bspec.gamma_mask] = 0.0
     return SolveResult(trace=BoundaryTrace(bspec, rows), final_state=final)
 
@@ -354,38 +346,36 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, *,
 
     def absorb(j, level, behind):
         new = level.reshape(-1)
-        if j == steps - 1:
-            # Taylor start: the absorbing ghost at t = T takes v_t(T) (behind
-            # is dt v_t) and the one-sided data derivative (g^J - g^{J-1}) / dt
-            new[flat] += G * (behind.reshape(-1)[flat] - data[j + 1] + data[j])
-        else:
-            new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], data[j], data[j + 2], G)
+        new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], data[j], data[j + 2], G)
 
-    return _march(terminal_state, c, steps, -1, absorb, snapshots)
+    prev, cur, behind = _taylor_start(terminal_state, c, -1)
+    # the Taylor start's absorbing ghost at t = T takes v_t(T) (behind is
+    # dt v_t) and the one-sided data derivative (g^J - g^{J-1}) / dt
+    edge = cur.reshape(-1)
+    edge[flat] += G * (behind.reshape(-1)[flat] - data[steps] + data[steps - 1])
+    return _leapfrog(prev, cur, steps - 1, 0, c, absorb, snapshots)
 
 
-def reversal_error(levels: tuple[ScalarField, ScalarField], c: ScalarField,
-                   bspec: BoundarySpec, T: float) -> ScalarField:
+def reversal_error(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
+                   T: float) -> ScalarField:
     """The error u - v at t = 0 of dissipative time reversal when the data are
-    the forward solve's own trace, so that A L u = (u^0 - e^0, ...).
+    the trace of the forward solve over T from (f, 0), so that
+    A L (f, 0) = (f - e^0, ...) at constant sound speed c.
 
-    levels holds u^{J-1} and u^J, the last two levels of the forward solve
-    over T from initial velocity zero.  With g = u on Gamma the data terms of
-    the backward update cancel (see the module docstring): the error starts
-    from e^J = u^J and, after the data-driven Taylor start from (0, 0),
+    The forward solve's last two levels u^{J-1} and u^J come from
+    leapfrog_levels.  With g = u on Gamma the data terms of the backward
+    update cancel (see the module docstring): the error starts from
+    e^J = u^J and, after the data-driven Taylor start from (0, 0),
     e^{J-1} = u^{J-1} - G (u^{J-1} - u^J) on Gamma, and then runs the
     absorbing update with zero data down to t = 0.  No trace is formed.
     """
-    before, last = levels
-    grid = last.grid
+    grid = f.grid
     _check_setup(grid, c, bspec)
-    if before.grid != grid:
-        raise GridMismatchError("the two levels live on different grids")
+    before, last = leapfrog_levels(f, c, T)
     steps = num_steps(T, grid.dt)
-    if steps < 2:
-        raise ConfigError(f"T must cover at least two time steps, got {steps}")
     flat, _ = _boundary_layout(grid.n)
     G = _absorption(c.values, bspec)
+    # C-contiguous copies of the DCT's transposed output: reshape gives views
     prev = last.values.copy()
     cur = before.values.copy()
     edge = cur.reshape(-1)
@@ -395,5 +385,4 @@ def reversal_error(levels: tuple[ScalarField, ScalarField], c: ScalarField,
         new = level.reshape(-1)
         new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], 0.0, 0.0, G)
 
-    return _leapfrog(prev, cur, steps - 1, steps - 1, -1, grid, _coefficient(c.values, grid),
-                     absorb, {}, np.empty_like(cur)).first
+    return _leapfrog(prev, cur, steps - 1, 0, c, absorb, None).first

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     BoundarySpec,
+    BoundaryTrace,
     ConfigError,
     Grid2D,
     ScalarField,
@@ -32,7 +33,6 @@ from .core import (
     num_steps,
     snap_duration,
 )
-from .fdtd import BoundaryTrace
 from .phantom import PAPER_SIX, BumpSpec, render_phantom
 
 

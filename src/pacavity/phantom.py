@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfigError, Grid2D, ScalarField
-from .fdtd import BoundaryTrace
+from .core import BoundaryTrace, ConfigError, Grid2D, ScalarField
 
 
 @dataclass(frozen=True)

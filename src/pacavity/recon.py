@@ -21,14 +21,13 @@ self-consistent.  When c is constant and the iterates live in H1 (zero
 velocity), P A L u is applied without forming the trace L u: for data that
 are the forward solve's own trace, the error e = u - v of the backward solve
 obeys the absorbing scheme with zero data, so A L u = u(0) - e(0) in its
-first component.  The forward solve's last two levels come from the
-scheme's own cosine eigenbasis (spectral.leapfrog_levels) and one backward
-march of the error gives e(0) (fdtd.reversal_error); the result equals
-dissipative_reverse_solve(forward_solve(u).trace) to rounding.  Otherwise
-P A L u is that composition of the leapfrog march and the data-driven
-backward solve.  The data still come from the continuous lam_kl series
-(spectral.synthesize_data), so no inversion uses data made by the model it
-inverts.
+first component.  One call, fdtd.reversal_error, takes the forward solve's
+last two levels from the scheme's own cosine eigenbasis and marches e back
+to t = 0; the result equals dissipative_reverse_solve(forward_solve(u).trace)
+to rounding.  Otherwise P A L u is that composition of the leapfrog march
+and the data-driven backward solve.  The data still come from the
+continuous lam_kl series (spectral.synthesize_data), so no inversion uses
+data made by the model it inverts.
 """
 
 from __future__ import annotations
@@ -37,9 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fdtd, spectral
+from . import fdtd
 from .core import (
     BoundarySpec,
+    BoundaryTrace,
     ConfigError,
     Grid2D,
     GridMismatchError,
@@ -51,7 +51,6 @@ from .core import (
     relative_l2,
     seminorm,
 )
-from .fdtd import BoundaryTrace
 
 
 @dataclass
@@ -112,8 +111,7 @@ def _apply(u: StatePair, cfg: ReconConfig) -> StatePair:
     else through the trace L u."""
     c = cfg.c.values
     if cfg.subspace == "H1" and np.all(c == c.flat[0]) and not u.second.values.any():
-        levels = spectral.leapfrog_levels(u.first, cfg.c, cfg.T)
-        error = fdtd.reversal_error(levels, cfg.c, cfg.bspec, cfg.T)
+        error = fdtd.reversal_error(u.first, cfg.c, cfg.bspec, cfg.T)
         return cfg.project(StatePair(u.first - error, u.second))
     trace = fdtd.forward_solve(u, cfg.c, cfg.bspec, cfg.T).trace
     return cfg.project(fdtd.dissipative_reverse_solve(trace, cfg.c))

@@ -15,14 +15,8 @@ exactly.  The solution of the wave equation with initial data (f, 0) is
 
 and synthesize_data samples it on the walls to make measurement data
 independently of the finite-difference solvers, so inversion is never
-tested against data produced by its own discretization.
-
-The same basis diagonalizes the finite-difference scheme itself: at
-constant sound speed c, the mirror-closed leapfrog of fdtd advances mode
-(k, l) as cos(j theta_{k,l}) with a discrete phase theta_{k,l} in place of
-lam_{k,l} dt.  leapfrog_levels evaluates the forward solve's last two
-levels that way, without the march; the reconstruction starts the
-reversal error from them.
+tested against data produced by its own discretization.  Nothing here
+comes from fdtd; fdtd evaluates its own scheme with this DCT.
 """
 
 from __future__ import annotations
@@ -34,6 +28,7 @@ from scipy.fft import dct
 
 from .core import (
     BoundarySpec,
+    BoundaryTrace,
     ConfigError,
     Grid2D,
     GridMismatchError,
@@ -41,7 +36,6 @@ from .core import (
     boundary_indices,
     num_steps,
 )
-from .fdtd import BoundaryTrace, _check_setup
 
 # the wall series restarts its cosine recurrence from exact values this often
 RESEED_STEPS = 256
@@ -118,42 +112,6 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
     return _trace_from_walls(
         _wall_coefficients(dct2_forward(f), mode_frequencies(f.grid), dt, num_steps(T, dt)),
         bspec)
-
-
-def _leapfrog_phases(grid: Grid2D, c: ScalarField) -> np.ndarray:
-    """The discrete phases theta_kl with which the mirror-closed leapfrog of
-    fdtd advances mode (k, l) at constant sound speed c: cos(j theta_kl) at
-    level j, sin^2(theta_kl / 2) = (dt c / dx)^2 (s_k + s_l) and
-    s_k = sin^2(k pi / (2 (n - 1))).  The solvers' setup checks apply, so a
-    CFL violation raises StabilityError; a c that is not constant is a
-    ConfigError."""
-    _check_setup(grid, c)
-    c0 = c.values.flat[0]
-    if np.any(c.values != c0):
-        raise ConfigError("the leapfrog's eigenbasis needs a constant sound speed")
-    s = np.sin(0.5 * np.pi * np.arange(grid.n) / (grid.n - 1)) ** 2
-    coef = (grid.dt * c0 / grid.dx) ** 2
-    # arcsin keeps the digits of small phases that arccos(1 - 2 x) loses; the
-    # clip absorbs the rounding slack check_cfl allows at the bound itself
-    return 2.0 * np.arcsin(np.sqrt(np.minimum(coef * (s[:, None] + s[None, :]), 1.0)))
-
-
-def leapfrog_levels(f: ScalarField, c: ScalarField,
-                    T: float) -> tuple[ScalarField, ScalarField]:
-    """Levels J - 1 and J = T / dt of fdtd.forward_solve from (f, 0) at
-    constant sound speed c, evaluated in the scheme's own eigenbasis instead
-    of by marching.
-
-    The DCT-I diagonalizes the mirror-closed leapfrog and its Taylor start,
-    so level j is the cosine series of f with each coefficient times
-    cos(j theta_kl) (see _leapfrog_phases), equal to the march to rounding.
-    """
-    grid = f.grid
-    theta = _leapfrog_phases(grid, c)
-    coeffs = dct2_forward(f).coeffs
-    steps = num_steps(T, grid.dt)
-    return tuple(dct2_inverse(CosineCoeffs(grid, coeffs * np.cos(j * theta)))
-                 for j in (steps - 1, steps))
 
 
 def _trace_from_walls(walls: np.ndarray, bspec: BoundarySpec) -> BoundaryTrace:

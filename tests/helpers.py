@@ -5,7 +5,8 @@ import numpy as np
 from pacavity import (BoundarySpec, BoundaryTrace, ConfigError, CosineCoeffs, Grid2D,
                       ScalarField, StatePair, boundary_indices, dct2_forward, dct2_inverse,
                       energy, mode_frequencies, num_steps)
-from pacavity.spectral import _leapfrog_phases, _trace_from_walls, _wall_coefficients
+from pacavity.fdtd import _leapfrog_phases
+from pacavity.spectral import _trace_from_walls, _wall_coefficients
 
 
 def smooth_random_field(grid: Grid2D, rng, kmax: int = 9, scale: float = 1.0) -> ScalarField:

@@ -64,21 +64,28 @@ class TestForwardCommand:
 
 
 class TestReconstructCommand:
-    def test_end_to_end(self, tmp_path, capsys):
+    def test_end_to_end(self, tmp_path):
         out = tmp_path / "o"
         assert run("forward", "--n", "65", "--T", "2.0", "--out", str(out)) == 0
         assert run("reconstruct", str(out / "trace.csv"), "--n", "65",
                    "--iterations", "2", "--out", str(out)) == 0
-        printed = capsys.readouterr().out
-        assert "relative L2 error" in printed
         assert (out / "recon.csv").exists()
         assert (out / "recon.pgm").exists()
-        errs = (out / "errors.csv").read_text().splitlines()
-        assert errs[0] == "iteration,relative_l2_error"
-        assert len(errs) == 3
-        xs = (out / "cross_section.csv").read_text().splitlines()
-        assert xs[0] == "x,phantom,reconstruction"
-        assert len(xs) == 66
+
+    def test_trace_from_another_phantom_is_not_scored(self, tmp_path, capsys):
+        # the trace does not record its phantom: scoring it against the
+        # configured default would report a large error for a good estimate
+        out = tmp_path / "o"
+        assert run("forward", "--n", "33", "--T", "2", "--bumps", "0.2,0.1,0.3,1.0",
+                   "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("reconstruct", str(out / "trace.csv"), "--n", "33", "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        assert "%" not in printed
+        assert "recon.csv" in printed
+        assert (out / "recon.csv").exists()
+        assert not (out / "errors.csv").exists()
+        assert not (out / "cross_section.csv").exists()
 
     def test_missing_trace_reports_path(self, tmp_path, capsys):
         rc = run("reconstruct", str(tmp_path / "nope.csv"), "--out", str(tmp_path))

@@ -390,14 +390,6 @@ class TestReversalError:
         "tapered": lambda g: pv.BoundarySpec.left_bottom(g, lambda_value=2.5, taper=0.3),
     }
 
-    @staticmethod
-    def forward_levels(f, c, bs, T):
-        steps = pv.num_steps(T, f.grid.dt)
-        snaps = {steps - 1: None}
-        fwd = pv.forward_solve(pv.StatePair(f, pv.ScalarField.zeros(f.grid)), c, bs, T,
-                               snapshots=snaps)
-        return fwd, (snaps[steps - 1].first, fwd.final_state.first)
-
     @pytest.mark.parametrize("n", [33, 65])
     @pytest.mark.parametrize("dt_factor", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("speed", [1.0, 0.8])
@@ -411,25 +403,23 @@ class TestReversalError:
         c = pv.ScalarField.constant(grid, speed)
         f = pv.ScalarField(grid, np.random.default_rng(n).standard_normal((n, n)))
         T = 150 * grid.dt
-        fwd, levels = self.forward_levels(f, c, bs, T)
+        fwd = pv.forward_solve(pv.StatePair(f, pv.ScalarField.zeros(grid)), c, bs, T)
         want = pv.project_H1(pv.dissipative_reverse_solve(fwd.trace, c)).first.values
-        error = pv.reversal_error(levels, c, bs, T)
+        error = pv.reversal_error(f, c, bs, T)
         got = pv.project_H1(pv.StatePair(f - error, pv.ScalarField.zeros(grid))).first.values
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_levels_are_not_modified(self, grid, unit, bs_full):
+    def test_field_is_not_modified(self, grid, unit, bs_full):
         f = smooth_random_field(grid, np.random.default_rng(10))
-        _, levels = self.forward_levels(f, unit, bs_full, 1.0)
-        kept = [lv.values.copy() for lv in levels]
-        pv.reversal_error(levels, unit, bs_full, 1.0)
-        assert all(np.array_equal(lv.values, k) for lv, k in zip(levels, kept))
+        kept = f.values.copy()
+        pv.reversal_error(f, unit, bs_full, 1.0)
+        assert np.array_equal(f.values, kept)
 
     def test_short_time_rejected(self, grid, unit, bs_full):
-        zero = pv.ScalarField.zeros(grid)
         with pytest.raises(pv.ConfigError):
-            pv.reversal_error((zero, zero), unit, bs_full, grid.dt)
+            pv.reversal_error(pv.ScalarField.zeros(grid), unit, bs_full, grid.dt)
 
-    def test_levels_on_another_grid_rejected(self, grid, unit, bs_full):
+    def test_field_on_another_grid_rejected(self, grid, unit, bs_full):
         other = pv.ScalarField.zeros(pv.Grid2D(17))
         with pytest.raises(GridMismatchError):
-            pv.reversal_error((other, pv.ScalarField.zeros(grid)), unit, bs_full, 1.0)
+            pv.reversal_error(other, unit, bs_full, 1.0)

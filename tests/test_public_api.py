@@ -1,4 +1,5 @@
-"""The public API holds only what the package, its demos or its benchmark use.
+"""The public API holds only what the package, its demos or its benchmark use,
+and the modules depend on each other only through public names.
 
 A helper that only the tests call belongs in tests/helpers.py: exported
 from the package, it would be public surface that nothing runs.
@@ -7,9 +8,13 @@ from the package, it would be public surface that nothing runs.
 import ast
 from pathlib import Path
 
+import pytest
+
 import pacavity as pv
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pacavity"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
 def used_names(path: Path) -> set[str]:
@@ -25,8 +30,58 @@ def used_names(path: Path) -> set[str]:
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    files = [p for p in sorted((ROOT / "src" / "pacavity").glob("*.py"))
+    files = [p for p in sorted(SRC.glob("*.py"))
              if p.name != "__init__.py"]
     files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     used = set().union(*(used_names(p) for p in files))
     assert sorted(set(pv.__all__) - used) == []
+
+
+def package_imports(module: str) -> list[tuple[str, str]]:
+    """(sibling module, name) for each use of another package module in
+    src/pacavity/<module>.py: a name imported from it, an attribute read
+    through it, or "" for the module itself."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    found, bound = [], {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        path = node.module or ""
+        if not (node.level or path.startswith("pacavity")):
+            continue
+        path = path.removeprefix("pacavity").lstrip(".")
+        for alias in node.names:
+            if path:
+                found.append((path.split(".")[0], alias.name))
+            else:  # from . import fdtd
+                found.append((alias.name, ""))
+                bound[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            found.append((bound[node.value.id], node.attr))
+    return found
+
+
+def reached(module: str) -> set[str]:
+    """The package modules that importing module imports, directly or not."""
+    seen, todo = set(), [module]
+    while todo:
+        for other, _ in package_imports(todo.pop()):
+            if other not in seen:
+                seen.add(other)
+                todo.append(other)
+    return seen
+
+
+@pytest.mark.parametrize("module", ["spectral", "phantom", "io"])
+def test_data_modules_do_not_reach_the_solver(module):
+    # the modules that make, perturb and store measurement data must not
+    # depend on the scheme that inverts them
+    assert "fdtd" not in reached(module)
+
+
+def test_no_module_uses_a_private_name_of_another():
+    private = [(m, other, name) for m in MODULES for other, name in package_imports(m)
+               if name.startswith("_")]
+    assert private == []
