@@ -216,9 +216,7 @@ def main(argv=None) -> int:
             return cmd_phantom(cfg)
         if args.command == "forward":
             return cmd_forward(cfg)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, args.trace)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_reconstruct(cfg, args.trace)
     except (ConfigError, pio.ParseError, GridMismatchError, StabilityError,
             FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -133,9 +133,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
-
 
 @dataclass
 class StatePair:

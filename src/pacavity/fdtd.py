@@ -38,14 +38,17 @@ two levels that way, without the march.
 When g is the forward solver's own trace, the forward levels satisfy the
 backward update with the data terms cancelling, so the backward error u - v
 obeys the homogeneous absorbing update exactly and its energy decays.
-reversal_error marches that error from the forward solve's last two levels,
-which gives the backward solve's result without forming the trace.
 
 One leapfrog loop (_leapfrog), with the snapshot capture and the one-sided
-end velocity, runs all three solves from their first two levels: the two
-solvers take theirs from the Taylor start (_taylor_start), reversal_error
-from leapfrog_levels.  Each new level is finished by the solve's own rule:
-the forward solve records its trace row, the others absorb on Gamma.
+end velocity, runs every march from its first two levels; the forward solve
+takes them from the Taylor start (_taylor_start) and records a trace row at
+each level.  Both backward marches run one absorbing march
+(_absorbing_march): the Taylor start's absorbing ghost at t = T, then the
+leapfrog with the absorbing update on Gamma.  dissipative_reverse_solve
+feeds it the Taylor start from the terminal state and the measured data;
+reversal_error feeds it the forward levels J and J - 1 from leapfrog_levels
+and zero data, which gives the backward solve's error without forming the
+trace.
 """
 
 from __future__ import annotations
@@ -290,6 +293,29 @@ def _leapfrog(prev: np.ndarray, cur: np.ndarray, j0: int, j_end: int, c: ScalarF
     return StatePair(ScalarField(grid, cur), ScalarField(grid, vel))
 
 
+def _absorbing_march(prev: np.ndarray, cur: np.ndarray, behind: np.ndarray,
+                     c: ScalarField, bspec: BoundarySpec, data: np.ndarray,
+                     snapshots: dict[int, StatePair] | None) -> StatePair:
+    """March backward from levels J = len(data) - 1 in prev and J - 1 in cur
+    to t = 0, absorbing on Gamma with the data rows (zero data may be one
+    broadcast column); prev and cur are overwritten.
+
+    cur first takes the Taylor start's absorbing ghost at t = T, which reads
+    behind = dt v_t(T) and the one-sided data derivative (g^J - g^{J-1}) / dt.
+    """
+    flat, _ = _boundary_layout(bspec.grid.n)
+    G = _absorption(c.values, bspec)
+    steps = data.shape[0] - 1
+    edge = cur.reshape(-1)
+    edge[flat] += G * (behind.reshape(-1)[flat] - data[steps] + data[steps - 1])
+
+    def absorb(j, level, behind):
+        new = level.reshape(-1)
+        new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], data[j], data[j + 2], G)
+
+    return _leapfrog(prev, cur, steps - 1, 0, c, absorb, snapshots)
+
+
 def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, *,
                   snapshots: dict[int, StatePair] | None = None) -> SolveResult:
     """Solve the Neumann problem from initial state s0 and record the trace.
@@ -340,20 +366,8 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, *,
         terminal_state = StatePair.zeros(grid)
     elif terminal_state.grid != grid:
         raise GridMismatchError("terminal state lives on a different grid")
-    flat, _ = _boundary_layout(grid.n)
-    G = _absorption(c.values, g.bspec)
-    data = g.samples
-
-    def absorb(j, level, behind):
-        new = level.reshape(-1)
-        new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], data[j], data[j + 2], G)
-
     prev, cur, behind = _taylor_start(terminal_state, c, -1)
-    # the Taylor start's absorbing ghost at t = T takes v_t(T) (behind is
-    # dt v_t) and the one-sided data derivative (g^J - g^{J-1}) / dt
-    edge = cur.reshape(-1)
-    edge[flat] += G * (behind.reshape(-1)[flat] - data[steps] + data[steps - 1])
-    return _leapfrog(prev, cur, steps - 1, 0, c, absorb, snapshots)
+    return _absorbing_march(prev, cur, behind, c, g.bspec, g.samples, snapshots)
 
 
 def reversal_error(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
@@ -362,27 +376,13 @@ def reversal_error(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
     the trace of the forward solve over T from (f, 0), so that
     A L (f, 0) = (f - e^0, ...) at constant sound speed c.
 
-    The forward solve's last two levels u^{J-1} and u^J come from
-    leapfrog_levels.  With g = u on Gamma the data terms of the backward
-    update cancel (see the module docstring): the error starts from
-    e^J = u^J and, after the data-driven Taylor start from (0, 0),
-    e^{J-1} = u^{J-1} - G (u^{J-1} - u^J) on Gamma, and then runs the
-    absorbing update with zero data down to t = 0.  No trace is formed.
+    With g = u on Gamma the data terms cancel (see the module docstring):
+    the error is the absorbing march with zero data from the forward levels
+    u^J and u^{J-1} of leapfrog_levels, its start ghost taking u^J - u^{J-1}
+    where the backward solve takes dt v_t(T) - g^J + g^{J-1}.
     """
-    grid = f.grid
-    _check_setup(grid, c, bspec)
+    _check_setup(f.grid, c, bspec)
     before, last = leapfrog_levels(f, c, T)
-    steps = num_steps(T, grid.dt)
-    flat, _ = _boundary_layout(grid.n)
-    G = _absorption(c.values, bspec)
-    # C-contiguous copies of the DCT's transposed output: reshape gives views
-    prev = last.values.copy()
-    cur = before.values.copy()
-    edge = cur.reshape(-1)
-    edge[flat] -= G * (edge[flat] - prev.reshape(-1)[flat])
-
-    def absorb(j, level, behind):
-        new = level.reshape(-1)
-        new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], 0.0, 0.0, G)
-
-    return _leapfrog(prev, cur, steps - 1, 0, c, absorb, None).first
+    zero = np.zeros((num_steps(T, f.grid.dt) + 1, 1))
+    return _absorbing_march(last.values, before.values, last.values - before.values,
+                            c, bspec, zero, None).first

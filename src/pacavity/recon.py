@@ -134,8 +134,7 @@ def neumann_iterate(g: BoundaryTrace, cfg: ReconConfig,
     report = ReconReport(estimate=StatePair.zeros(cfg.grid))
     if cfg.iterations == 0:
         return report
-    base = cfg.project(fdtd.dissipative_reverse_solve(g, cfg.c))
-    u = base.copy()
+    u = base = cfg.project(fdtd.dissipative_reverse_solve(g, cfg.c))
 
     def record(state):
         if reference is not None:

@@ -9,7 +9,10 @@ with angular frequencies lam_{k,l} = (pi/2) * sqrt(k^2 + l^2).  On the
 closed n x n grid the sampled eigenfunctions for k, l = 0 .. n-1 form an
 orthogonal basis under the trapezoid weights, and the type-I discrete
 cosine transform converts between node values and mode coefficients
-exactly.  The solution of the wave equation with initial data (f, 0) is
+exactly: dct2_forward and dct2_inverse are each one 2-D DCT-I
+(scipy.fft.dctn) scaled by outer products of the trapezoid weights, and
+both return C-ordered arrays.  The solution of the wave equation with
+initial data (f, 0) is
 
     u(x, y, t) = sum c_{k,l} phi_{k,l}(x, y) cos(lam_{k,l} t),
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
+from scipy.fft import dct, dctn
 
 from .core import (
     BoundarySpec,
@@ -63,35 +66,16 @@ def mode_frequencies(grid: Grid2D) -> np.ndarray:
     return 0.5 * np.pi * np.hypot(k[:, None], k[None, :])
 
 
-def _analysis_axis0(values: np.ndarray) -> np.ndarray:
-    """DCT-I analysis along axis 0: values -> coefficients."""
-    n = values.shape[0]
-    out = dct(values, type=1, axis=0)
-    out[0] *= 0.5
-    out[-1] *= 0.5
-    out /= (n - 1)
-    return out
-
-
-def _synthesis_axis0(coeffs: np.ndarray) -> np.ndarray:
-    """DCT-I synthesis along axis 0: coefficients -> values."""
-    y = coeffs.copy()
-    y[1:-1] *= 0.5
-    return dct(y, type=1, axis=0)
-
-
 def dct2_forward(f: ScalarField) -> CosineCoeffs:
     """Expand a field in the sampled cosine eigenbasis (exact on the grid)."""
-    a = _analysis_axis0(f.values)
-    a = _analysis_axis0(a.T).T
-    return CosineCoeffs(f.grid, a)
+    w = 0.5 * f.grid.quad_weights()
+    return CosineCoeffs(f.grid, dctn(f.values, type=1) * np.outer(w, w))
 
 
 def dct2_inverse(c: CosineCoeffs) -> ScalarField:
     """Evaluate a cosine series at all grid nodes (inverse of dct2_forward)."""
-    v = _synthesis_axis0(c.coeffs)
-    v = _synthesis_axis0(v.T).T
-    return ScalarField(c.grid, v)
+    h = c.grid.dx / (2.0 * c.grid.quad_weights())
+    return ScalarField(c.grid, dctn(c.coeffs * np.outer(h, h), type=1))
 
 
 def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) -> BoundaryTrace:

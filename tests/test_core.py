@@ -43,6 +43,10 @@ class TestGrid:
         with pytest.raises(pv.ConfigError):
             pv.Grid2D(2)
 
+    def test_nonpositive_step_rejected(self):
+        with pytest.raises(pv.ConfigError, match="dt must be positive"):
+            pv.Grid2D(9, dt=0.0)
+
     def test_quad_weights_sum_to_side_length(self, grid):
         assert np.sum(grid.quad_weights()) == pytest.approx(2.0, abs=1e-14)
 
@@ -131,6 +135,10 @@ class TestNorms:
             l2sq = pv.l2_norm(s.first) ** 2
             assert full**2 == pytest.approx(semi**2 + l2sq, rel=1e-12)
 
+    def test_relative_l2_needs_a_nonzero_reference(self, grid):
+        with pytest.raises(ZeroDivisionError, match="zero norm"):
+            pv.relative_l2(pv.ScalarField.constant(grid, 1.0), pv.ScalarField.zeros(grid))
+
 
 class TestBoundaryMean:
     def test_constant(self, grid):
@@ -207,6 +215,12 @@ class TestTimeGrid:
     def test_non_multiple_rejected(self):
         with pytest.raises(pv.ConfigError):
             pv.num_steps(1.6, 1.0 / 256)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_nonpositive_time_rejected(self, T):
+        for count in (pv.num_steps, pv.snap_duration):
+            with pytest.raises(pv.ConfigError, match="must be positive"):
+                count(T, 1.0 / 256)
 
     def test_snap(self):
         dt = 1.0 / 256

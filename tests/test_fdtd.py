@@ -65,6 +65,16 @@ class TestBoundaryEnumeration:
         with pytest.raises(ValueError):
             pv.BoundarySpec(grid, bs.gamma_mask, np.ones_like(bs.lam))
 
+    @pytest.mark.parametrize("lambda_value, taper, nodes, message", [
+        (0.0, 0.0, 5, "lambda_value must be positive"),
+        (1.0, -1.0, 5, "taper arc length"),
+        (1.0, 0.0, 0, "at least one boundary node"),
+    ], ids=["lambda_zero", "negative_taper", "empty_mask"])
+    def test_from_mask_rejects(self, grid, lambda_value, taper, nodes, message):
+        mask = np.arange(pv.boundary_count(grid.n)) < nodes
+        with pytest.raises(pv.ConfigError, match=message):
+            pv.BoundarySpec.from_mask(grid, mask, lambda_value, taper)
+
     def test_taper_keeps_lambda_positive_on_gamma(self, grid):
         bs = pv.BoundarySpec.left_bottom(grid, taper=0.3)
         assert np.array_equal(bs.lam > 0, bs.gamma_mask)
@@ -147,6 +157,11 @@ class TestInteriorStep:
         expected = mirror_closed_step(prev.values, curr.values, (grid.dt / grid.dx) ** 2)
         assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
+    def test_fields_on_different_grids_rejected(self, grid, unit):
+        other = pv.ScalarField.zeros(pv.Grid2D(17))
+        with pytest.raises(GridMismatchError):
+            pv.interior_step(other, pv.ScalarField.zeros(grid), unit)
+
     def test_time_reversibility(self, grid, unit):
         rng = np.random.default_rng(0)
         prev = smooth_random_field(grid, rng)
@@ -217,6 +232,16 @@ class TestDissipativeBoundaryUpdate:
         for p in top:
             assert abs(out[p] - mirror[ks[p], ls[p]]) <= 1e-13 * scale
 
+    def test_inconsistent_arguments_rejected(self, grid):
+        bs = pv.BoundarySpec.full(grid)
+        level = pv.ScalarField.zeros(grid)
+        row = np.zeros(pv.boundary_count(grid.n))
+        with pytest.raises(GridMismatchError, match=f"length {row.size}"):
+            pv.dissipative_boundary_update(level, level, row[1:], row, bs)
+        other = pv.ScalarField.zeros(pv.Grid2D(17))
+        with pytest.raises(GridMismatchError, match="different grids"):
+            pv.dissipative_boundary_update(level, other, row, row, bs)
+
     def test_steady_state_is_fixed_point(self, grid):
         bs = pv.BoundarySpec.full(grid)
         kappa = 0.7
@@ -245,6 +270,12 @@ class TestForwardSolve:
         fast = pv.ScalarField.constant(grid, 3.0)
         with pytest.raises(pv.StabilityError):
             pv.forward_solve(pv.StatePair.zeros(grid), fast, bs_full, 1.0)
+
+    def test_nonpositive_speed_refused(self, grid, bs_full):
+        c = np.ones((grid.n, grid.n))
+        c[5, 7] = 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            pv.forward_solve(pv.StatePair.zeros(grid), pv.ScalarField(grid, c), bs_full, 1.0)
 
     def test_trace_is_masked_by_gamma(self, grid, unit):
         bs = pv.BoundarySpec.left_bottom(grid)
@@ -359,6 +390,12 @@ class TestReverseSolve:
         with pytest.raises(pv.ConfigError):
             pv.dissipative_reverse_solve(g, unit)
 
+    def test_terminal_state_on_another_grid_rejected(self, grid, unit, bs_full):
+        other = pv.StatePair.zeros(pv.Grid2D(17))
+        with pytest.raises(GridMismatchError, match="terminal state"):
+            pv.dissipative_reverse_solve(zero_trace(grid, bs_full, 1.0), unit,
+                                         terminal_state=other)
+
     def test_reversal_of_own_forward_data_recovers_phantom(
             self, grid257, phantom257, unit_speed257, bspec_full257, forward_t5_recorded):
         # with data produced by the forward solver itself, one backward pass
@@ -408,6 +445,33 @@ class TestReversalError:
         error = pv.reversal_error(f, c, bs, T)
         got = pv.project_H1(pv.StatePair(f - error, pv.ScalarField.zeros(grid))).first.values
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("aperture", ["full", "tapered"])
+    def test_equals_the_error_march_of_the_public_steps(self, aperture):
+        # the nodal test above runs the same absorbing march on both sides; this
+        # one builds the error march from interior_step and
+        # dissipative_boundary_update with zero data, from e^J = u^J and the
+        # Taylor start's absorbing ghost e^{J-1} = u^{J-1} + G (u^J - u^{J-1})
+        grid = pv.Grid2D(17)
+        bs = self.APERTURES[aperture](grid)
+        speed = 0.8
+        c = pv.ScalarField.constant(grid, speed)
+        f = smooth_random_field(grid, np.random.default_rng(11))
+        T = 20 * grid.dt
+        before, later = pv.leapfrog_levels(f, c, T)
+        ks, ls = boundary_indices(grid.n)
+        walls = np.ones(pv.boundary_count(grid.n))
+        walls[list(corner_positions(grid.n))] = 2.0
+        G = grid.dt / grid.dx * speed ** 2 * bs.lam * walls
+        cur = before.copy()
+        cur.values[ks, ls] += G * (later.values[ks, ls] - before.values[ks, ls])
+        zero = np.zeros(pv.boundary_count(grid.n))
+        for _ in range(pv.num_steps(T, grid.dt) - 1):
+            new = pv.interior_step(later, cur, c)
+            new.values[ks, ls] = pv.dissipative_boundary_update(new, later, zero, zero, bs, c)
+            later, cur = cur, new
+        got = pv.reversal_error(f, c, bs, T).values
+        assert np.abs(got - cur.values).max() <= 1e-13 * np.abs(cur.values).max()
 
     def test_field_is_not_modified(self, grid, unit, bs_full):
         f = smooth_random_field(grid, np.random.default_rng(10))

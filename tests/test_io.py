@@ -53,6 +53,18 @@ class TestFieldFiles:
         with pytest.raises(pio.ParseError, match=r":4"):
             pio.read_field(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("# pacavity field v1\n1.0,2.0\n3.0,4.0\n", r"missing '# n = \.\.\.' header"),
+        ("# pacavity field v1\n# n = 2.5\n1.0,2.0\n3.0,4.0\n", "header 'n' is not an integer"),
+        ("# pacavity field v1\n# n = 4\n" + "1,2,3,4\n" * 3, "expected 4 data rows, got 3"),
+    ], ids=["no_n", "non_integer_n", "row_count"])
+    def test_bad_field_file_names_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(pio.ParseError, match=message) as info:
+            pio.read_field(path)
+        assert str(info.value).startswith(f"{path}:")
+
     def test_unknown_extension(self, tmp_path):
         g = pv.Grid2D(9)
         with pytest.raises(pv.ConfigError):
@@ -134,6 +146,21 @@ class TestTraceFiles:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(pio.ParseError, match=key):
             pio.read_trace(path)
+
+    @pytest.mark.parametrize("columns, message", [
+        (None, "missing header row"),
+        ("time,node_0", r":2: expected header 't,node_0,\.\.\.'"),
+    ], ids=["no_column_header", "first_column_not_t"])
+    def test_bad_column_header_names_file(self, tmp_path, columns, message):
+        path = tmp_path / "trace.csv"
+        lines = ["# pacavity trace v2; dt = 0.125; gamma = full; lambda = 1.0"]
+        if columns is not None:
+            lines += [columns + "".join(f",node_{b}" for b in range(1, 32)),
+                      ",".join(["0"] * 33)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(pio.ParseError, match=message) as info:
+            pio.read_trace(path)
+        assert str(info.value).startswith(f"{path}:")
 
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -226,12 +253,22 @@ class TestConfig:
         assert (sorted(name for name, _ in pio.CONFIG_KEYS.values())
                 == sorted(fld.name for fld in dataclasses.fields(pio.RunConfig)))
 
-    @pytest.mark.parametrize("entry, key", [("n = -5", "'n'"), ("seed = -1", "'seed'")])
+    @pytest.mark.parametrize("entry, key", [("n = -5", "'n'"), ("seed = -1", "'seed'"),
+                                            ("n = 4.5", "'n'"),
+                                            ("T = inf", "'T'"),
+                                            ("dt_factor = 0.8", "'dt_factor'"),
+                                            ("lambda = 0", "'lambda'"),
+                                            ("taper = -1", "'taper'"),
+                                            ("bumps = 0.1,x,0.2,1.0", "'bumps'"),
+                                            ("subspace = H2", "'subspace'"),
+                                            ("snap_time = maybe", "'snap_time'"),
+                                            ("n 65", "expected 'key = value'")])
     def test_out_of_range_n(self, tmp_path, entry, key):
         path = tmp_path / "c.cfg"
         path.write_text(entry + "\n")
-        with pytest.raises(pv.ConfigError, match=key):
+        with pytest.raises(pv.ConfigError, match=key) as info:
             pio.parse_config(path)
+        assert str(info.value).startswith(f"{path}:1: ")
 
     @pytest.mark.parametrize("entry, key", [("gamma = 0,99", "'gamma'"),
                                             ("gamma = ,", "'gamma'"),

@@ -72,6 +72,14 @@ class TestInitialApproximation:
 
 
 class TestNeumannIterate:
+    def test_trace_on_another_grid_rejected(self, setup65):
+        other = pv.Grid2D(33)
+        steps = pv.num_steps(1.0, other.dt)
+        g = pv.BoundaryTrace(pv.BoundarySpec.full(other),
+                             np.zeros((steps + 1, pv.boundary_count(other.n))))
+        with pytest.raises(pv.GridMismatchError, match="different grids"):
+            pv.neumann_iterate(g, make_cfg(setup65, 1.0, 2))
+
     def test_zero_iterations(self, setup65, data65):
         T, g = data65
         report = pv.neumann_iterate(g, make_cfg(setup65, T, 0), reference=setup65["phantom"])

@@ -34,8 +34,11 @@ class TestTransform:
         rng = np.random.default_rng(0)
         for _ in range(100):
             f = pv.ScalarField(grid, rng.standard_normal((grid.n, grid.n)))
-            back = pv.dct2_inverse(pv.dct2_forward(f))
+            coeffs = pv.dct2_forward(f)
+            back = pv.dct2_inverse(coeffs)
             assert np.abs(back.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
+        # C order, so that reshape(-1) is a view through which the solvers write
+        assert coeffs.coeffs.flags.c_contiguous and back.values.flags.c_contiguous
 
     def test_inverse_of_zero_and_dc(self, grid):
         z = pv.dct2_inverse(pv.CosineCoeffs(grid, np.zeros((grid.n, grid.n))))
@@ -267,6 +270,7 @@ class TestLeapfrogLevels:
         before, last = pv.leapfrog_levels(f, c, T)
         for got, want in ((before, snaps[149].first), (last, fwd.final_state.first)):
             assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+            assert got.values.flags.c_contiguous
 
     def test_speed_above_the_cfl_bound_rejected(self, grid):
         f = smooth_random_field(grid, np.random.default_rng(9))
