@@ -23,6 +23,7 @@ from .core import (
     GridMismatchError,
     ScalarField,
     StabilityError,
+    num_steps,
     relative_l2,
 )
 from .io import CONFIG_KEYS, RunConfig, apply_config_entry, parse_config
@@ -132,19 +133,34 @@ def cmd_forward(cfg: RunConfig) -> int:
     return 0
 
 
-def _require_consistent(g: BoundaryTrace, bspec: BoundarySpec) -> None:
-    """Refuse to invert a trace under a configuration it was not recorded for."""
-    if g.dt != bspec.grid.dt:
-        raise ConfigError(f"key 'dt_factor': the trace has dt = {g.dt!r}, "
-                          f"the configuration gives dt = {bspec.grid.dt!r}")
-    mask = g.bspec.gamma_mask
-    if not np.array_equal(mask, bspec.gamma_mask):
-        raise ConfigError(f"key 'gamma': the trace was measured on {int(mask.sum())} "
-                          f"boundary nodes, the configured Gamma differs "
-                          f"({int(bspec.gamma_mask.sum())} nodes)")
-    if not np.array_equal(g.bspec.lam, bspec.lam):
-        raise ConfigError("key 'lambda': the trace was recorded for a different lambda "
-                          "(or taper) than the configuration sets")
+def _require_consistent(g: BoundaryTrace, cfg: RunConfig, bspec: BoundarySpec) -> None:
+    """Refuse to invert a trace under a configuration it was not recorded for,
+    naming the first key at fault.  T is compared as a step count on the
+    configured dt; the keys that only make the phantom and its noise (bumps,
+    noise, seed) are not recorded in a trace and pass unchecked."""
+    grid = bspec.grid
+    for key, recorded, configured in (
+            ("n", g.grid.n, grid.n),
+            ("dt_factor", g.dt, grid.dt),
+            ("T", g.n_steps * grid.dt, num_steps(cfg.resolve_T(grid.dt), grid.dt) * grid.dt),
+            ("gamma", g.bspec.gamma_mask, bspec.gamma_mask),
+            ("lambda", g.bspec.lam, bspec.lam)):
+        if not np.array_equal(recorded, configured):
+            raise ConfigError(f"key {key!r}: the trace's value ({_brief(recorded)}) does "
+                              f"not match the configured value ({_brief(configured)})")
+
+
+def _brief(value) -> str:
+    """A scalar as itself; a per-node array by its nonzero values."""
+    v = np.asarray(value)
+    if v.ndim == 0:
+        return repr(v.item())
+    on = v[v != 0]
+    nodes = f"on {on.size} of {v.size} nodes"
+    if v.dtype == bool or not on.size:
+        return nodes
+    lo, hi = on.min(), on.max()
+    return f"{lo:g} {nodes}" if lo == hi else f"{lo:g} to {hi:g} {nodes}"
 
 
 def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path,
@@ -153,7 +169,7 @@ def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path,
     as reference, also score the estimate in errors.csv and cross_section.csv."""
     grid = cfg.make_grid()
     bspec = cfg.make_bspec(grid)
-    _require_consistent(g, bspec)
+    _require_consistent(g, cfg, bspec)
     c = ScalarField.constant(grid, 1.0)
     T = g.n_steps * g.dt
     rc = ReconConfig(T=T, iterations=cfg.iterations, c=c, bspec=bspec,
@@ -176,12 +192,7 @@ def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path,
 
 
 def cmd_reconstruct(cfg: RunConfig, trace_path: str) -> int:
-    g = pio.read_trace(trace_path)
-    if g.grid.n != cfg.n:
-        raise ConfigError(
-            f"trace grid n = {g.grid.n} does not match configured n = {cfg.n}"
-        )
-    _reconstruct(cfg, g, _outdir(cfg))
+    _reconstruct(cfg, pio.read_trace(trace_path), _outdir(cfg))
     return 0
 
 

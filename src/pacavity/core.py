@@ -200,12 +200,6 @@ def boundary_count(n: int) -> int:
     return 4 * n - 4
 
 
-@lru_cache(maxsize=None)
-def corner_positions(n: int) -> tuple[int, int, int, int]:
-    """Positions of the four corners within the canonical enumeration."""
-    return 0, n - 1, 2 * n - 2, 3 * n - 3
-
-
 @dataclass(eq=False)
 class BoundarySpec:
     """Measurement set Gamma and the dissipation weight lambda per node.

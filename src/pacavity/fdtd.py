@@ -68,7 +68,6 @@ from .core import (
     StatePair,
     boundary_count,
     boundary_indices,
-    corner_positions,
     num_steps,
 )
 from .spectral import CosineCoeffs, dct2_forward, dct2_inverse
@@ -88,8 +87,7 @@ def _boundary_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     of walls through each node (two at a corner)."""
     ks, ls = boundary_indices(n)
     flat = ks * n + ls
-    walls = np.ones(boundary_count(n))
-    walls[list(corner_positions(n))] = 2.0
+    walls = np.isin(ks, (0, n - 1)).astype(float) + np.isin(ls, (0, n - 1))
     flat.setflags(write=False)
     walls.setflags(write=False)
     return flat, walls

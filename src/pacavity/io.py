@@ -139,7 +139,11 @@ def read_field_csv(path) -> ScalarField:
         raise _bad_row(path, first, n)
     if data.shape[0] != n:
         raise ParseError(f"{path}: expected {n} data rows, got {data.shape[0]}")
-    return ScalarField(Grid2D(n), data)
+    try:
+        grid = Grid2D(n)
+    except ConfigError as exc:
+        raise ParseError(f"{path}: header 'n': {exc}") from None
+    return ScalarField(grid, data)
 
 
 def write_field_pgm(path, f: ScalarField) -> None:

@@ -18,8 +18,11 @@ initial data (f, 0) is
 
 and synthesize_data samples it on the walls to make measurement data
 independently of the finite-difference solvers, so inversion is never
-tested against data produced by its own discretization.  Nothing here
-comes from fdtd; fdtd evaluates its own scheme with this DCT.
+tested against data produced by its own discretization.  The modes advance
+from step to step by Reinsch's difference form of the cosine recurrence
+(see _wall_coefficients), started once from the coefficients and never
+restarted.  Nothing here comes from fdtd; fdtd evaluates its own scheme
+with this DCT.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ from .core import (
     boundary_indices,
     num_steps,
 )
-
-# the wall series restarts its cosine recurrence from exact values this often
-RESEED_STEPS = 256
-
 
 @dataclass
 class CosineCoeffs:
@@ -93,9 +92,9 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
     if dt != f.grid.dt:
         raise ConfigError(f"dt = {dt!r} differs from the grid's time step {f.grid.dt!r}; "
                           "the solvers step the trace on the grid's dt")
-    return _trace_from_walls(
-        _wall_coefficients(dct2_forward(f), mode_frequencies(f.grid), dt, num_steps(T, dt)),
-        bspec)
+    a = 4.0 * np.sin(0.5 * dt * mode_frequencies(f.grid)) ** 2
+    return _trace_from_walls(_wall_coefficients(dct2_forward(f).coeffs, a, num_steps(T, dt)),
+                             bspec)
 
 
 def _trace_from_walls(walls: np.ndarray, bspec: BoundarySpec) -> BoundaryTrace:
@@ -116,32 +115,37 @@ def _trace_from_walls(walls: np.ndarray, bspec: BoundarySpec) -> BoundaryTrace:
     return BoundaryTrace(bspec, rows)
 
 
-def _wall_coefficients(c: CosineCoeffs, omega: np.ndarray, dt: float,
-                       steps: int) -> np.ndarray:
+def _wall_coefficients(coeffs: np.ndarray, a: np.ndarray, steps: int) -> np.ndarray:
     """Cosine coefficients of u(., t_j) along the walls y = -1, y = 1, x = -1
-    and x = 1, shape (steps + 1, 4, n), for modes c_{k,l} that oscillate at
-    the angular frequencies omega_{k,l}.
+    and x = 1, shape (steps + 1, 4, n), for mode coefficients coeffs that
+    oscillate as cos(j theta_kl), given a = 4 sin^2(theta_kl / 2).
 
     On a wall every mode is a 1D cosine times +-1, so with
-    M_j = c * cos(omega t_j) the wall coefficients are the row sums M_j @ S and
-    the column sums S^T @ M_j, S = [1, (-1)^k].  M_j advances by the
-    three-term recurrence M_{j+1} = 2 cos(omega dt) M_j - M_{j-1}, restarted
-    from exact cosines every RESEED_STEPS steps so that rounding cannot
-    accumulate over long horizons.  The n x n work arrays live only in this
-    function, so they are freed before the caller allocates its output.
+    M_j = coeffs * cos(j theta) the wall coefficients are the row sums
+    M_j @ S and the column sums S^T @ M_j, S = [1, (-1)^k].  M_j advances by
+    Reinsch's difference form of the cosine recurrence,
+    D_{j+1} = D_j - a M_j, M_{j+1} = M_j + D_{j+1}, started once from
+    M_0 = coeffs and D_0 = (a / 2) coeffs: a carries the small part
+    2 - 2 cos(theta) of the low modes that 2 cos(theta) would round away, so
+    no restart from exact cosines is needed.  The n x n work arrays live
+    only in this function, so they are freed before the caller allocates its
+    output.
     """
-    n = c.grid.n
-    twice_cos = 2.0 * np.cos(omega * dt)
+    n = coeffs.shape[0]
     s_t = np.stack([np.ones(n), (-1.0) ** np.arange(n)])
     walls = np.empty((steps + 1, 4, n))
-    prev, cur, work = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    m = coeffs.copy()
+    d = 0.5 * a * coeffs
+    # the update runs in row blocks of about 2**15 modes, so that a block's a,
+    # M, D and product stay in cache across its three passes
+    parts = -(-n * n // 2 ** 15)
+    blocks = list(zip(np.array_split(a, parts), np.array_split(m, parts),
+                      np.array_split(d, parts)))
+    work = np.empty_like(blocks[0][1])
     for j in range(steps + 1):
-        if j % RESEED_STEPS == 0:
-            np.multiply(c.coeffs, np.cos(omega * ((j - 1) * dt)), out=prev)
-            np.multiply(c.coeffs, np.cos(omega * (j * dt)), out=cur)
-        np.matmul(s_t, cur.T, out=walls[j, :2])
-        np.matmul(s_t, cur, out=walls[j, 2:])
-        np.multiply(twice_cos, cur, out=work)
-        np.subtract(work, prev, out=prev)
-        prev, cur = cur, prev
+        np.matmul(s_t, m.T, out=walls[j, :2])
+        np.matmul(s_t, m, out=walls[j, 2:])
+        for a_b, m_b, d_b in blocks:
+            d_b -= np.multiply(a_b, m_b, out=work[:len(m_b)])
+            m_b += d_b
     return walls

@@ -63,16 +63,16 @@ def leapfrog_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
     evaluated in the scheme's own eigenbasis instead of by marching.
 
     Mode (k, l) of the leapfrog advances exactly as cos(j theta_kl), so the
-    trace is the wall series of synthesize_data with the discrete frequency
-    theta_kl / dt in place of lam_kl.  The phases carry the solvers' setup
-    checks: a CFL violation raises StabilityError, a c that is not constant
-    a ConfigError.
+    trace is the wall series of synthesize_data with the discrete phase
+    theta_kl in place of lam_kl dt; its difference recurrence is then the
+    scheme's own step in mode space, Taylor start included.  The phases
+    carry the solvers' setup checks: a CFL violation raises StabilityError,
+    a c that is not constant a ConfigError.
     """
     grid = f.grid
-    theta = _leapfrog_phases(grid, c)
+    a = 4.0 * np.sin(0.5 * _leapfrog_phases(grid, c)) ** 2
     return _trace_from_walls(
-        _wall_coefficients(dct2_forward(f), theta / grid.dt, grid.dt, num_steps(T, grid.dt)),
-        bspec)
+        _wall_coefficients(dct2_forward(f).coeffs, a, num_steps(T, grid.dt)), bspec)
 
 
 def spectral_velocity(c: CosineCoeffs, t: float) -> ScalarField:

@@ -67,7 +67,7 @@ class TestReconstructCommand:
     def test_end_to_end(self, tmp_path):
         out = tmp_path / "o"
         assert run("forward", "--n", "65", "--T", "2.0", "--out", str(out)) == 0
-        assert run("reconstruct", str(out / "trace.csv"), "--n", "65",
+        assert run("reconstruct", str(out / "trace.csv"), "--n", "65", "--T", "2.0",
                    "--iterations", "2", "--out", str(out)) == 0
         assert (out / "recon.csv").exists()
         assert (out / "recon.pgm").exists()
@@ -79,7 +79,8 @@ class TestReconstructCommand:
         assert run("forward", "--n", "33", "--T", "2", "--bumps", "0.2,0.1,0.3,1.0",
                    "--out", str(out)) == 0
         capsys.readouterr()
-        assert run("reconstruct", str(out / "trace.csv"), "--n", "33", "--out", str(out)) == 0
+        assert run("reconstruct", str(out / "trace.csv"), "--n", "33", "--T", "2",
+                   "--out", str(out)) == 0
         printed = capsys.readouterr().out
         assert "%" not in printed
         assert "recon.csv" in printed
@@ -103,7 +104,7 @@ class TestReconstructCommand:
         out = tmp_path / "o"
         assert run("forward", "--n", "33", "--T", "1.0", "--dt-factor", "0.4",
                    "--out", str(out)) == 0
-        assert run("reconstruct", str(out / "trace.csv"), "--n", "33",
+        assert run("reconstruct", str(out / "trace.csv"), "--n", "33", "--T", "1.0",
                    "--dt-factor", "0.4", "--out", str(out)) == 0
 
     @pytest.mark.parametrize("options, key", [
@@ -111,6 +112,8 @@ class TestReconstructCommand:
         (["--gamma", "full"], "gamma"),
         (["--gamma", "left_bottom", "--lambda", "2"], "lambda"),
         (["--gamma", "left_bottom", "--taper", "0.2"], "lambda"),
+        (["--n", "65"], "n"),
+        (["--T", "2.0"], "T"),
     ])
     def test_configuration_conflicting_with_trace_names_key(self, tmp_path, capsys,
                                                              options, key):
@@ -120,11 +123,12 @@ class TestReconstructCommand:
         assert run("forward", "--n", "33", "--T", "1.0", "--gamma", "left_bottom",
                    "--out", str(out)) == 0
         capsys.readouterr()
-        rc = run("reconstruct", str(out / "trace.csv"), "--n", "33", *options,
+        rc = run("reconstruct", str(out / "trace.csv"), "--n", "33", "--T", "1.0", *options,
                  "--out", str(out))
-        assert rc != 0
-        assert f"'{key}'" in capsys.readouterr().err
-        assert run("reconstruct", str(out / "trace.csv"), "--n", "33",
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "does not match" in err
+        assert run("reconstruct", str(out / "trace.csv"), "--n", "33", "--T", "1.0",
                    "--gamma", "left_bottom", "--out", str(out)) == 0
 
 

@@ -57,7 +57,8 @@ class TestFieldFiles:
         ("# pacavity field v1\n1.0,2.0\n3.0,4.0\n", r"missing '# n = \.\.\.' header"),
         ("# pacavity field v1\n# n = 2.5\n1.0,2.0\n3.0,4.0\n", "header 'n' is not an integer"),
         ("# pacavity field v1\n# n = 4\n" + "1,2,3,4\n" * 3, "expected 4 data rows, got 3"),
-    ], ids=["no_n", "non_integer_n", "row_count"])
+        ("# pacavity field v1\n# n = 2\n1.0,2.0\n3.0,4.0\n", r"header 'n': .*>= 4, got 2"),
+    ], ids=["no_n", "non_integer_n", "row_count", "too_small_n"])
     def test_bad_field_file_names_file(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
