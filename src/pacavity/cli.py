@@ -20,7 +20,6 @@ from .core import (
     BoundaryTrace,
     ConfigError,
     Grid2D,
-    GridMismatchError,
     ScalarField,
     StabilityError,
     num_steps,
@@ -228,8 +227,7 @@ def main(argv=None) -> int:
         if args.command == "forward":
             return cmd_forward(cfg)
         return cmd_reconstruct(cfg, args.trace)
-    except (ConfigError, pio.ParseError, GridMismatchError, StabilityError,
-            FileNotFoundError, ValueError) as exc:
+    except (ValueError, StabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

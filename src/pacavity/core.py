@@ -25,7 +25,7 @@ which makes all boundary nodes carry equal weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -204,78 +204,59 @@ def boundary_count(n: int) -> int:
 class BoundarySpec:
     """Measurement set Gamma and the dissipation weight lambda per node.
 
-    gamma_mask and lam are indexed by the canonical boundary enumeration;
-    lam must be positive exactly on Gamma and zero elsewhere.  Two specs are
-    equal when their grids, masks and lambdas are.
+    lam is indexed by the canonical boundary enumeration, and Gamma is where
+    it is positive: gamma_mask is derived from lam, never given.  Two specs
+    are equal when their grids and lambdas are.
     """
 
     grid: Grid2D
-    gamma_mask: np.ndarray
     lam: np.ndarray
+    gamma_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nb = boundary_count(self.grid.n)
-        mask = np.asarray(self.gamma_mask, dtype=bool)
         lam = np.asarray(self.lam, dtype=float)
-        if mask.shape != (nb,) or lam.shape != (nb,):
+        if lam.shape != (nb,):
             raise GridMismatchError(
-                f"boundary spec arrays must have length {nb} for n = {self.grid.n}"
+                f"boundary spec lambda must have length {nb} for n = {self.grid.n}"
             )
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("lambda must be finite and nonnegative")
-        if not np.array_equal(lam > 0, mask):
-            raise ValueError("lambda must be positive exactly on Gamma and zero elsewhere")
-        self.gamma_mask = mask
         self.lam = lam
+        self.gamma_mask = lam > 0
+        if not self.gamma_mask.any():
+            raise ConfigError("Gamma must contain at least one boundary node")
 
     def __eq__(self, other):
         if not isinstance(other, BoundarySpec):
             return NotImplemented
-        return (self.grid == other.grid and np.array_equal(self.gamma_mask, other.gamma_mask)
-                and np.array_equal(self.lam, other.lam))
+        return self.grid == other.grid and np.array_equal(self.lam, other.lam)
 
     @classmethod
     def full(cls, grid: Grid2D, lambda_value: float = 1.0) -> "BoundarySpec":
         """Measurements on all four sides."""
-        nb = boundary_count(grid.n)
-        mask = np.ones(nb, dtype=bool)
-        return cls(grid, mask, np.full(nb, float(lambda_value)))
+        return cls(grid, np.full(boundary_count(grid.n), float(lambda_value)))
 
     @classmethod
-    def left_bottom(cls, grid: Grid2D, lambda_value: float = 1.0,
-                    taper: float = 0.0) -> "BoundarySpec":
+    def left_bottom(cls, grid: Grid2D, lambda_value: float = 1.0) -> "BoundarySpec":
         """Measurements on the left and bottom sides only.
 
         The corner (-1,-1) and the side endpoints (1,-1) and (-1,1) belong
         to Gamma; the opposite corner (1,1) does not.
         """
         ks, ls = boundary_indices(grid.n)
-        mask = (ls == 0) | (ks == 0)
-        return cls.from_mask(grid, mask, lambda_value, taper)
+        return cls.from_mask(grid, (ls == 0) | (ks == 0), lambda_value)
 
     @classmethod
-    def from_mask(cls, grid: Grid2D, mask: np.ndarray, lambda_value: float = 1.0,
-                  taper: float = 0.0) -> "BoundarySpec":
-        """Gamma from an arbitrary boundary mask, optionally with a
-        half-cosine lambda taper over arc length ``taper`` near the edge of
-        Gamma (lambda stays positive at every Gamma node)."""
-        mask = np.asarray(mask, dtype=bool)
+    def from_mask(cls, grid: Grid2D, mask: np.ndarray,
+                  lambda_value: float = 1.0) -> "BoundarySpec":
+        """Gamma from an arbitrary boundary mask, with one lambda on all of it."""
         if lambda_value <= 0:
             raise ConfigError("lambda_value must be positive")
-        if taper < 0:
-            raise ConfigError("taper arc length must be nonnegative")
-        if not mask.any():
-            raise ConfigError("Gamma must contain at least one boundary node")
-        lam = np.where(mask, float(lambda_value), 0.0)
-        if taper > 0 and not mask.all():
-            d = _arc_distance_to_complement(mask) * grid.dx
-            s = np.minimum(d / taper, 1.0)
-            lam = np.where(mask, lambda_value * np.sin(0.5 * np.pi * s) ** 2, 0.0)
-        return cls(grid, mask, lam)
+        return cls(grid, np.where(np.asarray(mask, dtype=bool), float(lambda_value), 0.0))
 
     @classmethod
-    def from_node_list(cls, grid: Grid2D, nodes, lambda_value: float = 1.0,
-                       taper: float = 0.0) -> "BoundarySpec":
+    def from_node_list(cls, grid: Grid2D, nodes, lambda_value: float = 1.0) -> "BoundarySpec":
         """Gamma given as explicit canonical boundary indices."""
         nb = boundary_count(grid.n)
         idx = np.asarray(list(nodes), dtype=int)
@@ -285,7 +266,7 @@ class BoundarySpec:
             raise ConfigError(f"Gamma node indices must lie in [0, {nb - 1}]")
         mask = np.zeros(nb, dtype=bool)
         mask[idx] = True
-        return cls.from_mask(grid, mask, lambda_value, taper)
+        return cls.from_mask(grid, mask, lambda_value)
 
 
 @dataclass
@@ -337,16 +318,6 @@ class BoundaryTrace:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.samples.shape[0])
-
-
-def _arc_distance_to_complement(mask: np.ndarray) -> np.ndarray:
-    """Cyclic distance (in node steps) from each node to the nearest node
-    outside the mask."""
-    nb = mask.size
-    non = np.flatnonzero(~mask)
-    idx = np.arange(nb)
-    diff = np.abs(idx[:, None] - non[None, :])
-    return np.minimum(diff, nb - diff).min(axis=1).astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -219,20 +219,20 @@ def _trace_spec(path, meta: dict, n: int) -> BoundarySpec:
     try:
         nodes = (np.arange(nb) if text == "full"
                  else np.array([int(tok) for tok in text.split(",")]))
-        if nodes.min() < 0 or nodes.max() >= nb:
+        if nodes.min() < 0 or nodes.max() >= nb or np.any(np.diff(nodes) <= 0):
             raise ValueError
     except ValueError:
-        raise ParseError(f"{path}: header 'gamma' is not 'full' or a node list "
-                         f"in [0, {nb - 1}]: {text!r}") from None
-    mask = np.zeros(nb, dtype=bool)
-    mask[nodes] = True
+        raise ParseError(f"{path}: header 'gamma' is not 'full' or an increasing node "
+                         f"list in [0, {nb - 1}]: {text!r}") from None
     lam = np.zeros(nb)
     try:
-        lam[mask] = [float(tok) for tok in meta["lambda"].split(",")]
-        return BoundarySpec(grid, mask, lam)
+        lam[nodes] = [float(tok) for tok in meta["lambda"].split(",")]
+        if not np.all(lam[nodes] > 0):
+            raise ValueError
+        return BoundarySpec(grid, lam)
     except ValueError:
         raise ParseError(f"{path}: header 'lambda' must hold one positive value or one "
-                         f"per Gamma node ({mask.sum()}): {meta['lambda']!r}") from None
+                         f"per Gamma node ({nodes.size}): {meta['lambda']!r}") from None
 
 
 def read_trace(path) -> BoundaryTrace:
@@ -255,8 +255,8 @@ def read_trace(path) -> BoundaryTrace:
     if data is None or data.size and data.shape[1] != nb + 1:
         raise _bad_row(path, first, nb + 1)
     bspec = _trace_spec(path, meta, n)
-    if not data.size:
-        return BoundaryTrace(bspec, np.zeros((0, nb)))
+    if data.shape[0] < 3:
+        raise ParseError(f"{path}: {data.shape[0]} time levels; a trace needs at least 3")
     dt = bspec.grid.dt
     expected = dt * np.arange(data.shape[0])
     off = np.flatnonzero(~np.isclose(data[:, 0], expected, rtol=1e-12, atol=0.0))
@@ -281,7 +281,6 @@ class RunConfig:
     T: float = 5.0
     gamma: object = "full"          # "full" | "left_bottom" | list of node indices
     lambda_value: float = 1.0
-    taper: float = 0.0
     bumps: tuple = None             # explicit BumpSpec list; None gives PAPER_SIX
     noise: float = 0.0
     seed: int = 0
@@ -295,16 +294,14 @@ class RunConfig:
         return Grid2D(self.n, self.dt_factor * grid.dx)
 
     def make_bspec(self, grid: Grid2D) -> BoundarySpec:
-        """Gamma and lambda on the grid.  lambda and taper are range-checked
-        when parsed, so an error from a node list is about that list."""
+        """Gamma and lambda on the grid.  lambda is range-checked when
+        parsed, so an error from a node list is about that list."""
         if self.gamma == "full":
-            if self.taper > 0:
-                raise ConfigError("key 'taper': taper has no effect on the full boundary")
             return BoundarySpec.full(grid, self.lambda_value)
         if self.gamma == "left_bottom":
-            return BoundarySpec.left_bottom(grid, self.lambda_value, self.taper)
+            return BoundarySpec.left_bottom(grid, self.lambda_value)
         try:
-            return BoundarySpec.from_node_list(grid, self.gamma, self.lambda_value, self.taper)
+            return BoundarySpec.from_node_list(grid, self.gamma, self.lambda_value)
         except ConfigError as exc:
             raise ConfigError(f"key 'gamma': {exc}") from None
 
@@ -408,7 +405,6 @@ CONFIG_KEYS = {
     "T": ("T", partial(_parse_float, lo_strict=0.0)),
     "gamma": ("gamma", _parse_gamma),
     "lambda": ("lambda_value", partial(_parse_float, lo_strict=0.0)),
-    "taper": ("taper", partial(_parse_float, lo=0.0)),
     "bumps": ("bumps", _parse_bumps),
     "noise": ("noise", partial(_parse_float, lo=0.0)),
     "seed": ("seed", partial(_parse_int, lo=0)),

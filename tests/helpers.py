@@ -32,6 +32,15 @@ def eigenfield(grid: Grid2D, k: int, l: int) -> ScalarField:
     return ScalarField(grid, np.outer(np.cos(k * xb), np.cos(l * xb)))
 
 
+def graded(grid: Grid2D) -> BoundarySpec:
+    """Left+bottom Gamma with lambda rising from 0.5 to 2.5 along it: one
+    value per Gamma node, so the per-node path of every solver is covered."""
+    mask = BoundarySpec.left_bottom(grid).gamma_mask
+    lam = np.zeros(mask.size)
+    lam[mask] = np.linspace(0.5, 2.5, mask.sum())
+    return BoundarySpec(grid, lam)
+
+
 def plain_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 

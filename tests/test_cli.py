@@ -92,6 +92,15 @@ class TestReconstructCommand:
         rc = run("reconstruct", str(tmp_path / "nope.csv"), "--out", str(tmp_path))
         assert rc != 0
         assert "nope.csv" in capsys.readouterr().err
+        # any OS error is reported with its path, not raised: a directory
+        # given as a file, and a file given as a directory
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for args, path in ((("reconstruct", str(tmp_path)), tmp_path),
+                           (("reconstruct", "x.csv", "--config", str(tmp_path)), tmp_path),
+                           (("phantom", "--n", "9", "--out", str(afile / "sub")), afile / "sub")):
+            assert run(*args) == 2
+            assert str(path) in capsys.readouterr().err
 
     def test_grid_mismatch_detected(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -111,7 +120,7 @@ class TestReconstructCommand:
         (["--dt-factor", "0.4"], "dt_factor"),
         (["--gamma", "full"], "gamma"),
         (["--gamma", "left_bottom", "--lambda", "2"], "lambda"),
-        (["--gamma", "left_bottom", "--taper", "0.2"], "lambda"),
+        (["--gamma", "0,1,2"], "gamma"),
         (["--n", "65"], "n"),
         (["--T", "2.0"], "T"),
     ])

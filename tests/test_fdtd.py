@@ -8,7 +8,7 @@ import pytest
 import pacavity as pv
 from pacavity.core import GridMismatchError, boundary_indices
 
-from helpers import eigenfield, smooth_random_field, smooth_random_state
+from helpers import eigenfield, graded, smooth_random_field, smooth_random_state
 
 
 @pytest.fixture
@@ -60,32 +60,31 @@ class TestBoundaryEnumeration:
             assert bs.gamma_mask[pos] == (l == 0 or k == 0)
 
     def test_lambda_positive_exactly_on_gamma(self, grid):
-        bs = pv.BoundarySpec.left_bottom(grid, lambda_value=2.5)
-        assert np.array_equal(bs.lam > 0, bs.gamma_mask)
-        with pytest.raises(ValueError):
-            pv.BoundarySpec(grid, bs.gamma_mask, np.ones_like(bs.lam))
+        # Gamma is the support of lambda: the spec is its grid and lambda
+        bs = graded(grid)
+        assert [f.name for f in dataclasses.fields(pv.BoundarySpec) if f.init] == ["grid", "lam"]
+        assert np.array_equal(bs.gamma_mask, bs.lam > 0)
+        assert np.array_equal(bs.gamma_mask, pv.BoundarySpec.left_bottom(grid).gamma_mask)
 
-    @pytest.mark.parametrize("lambda_value, taper, nodes, message", [
-        (0.0, 0.0, 5, "lambda_value must be positive"),
-        (1.0, -1.0, 5, "taper arc length"),
-        (1.0, 0.0, 0, "at least one boundary node"),
-    ], ids=["lambda_zero", "negative_taper", "empty_mask"])
-    def test_from_mask_rejects(self, grid, lambda_value, taper, nodes, message):
+    def test_empty_gamma_rejected(self, grid):
+        with pytest.raises(pv.ConfigError, match="at least one boundary node"):
+            pv.BoundarySpec(grid, np.zeros(pv.boundary_count(grid.n)))
+
+    @pytest.mark.parametrize("lambda_value, nodes, message", [
+        (0.0, 5, "lambda_value must be positive"),
+        (1.0, 0, "at least one boundary node"),
+    ], ids=["lambda_zero", "empty_mask"])
+    def test_from_mask_rejects(self, grid, lambda_value, nodes, message):
         mask = np.arange(pv.boundary_count(grid.n)) < nodes
         with pytest.raises(pv.ConfigError, match=message):
-            pv.BoundarySpec.from_mask(grid, mask, lambda_value, taper)
-
-    def test_taper_keeps_lambda_positive_on_gamma(self, grid):
-        bs = pv.BoundarySpec.left_bottom(grid, taper=0.3)
-        assert np.array_equal(bs.lam > 0, bs.gamma_mask)
-        assert bs.lam.max() <= 1.0
+            pv.BoundarySpec.from_mask(grid, mask, lambda_value)
 
     def test_equality_compares_grid_gamma_and_lambda(self, grid):
-        bs = pv.BoundarySpec.left_bottom(grid, taper=0.3)
-        assert bs == pv.BoundarySpec.left_bottom(pv.Grid2D(grid.n), taper=0.3)
+        bs = graded(grid)
+        assert bs == graded(pv.Grid2D(grid.n))
         assert bs != pv.BoundarySpec.left_bottom(grid)
         assert bs != pv.BoundarySpec.full(grid)
-        assert bs != pv.BoundarySpec.left_bottom(pv.Grid2D(grid.n, 0.4 * grid.dx), taper=0.3)
+        assert bs != graded(pv.Grid2D(grid.n, 0.4 * grid.dx))
 
 
 class TestBoundaryTrace:
@@ -424,7 +423,7 @@ class TestReversalError:
     APERTURES = {
         "full": pv.BoundarySpec.full,
         "left_bottom": pv.BoundarySpec.left_bottom,
-        "tapered": lambda g: pv.BoundarySpec.left_bottom(g, lambda_value=2.5, taper=0.3),
+        "tapered": graded,
     }
 
     @pytest.mark.parametrize("n", [33, 65])
