@@ -268,6 +268,8 @@ class TestConfig:
                                             ("bumps = 0.1,x,0.2,1.0", "'bumps'"),
                                             ("subspace = H2", "'subspace'"),
                                             ("snap_time = maybe", "'snap_time'"),
+                                            # an unknown key now, still named in the error
+                                            ("taper = -1", "'taper'"),
                                             ("n 65", "expected 'key = value'")])
     def test_out_of_range_n(self, tmp_path, entry, key):
         path = tmp_path / "c.cfg"
