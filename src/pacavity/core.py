@@ -90,13 +90,17 @@ class Grid2D:
 
 @dataclass
 class ScalarField:
-    """One scalar value per grid node; values[k, l] samples (x_k, y_l)."""
+    """One scalar value per grid node; values[k, l] samples (x_k, y_l).
+
+    values is always a C-ordered float array (a copy only when the given
+    array is not one), which the solvers' flat-view stencil relies on.
+    """
 
     grid: Grid2D
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.ascontiguousarray(self.values, dtype=float)
         if v.shape != (self.grid.n, self.grid.n):
             raise GridMismatchError(
                 f"field shape {v.shape} does not match grid {self.grid.n}x{self.grid.n}"
@@ -200,13 +204,15 @@ def boundary_count(n: int) -> int:
     return 4 * n - 4
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class BoundarySpec:
     """Measurement set Gamma and the dissipation weight lambda per node.
 
     lam is indexed by the canonical boundary enumeration, and Gamma is where
-    it is positive: gamma_mask is derived from lam, never given.  Two specs
-    are equal when their grids and lambdas are.
+    it is positive: gamma_mask is derived from lam, never given.  A spec is
+    immutable: its fields cannot be reassigned, and lam (a copy of the
+    given array) and gamma_mask are read-only, so gamma_mask always
+    matches lam.  Two specs are equal when their grids and lambdas are.
     """
 
     grid: Grid2D
@@ -215,17 +221,20 @@ class BoundarySpec:
 
     def __post_init__(self):
         nb = boundary_count(self.grid.n)
-        lam = np.asarray(self.lam, dtype=float)
+        lam = np.array(self.lam, dtype=float)
         if lam.shape != (nb,):
             raise GridMismatchError(
                 f"boundary spec lambda must have length {nb} for n = {self.grid.n}"
             )
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("lambda must be finite and nonnegative")
-        self.lam = lam
-        self.gamma_mask = lam > 0
-        if not self.gamma_mask.any():
+        mask = lam > 0
+        if not mask.any():
             raise ConfigError("Gamma must contain at least one boundary node")
+        lam.setflags(write=False)
+        mask.setflags(write=False)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "gamma_mask", mask)
 
     def __eq__(self, other):
         if not isinstance(other, BoundarySpec):
@@ -275,7 +284,8 @@ class BoundaryTrace:
     boundary spec they were measured on.
 
     samples[j, b] is the value at time t_j = j*dt at boundary node b in the
-    canonical enumeration.  The spec holds the grid, and with it dt, the
+    canonical enumeration; a trace holds at least 3 time levels (2 steps),
+    the fewest any solver takes.  The spec holds the grid, and with it dt, the
     measured set Gamma and lambda: a trace has none of its own, so the
     solvers that read it cannot step on another time step or absorb on
     another boundary.  Nodes outside Gamma are zeroed on construction.  The
@@ -293,6 +303,8 @@ class BoundaryTrace:
             raise GridMismatchError(
                 f"trace must have {nb} columns for n = {self.grid.n}, got shape {s.shape}"
             )
+        if s.shape[0] < 3:
+            raise ConfigError(f"{s.shape[0]} time levels; a trace needs at least 3")
         if not np.all(np.isfinite(s)):
             raise ValueError("trace contains non-finite values")
         # samples that are already zero off Gamma are kept as they are;

@@ -120,15 +120,30 @@ def _advance(out: np.ndarray, cur: np.ndarray, prev: np.ndarray, coef, centre,
     this is one leapfrog step of the mirror-closed scheme; with coef / 2,
     centre = 1 - 2 coef and prev = -dt u_t it is the second-order Taylor
     start.  work is scratch space; nothing of size n x n is allocated.
+
+    The left and right neighbours are added on the flat view, where they sit
+    at offsets -1 and +1: one contiguous pass each, where the same adds on
+    strided column slices cost about four times a row add.  On the flat view
+    the two wall columns pick up a value from the adjacent row instead of
+    the mirror ghost, so they are saved after the row adds, given their
+    mirror neighbour twice and written back.  Every node thus sums its
+    neighbours in the order up, down, left, right, as the 2-D stencil does,
+    and the result is the same to the bit.  All arrays must be C-ordered
+    (ScalarField guarantees it for its values): of any other array
+    reshape(-1) is a copy, and the adds to work would be lost.
     """
+    flat, src = work.reshape(-1), cur.reshape(-1)
     work[1:] = cur[:-1]
     work[0] = cur[1]
     work[:-1] += cur[1:]
     work[-1] += cur[-2]
-    work[:, 1:] += cur[:, :-1]
-    work[:, 0] += cur[:, 1]
-    work[:, :-1] += cur[:, 1:]
-    work[:, -1] += cur[:, -2]
+    walls = work[:, [0, -1]]
+    mirror = cur[:, [1, -2]]
+    walls += mirror
+    walls += mirror
+    flat[1:] += src[:-1]
+    flat[:-1] += src[1:]
+    work[:, [0, -1]] = walls
     work *= coef
     np.multiply(cur, centre, out=out)
     out -= prev
@@ -357,9 +372,6 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, *,
     """
     grid = g.grid
     _check_setup(grid, c, g.bspec)
-    steps = g.n_steps
-    if steps < 2:
-        raise ConfigError(f"trace must cover at least two time steps, got {steps}")
     if terminal_state is None:
         terminal_state = StatePair.zeros(grid)
     elif terminal_state.grid != grid:

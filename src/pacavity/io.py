@@ -255,8 +255,11 @@ def read_trace(path) -> BoundaryTrace:
     if data is None or data.size and data.shape[1] != nb + 1:
         raise _bad_row(path, first, nb + 1)
     bspec = _trace_spec(path, meta, n)
-    if data.shape[0] < 3:
-        raise ParseError(f"{path}: {data.shape[0]} time levels; a trace needs at least 3")
+    try:
+        # reshape: a file without data rows loads as shape (0, 0)
+        trace = BoundaryTrace(bspec, data[:, 1:].reshape(-1, nb))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     dt = bspec.grid.dt
     expected = dt * np.arange(data.shape[0])
     off = np.flatnonzero(~np.isclose(data[:, 0], expected, rtol=1e-12, atol=0.0))
@@ -265,7 +268,7 @@ def read_trace(path) -> BoundaryTrace:
         lineno, _ = next(islice(_data_lines(path, first), j, None))
         raise ParseError(f"{path}:{lineno}: time {data[j, 0]!r} is not {j} * dt "
                          f"for header 'dt' = {dt!r}")
-    return BoundaryTrace(bspec, data[:, 1:])
+    return trace
 
 
 # ---------------------------------------------------------------------------

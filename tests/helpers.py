@@ -102,3 +102,23 @@ def spectral_energy(c: CosineCoeffs) -> float:
     w1[0] = 2.0
     w1[-1] = 2.0
     return float(np.sum(np.outer(w1, w1) * (c.coeffs * mode_frequencies(c.grid)) ** 2))
+
+
+def slice_stencil_step(prev: ScalarField, curr: ScalarField, c: ScalarField) -> ScalarField:
+    """One mirror-closed leapfrog level on 2-D slices, independent of the
+    solvers' kernel: 2 u - u_prev + (dt/dx)^2 c^2 (neighbour sum - 4 u),
+    the neighbours summed up, down, left, right, with the mirror ghost
+    u_{-1} = u_1 at the walls."""
+    grid = curr.grid
+    coef = (grid.dt / grid.dx) ** 2 * c.values ** 2
+    u = curr.values
+    s = np.empty_like(u)
+    s[1:] = u[:-1]
+    s[0] = u[1]
+    s[:-1] += u[1:]
+    s[-1] += u[-2]
+    s[:, 1:] += u[:, :-1]
+    s[:, 0] += u[:, 1]
+    s[:, :-1] += u[:, 1:]
+    s[:, -1] += u[:, -2]
+    return ScalarField(grid, (2.0 - 4.0 * coef) * u - prev.values + coef * s)

@@ -62,6 +62,15 @@ class TestFields:
         with pytest.raises(GridMismatchError):
             pv.ScalarField(grid, np.zeros((grid.n, grid.n + 1)))
 
+    def test_values_are_c_ordered(self, grid):
+        # the solvers' stencil adds on the flat view of C-ordered arrays
+        vals = np.arange(grid.n * grid.n, dtype=float).reshape(grid.n, grid.n)
+        assert pv.ScalarField(grid, vals).values is vals
+        wide = np.repeat(vals, 2, axis=1)
+        for other in (np.asfortranarray(vals), vals.T.copy().T, wide[:, ::2]):
+            f = pv.ScalarField(grid, other)
+            assert f.values.flags.c_contiguous and np.array_equal(f.values, vals)
+
     def test_state_components_share_grid(self, grid):
         other = pv.Grid2D(17)
         with pytest.raises(GridMismatchError):

@@ -8,7 +8,8 @@ import pytest
 import pacavity as pv
 from pacavity.core import GridMismatchError, boundary_indices
 
-from helpers import eigenfield, graded, smooth_random_field, smooth_random_state
+from helpers import (eigenfield, graded, slice_stencil_step, smooth_random_field,
+                     smooth_random_state)
 
 
 @pytest.fixture
@@ -65,6 +66,21 @@ class TestBoundaryEnumeration:
         assert [f.name for f in dataclasses.fields(pv.BoundarySpec) if f.init] == ["grid", "lam"]
         assert np.array_equal(bs.gamma_mask, bs.lam > 0)
         assert np.array_equal(bs.gamma_mask, pv.BoundarySpec.left_bottom(grid).gamma_mask)
+
+    def test_spec_cannot_be_changed_after_construction(self):
+        # a reassigned or edited lambda would leave gamma_mask and the checks
+        # of construction behind
+        lam = np.ones(32)
+        bs = pv.BoundarySpec(pv.Grid2D(9), lam)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bs.lam = np.zeros(32)
+        with pytest.raises(ValueError, match="read-only"):
+            bs.lam[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            bs.gamma_mask[0] = False
+        # the spec holds a copy: the caller's array stays its own, writable
+        lam[0] = 0.0
+        assert bs.lam[0] == 1.0 and bs.gamma_mask.sum() == 32
 
     def test_empty_gamma_rejected(self, grid):
         with pytest.raises(pv.ConfigError, match="at least one boundary node"):
@@ -128,7 +144,55 @@ def mirror_closed_step(prev, curr, r2):
     return 2.0 * curr - prev + r2 * lap
 
 
+LAYOUTS = ["fortran", "transposed", "strided"]
+
+
+def relaid(field, layout):
+    """The same field built from its values in the memory layout named:
+    Fortran order, the transposed view of a C array, or every other column
+    of a wider one."""
+    v = field.values
+    if layout == "fortran":
+        v = np.asfortranarray(v)
+    elif layout == "transposed":
+        v = np.ascontiguousarray(v.T).T
+    else:
+        wide = np.zeros((v.shape[0], 2 * v.shape[1]))
+        wide[:, ::2] = v
+        v = wide[:, ::2]
+    return pv.ScalarField(field.grid, v)
+
+
+def varying_speed(grid, rng):
+    """A per-node sound speed in [0.5, 1], below the default step's CFL bound."""
+    return pv.ScalarField(grid, 0.5 + 0.5 * rng.random((grid.n, grid.n)))
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestInteriorStep:
+    @pytest.mark.parametrize("per_node", [False, True], ids=["constant_c", "per_node_c"])
+    @pytest.mark.parametrize("n", [4, 5, 33])
+    def test_equals_the_slice_stencil_bit_for_bit(self, n, per_node):
+        g = pv.Grid2D(n)
+        rng = np.random.default_rng(n)
+        prev, curr = (pv.ScalarField(g, rng.standard_normal((n, n))) for _ in range(2))
+        c = varying_speed(g, rng) if per_node else pv.ScalarField.constant(g, 0.75)
+        assert_same_bits(pv.interior_step(prev, curr, c).values,
+                         slice_stencil_step(prev, curr, c).values)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_memory_layout_does_not_change_the_bits(self, grid, layout):
+        rng = np.random.default_rng(3)
+        prev, curr = (pv.ScalarField(grid, rng.standard_normal((grid.n, grid.n)))
+                      for _ in range(2))
+        c = varying_speed(grid, rng)
+        expected = pv.interior_step(prev, curr, c).values
+        got = pv.interior_step(relaid(prev, layout), relaid(curr, layout), relaid(c, layout))
+        assert_same_bits(got.values, expected)
+
     def test_zero(self, grid, unit):
         z = pv.ScalarField.zeros(grid)
         assert np.all(pv.interior_step(z, z, unit).values == 0.0)
@@ -315,6 +379,25 @@ class TestForwardSolve:
             direct = pv.forward_solve(s0, unit, bs_full, j * grid.dt).final_state
             assert np.array_equal(s.first.values, direct.first.values)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_memory_layout_does_not_change_the_bits(self, layout):
+        g = pv.Grid2D(17)
+        rng = np.random.default_rng(4)
+        s0, c, bs = smooth_random_state(g, rng), varying_speed(g, rng), graded(g)
+
+        def run(state, speed):
+            snaps = dict.fromkeys((1, 5, 9))
+            res = pv.forward_solve(state, speed, bs, 12 * g.dt, snapshots=snaps)
+            return [res.trace.samples, res.final_state.first.values,
+                    res.final_state.second.values] + [
+                v.values for j in sorted(snaps) for v in (snaps[j].first, snaps[j].second)]
+
+        expected = run(s0, c)
+        got = run(pv.StatePair(relaid(s0.first, layout), relaid(s0.second, layout)),
+                  relaid(c, layout))
+        for a, b in zip(got, expected, strict=True):
+            assert_same_bits(a, b)
+
     def test_snapshot_step_outside_the_march_rejected(self, grid, unit, bs_full):
         s0 = pv.StatePair.zeros(grid)
         g = zero_trace(grid, bs_full, 1.0)
@@ -383,11 +466,28 @@ class TestReverseSolve:
         got = snaps[zero.n_steps - 1].first.values
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_memory_layout_does_not_change_the_bits(self, layout):
+        g = pv.Grid2D(17)
+        rng = np.random.default_rng(5)
+        c, bs = varying_speed(g, rng), graded(g)
+        data = pv.forward_solve(smooth_random_state(g, rng), c, bs, 12 * g.dt).trace
+        end = smooth_random_state(g, rng)
+        expected = pv.dissipative_reverse_solve(data, c, terminal_state=end)
+        got = pv.dissipative_reverse_solve(
+            data, relaid(c, layout),
+            terminal_state=pv.StatePair(relaid(end.first, layout), relaid(end.second, layout)))
+        assert_same_bits(got.first.values, expected.first.values)
+        assert_same_bits(got.second.values, expected.second.values)
+
     def test_short_trace_rejected(self, grid, unit, bs_full):
-        samples = np.zeros((2, pv.boundary_count(grid.n)))
-        g = pv.BoundaryTrace(bs_full, samples)
-        with pytest.raises(pv.ConfigError):
-            pv.dissipative_reverse_solve(g, unit)
+        # the floor of 3 levels lives in the trace, so no solver meets a
+        # shorter one; the shortest trace there is runs
+        for levels in (0, 2):
+            with pytest.raises(pv.ConfigError, match=f"{levels} time levels"):
+                pv.BoundaryTrace(bs_full, np.zeros((levels, pv.boundary_count(grid.n))))
+        g = pv.BoundaryTrace(bs_full, np.zeros((3, pv.boundary_count(grid.n))))
+        assert np.all(pv.dissipative_reverse_solve(g, unit).first.values == 0.0)
 
     def test_terminal_state_on_another_grid_rejected(self, grid, unit, bs_full):
         other = pv.StatePair.zeros(pv.Grid2D(17))
