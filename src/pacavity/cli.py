@@ -108,11 +108,15 @@ def cmd_phantom(cfg: RunConfig) -> int:
     return 0
 
 
-def _synthesize(cfg: RunConfig):
-    """Phantom, T and trace; add_noise makes the noise exactly cfg.noise of it."""
+def _synthesize(cfg: RunConfig, scored: bool = False):
+    """Phantom, T and trace; add_noise makes the noise exactly cfg.noise of it.
+    A phantom that will be scored against must not be zero everywhere."""
     grid = cfg.make_grid()
     bspec = cfg.make_bspec(grid)
     f = cfg.make_phantom(grid)
+    if scored and not f.values.any():
+        raise ConfigError("key 'bumps': the phantom is zero at every node, so there "
+                          "is nothing to score the reconstruction against")
     T = cfg.resolve_T(grid.dt)
     g = synthesize_data(f, bspec, T, grid.dt)
     if cfg.noise > 0:
@@ -198,7 +202,7 @@ def cmd_reconstruct(cfg: RunConfig, trace_path: str) -> int:
 def cmd_demo(cfg: RunConfig, name: str) -> int:
     """One configured run: phantom, trace, reconstruction, all under out/name."""
     t0 = time.time()
-    f, _, g = _synthesize(cfg)
+    f, _, g = _synthesize(cfg, scored=True)
     out = _outdir(cfg, name)
     pio.write_field(out / "phantom.csv", f)
     pio.write_field(out / "phantom.pgm", f)

@@ -268,9 +268,11 @@ class BoundarySpec:
     def from_node_list(cls, grid: Grid2D, nodes, lambda_value: float = 1.0) -> "BoundarySpec":
         """Gamma given as explicit canonical boundary indices."""
         nb = boundary_count(grid.n)
-        idx = np.asarray(list(nodes), dtype=int)
+        idx = np.asarray(list(nodes))
         if idx.size == 0:
             raise ConfigError("Gamma node list is empty")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ConfigError(f"Gamma node indices must be integers, got {idx.tolist()!r}")
         if idx.min() < 0 or idx.max() >= nb:
             raise ConfigError(f"Gamma node indices must lie in [0, {nb - 1}]")
         mask = np.zeros(nb, dtype=bool)
@@ -336,19 +338,6 @@ class BoundaryTrace:
 # energy, norms and projectors
 # ---------------------------------------------------------------------------
 
-def _gradient(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Centered differences inside, one-sided two-point at the boundary."""
-    gx = np.empty_like(values)
-    gy = np.empty_like(values)
-    gx[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * dx)
-    gx[0, :] = (values[1, :] - values[0, :]) / dx
-    gx[-1, :] = (values[-1, :] - values[-2, :]) / dx
-    gy[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
-    gy[:, 0] = (values[:, 1] - values[:, 0]) / dx
-    gy[:, -1] = (values[:, -1] - values[:, -2]) / dx
-    return gx, gy
-
-
 def _check_speed(s: StatePair, c: ScalarField) -> None:
     if s.grid != c.grid:
         raise GridMismatchError("state and sound speed live on different grids")
@@ -362,7 +351,8 @@ def energy(s: StatePair, c: ScalarField) -> float:
     grid = s.grid
     w = grid.quad_weights()
     W = np.outer(w, w)
-    gx, gy = _gradient(s.first.values, grid.dx)
+    # centered differences inside, one-sided two-point at the walls
+    gx, gy = np.gradient(s.first.values, grid.dx)
     dens = gx * gx + gy * gy + (s.second.values / c.values) ** 2
     return float(np.sum(W * dens))
 
@@ -412,15 +402,23 @@ def project_H1(s: StatePair) -> StatePair:
     return StatePair(ScalarField(s.grid, s.first.values - m), ScalarField.zeros(s.grid))
 
 
+def _step_ratio(T: float, dt: float) -> float:
+    """T / dt, for a positive T and dt whose ratio is finite."""
+    if T <= 0 or dt <= 0:
+        raise ConfigError(f"T and dt must be positive, got T = {T!r}, dt = {dt!r}")
+    x = T / dt
+    if not np.isfinite(x):
+        raise ConfigError(f"T/dt must be finite, got T = {T!r}, dt = {dt!r}")
+    return x
+
+
 def num_steps(T: float, dt: float) -> int:
     """Number of time steps covering [0, T]; T must be a multiple of dt.
 
     Raises ConfigError when T/dt is not an integer to within STEP_TOL
     (relative).  Use snap_duration to round a requested T to the time grid.
     """
-    if T <= 0 or dt <= 0:
-        raise ConfigError(f"T and dt must be positive, got T = {T!r}, dt = {dt!r}")
-    x = T / dt
+    x = _step_ratio(T, dt)
     steps = int(round(x))
     if abs(x - steps) > STEP_TOL * max(1.0, x):
         raise ConfigError(
@@ -434,6 +432,4 @@ def num_steps(T: float, dt: float) -> int:
 
 def snap_duration(T: float, dt: float) -> float:
     """Round T to the nearest positive multiple of dt."""
-    if T <= 0 or dt <= 0:
-        raise ConfigError(f"T and dt must be positive, got T = {T!r}, dt = {dt!r}")
-    return max(int(round(T / dt)), 2) * dt
+    return max(int(round(_step_ratio(T, dt))), 2) * dt

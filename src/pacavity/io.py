@@ -7,7 +7,8 @@ portable graymaps (PGM) for viewing; the affine value mapping is recorded
 in a comment so the image is deterministic but not meant to be re-read.
 
 Run configuration is a flat ``key = value`` text file with ``#`` comments.
-The keys are listed once, in CONFIG_KEYS.  Unknown keys are rejected rather
+Each key is declared once, as a RunConfig field that carries its parser;
+CONFIG_KEYS is derived from those fields.  Unknown keys are rejected rather
 than ignored, every key has a documented default, and all values are
 range-checked with the offending key named in the error message.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -126,8 +127,12 @@ def write_field_csv(path, f: ScalarField) -> None:
                header=f"pacavity field v1\nn = {f.grid.n}", comments="# ")
 
 
-def read_field_csv(path) -> ScalarField:
-    """Reload a field CSV; bit-identical to what was written."""
+def read_field(path) -> ScalarField:
+    """Reload a field CSV; bit-identical to what was written.  Only .csv
+    reloads exactly, so any other suffix is refused."""
+    suffix = Path(path).suffix.lower()
+    if suffix != ".csv":
+        raise ConfigError(f"cannot read field format {suffix!r}; only .csv reloads exactly")
     meta, _, data, first = _read_csv(path, column_header=False)
     if "n" not in meta:
         raise ParseError(f"{path}: missing '# n = ...' header")
@@ -171,13 +176,6 @@ def write_field(path, f: ScalarField) -> None:
         write_field_pgm(path, f)
     else:
         raise ConfigError(f"unsupported field format {suffix!r} (use .csv or .pgm)")
-
-
-def read_field(path) -> ScalarField:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return read_field_csv(path)
-    raise ConfigError(f"cannot read field format {suffix!r}; only .csv reloads exactly")
 
 
 # ---------------------------------------------------------------------------
@@ -260,66 +258,18 @@ def read_trace(path) -> BoundaryTrace:
         trace = BoundaryTrace(bspec, data[:, 1:].reshape(-1, nb))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    dt = bspec.grid.dt
-    expected = dt * np.arange(data.shape[0])
-    off = np.flatnonzero(~np.isclose(data[:, 0], expected, rtol=1e-12, atol=0.0))
+    off = np.flatnonzero(~np.isclose(data[:, 0], trace.times, rtol=1e-12, atol=0.0))
     if off.size:
         j = off[0]
         lineno, _ = next(islice(_data_lines(path, first), j, None))
         raise ParseError(f"{path}:{lineno}: time {data[j, 0]!r} is not {j} * dt "
-                         f"for header 'dt' = {dt!r}")
+                         f"for header 'dt' = {trace.dt!r}")
     return trace
 
 
 # ---------------------------------------------------------------------------
 # run configuration
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    """Validated experiment description; defaults reproduce the T=5 full-data run."""
-
-    n: int = 257
-    dt_factor: float = 0.5
-    T: float = 5.0
-    gamma: object = "full"          # "full" | "left_bottom" | list of node indices
-    lambda_value: float = 1.0
-    bumps: tuple = None             # explicit BumpSpec list; None gives PAPER_SIX
-    noise: float = 0.0
-    seed: int = 0
-    iterations: int = 1
-    subspace: str = "H1"
-    out: str = "out"
-    snap_time: bool = False
-
-    def make_grid(self) -> Grid2D:
-        grid = Grid2D(self.n)
-        return Grid2D(self.n, self.dt_factor * grid.dx)
-
-    def make_bspec(self, grid: Grid2D) -> BoundarySpec:
-        """Gamma and lambda on the grid.  lambda is range-checked when
-        parsed, so an error from a node list is about that list."""
-        if self.gamma == "full":
-            return BoundarySpec.full(grid, self.lambda_value)
-        if self.gamma == "left_bottom":
-            return BoundarySpec.left_bottom(grid, self.lambda_value)
-        try:
-            return BoundarySpec.from_node_list(grid, self.gamma, self.lambda_value)
-        except ConfigError as exc:
-            raise ConfigError(f"key 'gamma': {exc}") from None
-
-    def make_phantom(self, grid: Grid2D) -> ScalarField:
-        specs = self.bumps if self.bumps is not None else PAPER_SIX
-        return render_phantom(specs, grid)
-
-    def resolve_T(self, dt: float) -> float:
-        """Snap T to the time grid when snap_time is set, else require an
-        exact multiple of dt."""
-        if self.snap_time:
-            return snap_duration(self.T, dt)
-        num_steps(self.T, dt)
-        return self.T
-
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -397,25 +347,65 @@ def _parse_bool(key, text):
     return _BOOL[text.lower()]
 
 
-# Every configuration key: the RunConfig field it sets and its parser
-# parse(key, text), which validates the text and names the key on error.
-# The config file, the demo presets and the command-line flags all go
-# through this one table.
-CONFIG_KEYS = {
-    "n": ("n", partial(_parse_int, lo=4)),
-    "dt_factor": ("dt_factor",
-                  partial(_parse_float, lo_strict=0.0, hi=1.0 / np.sqrt(2.0) + 1e-12)),
-    "T": ("T", partial(_parse_float, lo_strict=0.0)),
-    "gamma": ("gamma", _parse_gamma),
-    "lambda": ("lambda_value", partial(_parse_float, lo_strict=0.0)),
-    "bumps": ("bumps", _parse_bumps),
-    "noise": ("noise", partial(_parse_float, lo=0.0)),
-    "seed": ("seed", partial(_parse_int, lo=0)),
-    "iterations": ("iterations", partial(_parse_int, lo=0)),
-    "subspace": ("subspace", _parse_subspace),
-    "out": ("out", lambda key, text: text),
-    "snap_time": ("snap_time", _parse_bool),
-}
+def _key(default, parse, key=None):
+    """A RunConfig field set by the configuration key ``key`` (by default the
+    field's own name); parse(key, text) validates the text and names the key
+    on error."""
+    return field(default=default, metadata={"parse": parse, "key": key})
+
+
+@dataclass
+class RunConfig:
+    """Validated experiment description; defaults reproduce the T=5 full-data run."""
+
+    n: int = _key(257, partial(_parse_int, lo=4))
+    dt_factor: float = _key(0.5, partial(_parse_float, lo_strict=0.0,
+                                         hi=1.0 / np.sqrt(2.0) + 1e-12))
+    T: float = _key(5.0, partial(_parse_float, lo_strict=0.0))
+    gamma: object = _key("full", _parse_gamma)  # "full" | "left_bottom" | node indices
+    lambda_value: float = _key(1.0, partial(_parse_float, lo_strict=0.0), key="lambda")
+    bumps: tuple = _key(None, _parse_bumps)     # BumpSpec tuple; None gives PAPER_SIX
+    noise: float = _key(0.0, partial(_parse_float, lo=0.0))
+    seed: int = _key(0, partial(_parse_int, lo=0))
+    iterations: int = _key(1, partial(_parse_int, lo=0))
+    subspace: str = _key("H1", _parse_subspace)
+    out: str = _key("out", lambda key, text: text)
+    snap_time: bool = _key(False, _parse_bool)
+
+    def make_grid(self) -> Grid2D:
+        grid = Grid2D(self.n)
+        return Grid2D(self.n, self.dt_factor * grid.dx)
+
+    def make_bspec(self, grid: Grid2D) -> BoundarySpec:
+        """Gamma and lambda on the grid.  lambda is range-checked when
+        parsed, so an error from a node list is about that list."""
+        if self.gamma == "full":
+            return BoundarySpec.full(grid, self.lambda_value)
+        if self.gamma == "left_bottom":
+            return BoundarySpec.left_bottom(grid, self.lambda_value)
+        try:
+            return BoundarySpec.from_node_list(grid, self.gamma, self.lambda_value)
+        except ConfigError as exc:
+            raise ConfigError(f"key 'gamma': {exc}") from None
+
+    def make_phantom(self, grid: Grid2D) -> ScalarField:
+        specs = self.bumps if self.bumps is not None else PAPER_SIX
+        return render_phantom(specs, grid)
+
+    def resolve_T(self, dt: float) -> float:
+        """Snap T to the time grid when snap_time is set, else require an
+        exact multiple of dt."""
+        if self.snap_time:
+            return snap_duration(self.T, dt)
+        num_steps(self.T, dt)
+        return self.T
+
+
+# Every configuration key: the RunConfig field it sets and that field's
+# parser.  The config file, the demo presets and the command-line flags all
+# go through this one table.
+CONFIG_KEYS = {f.metadata["key"] or f.name: (f.name, f.metadata["parse"])
+               for f in fields(RunConfig)}
 
 
 def apply_config_entry(cfg: RunConfig, key: str, text: str) -> None:

@@ -30,6 +30,9 @@ class BumpSpec:
 
     def __post_init__(self):
         cx, cy = self.center
+        if not np.all(np.isfinite([cx, cy, self.radius, self.amplitude])):
+            raise ConfigError(f"bump center, radius and amplitude must be finite, got "
+                              f"({cx}, {cy}), {self.radius!r}, {self.amplitude!r}")
         if self.radius <= 0:
             raise ConfigError(f"bump radius must be positive, got {self.radius!r}")
         if max(abs(cx), abs(cy)) + self.radius >= 1.0:
@@ -59,16 +62,11 @@ def radial_bump(r, radius: float, amplitude: float):
 
 
 def render_phantom(specs, grid: Grid2D) -> ScalarField:
-    """Pointwise sum of bumps sampled at the grid nodes."""
+    """Pointwise sum of the BumpSpecs' bumps sampled at the grid nodes."""
     x = grid.coords()
     X, Y = np.meshgrid(x, x, indexing="ij")
     values = np.zeros((grid.n, grid.n))
-    for i, spec in enumerate(specs):
-        if not isinstance(spec, BumpSpec):
-            try:
-                spec = BumpSpec(*spec)
-            except ConfigError as exc:
-                raise ConfigError(f"bump {i}: {exc}") from exc
+    for spec in specs:
         cx, cy = spec.center
         r = np.hypot(X - cx, Y - cy)
         values += radial_bump(r, spec.radius, spec.amplitude)

@@ -66,6 +66,10 @@ class ReconConfig:
     def __post_init__(self):
         if self.T <= 0:
             raise ConfigError(f"measurement time must be positive, got {self.T!r}")
+        if not np.isfinite(self.T):
+            raise ConfigError(f"measurement time must be finite, got {self.T!r}")
+        if not isinstance(self.iterations, (int, np.integer)):
+            raise ConfigError(f"iteration count must be an integer, got {self.iterations!r}")
         if self.iterations < 0:
             raise ConfigError(f"iteration count must be >= 0, got {self.iterations!r}")
         sub = str(self.subspace).upper()

@@ -58,6 +58,23 @@ class TestForwardCommand:
         assert rc != 0
         assert "multiple" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bumps", ["0,0,nan,1", "nan,0,0.3,1", "0,0,0.3,inf"])
+    def test_non_finite_bump_is_config_error(self, tmp_path, capsys, bumps):
+        rc = run("forward", "--n", "33", "--T", "1", "--bumps", bumps,
+                 "--out", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'bumps'" in err and "bump 0" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("snap", ["false", "true"])
+    def test_huge_T_is_config_error(self, tmp_path, capsys, snap):
+        # T / dt overflows to inf, which no step count can round
+        rc = run("forward", "--n", "33", "--T", "1e308", "--snap-time", snap,
+                 "--out", str(tmp_path))
+        assert rc == 2
+        assert "T/dt must be finite" in capsys.readouterr().err
+
     def test_snap_time_override(self, tmp_path):
         assert run("forward", "--n", "33", "--T", "1.001", "--snap-time", "true",
                    "--out", str(tmp_path)) == 0
@@ -158,6 +175,14 @@ class TestDemoCommand:
         for name in ("phantom.csv", "trace.csv", "recon.csv", "errors.csv",
                      "cross_section.csv"):
             assert (d / name).exists()
+
+    def test_all_zero_phantom_is_config_error(self, tmp_path, capsys):
+        # a zero phantom leaves the demo nothing to score against
+        rc = run("demo", "fig1-full", "--n", "33", "--bumps", "0,0,0.3,0",
+                 "--out", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'bumps'" in err and "zero at every node" in err
 
     def test_file_then_preset_then_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"

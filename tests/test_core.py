@@ -231,6 +231,14 @@ class TestTimeGrid:
             with pytest.raises(pv.ConfigError, match="must be positive"):
                 count(T, 1.0 / 256)
 
+    @pytest.mark.parametrize("T, dt", [
+        (np.nan, 1.0 / 256), (np.inf, 1.0 / 256), (1e308, 1.0 / 256), (1.0, np.nan),
+    ], ids=["T_nan", "T_inf", "T_over_dt_overflows", "dt_nan"])
+    def test_non_finite_ratio_rejected(self, T, dt):
+        for count in (pv.num_steps, pv.snap_duration):
+            with pytest.raises(pv.ConfigError, match="T/dt must be finite"):
+                count(T, dt)
+
     def test_snap(self):
         dt = 1.0 / 256
         T = pv.snap_duration(1.6, dt)

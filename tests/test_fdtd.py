@@ -95,6 +95,18 @@ class TestBoundaryEnumeration:
         with pytest.raises(pv.ConfigError, match=message):
             pv.BoundarySpec.from_mask(grid, mask, lambda_value)
 
+    @pytest.mark.parametrize("nodes", [[1.7, 3], [1.0, 3.0], [True, False]],
+                             ids=["fraction", "integral_floats", "bools"])
+    def test_from_node_list_rejects_non_integers(self, grid, nodes):
+        # a cast to int would measure on nodes no one listed
+        with pytest.raises(pv.ConfigError, match="must be integers"):
+            pv.BoundarySpec.from_node_list(grid, nodes)
+
+    def test_from_node_list_takes_any_integer_sequence(self, grid):
+        for nodes in ([1, 3], np.array([1, 3]), range(1, 4, 2)):
+            bs = pv.BoundarySpec.from_node_list(grid, nodes)
+            assert np.flatnonzero(bs.gamma_mask).tolist() == [1, 3]
+
     def test_equality_compares_grid_gamma_and_lambda(self, grid):
         bs = graded(grid)
         assert bs == graded(pv.Grid2D(grid.n))

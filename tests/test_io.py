@@ -307,6 +307,12 @@ class TestConfig:
         with pytest.raises(pv.ConfigError, match="bump 0"):
             pio.parse_config(bad)
 
+    def test_non_finite_bump_names_key_and_bump(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("bumps = 0.1,0.2,0.15,1.0; 0,0,nan,1\n")
+        with pytest.raises(pv.ConfigError, match=r"c.cfg:1: key 'bumps': bump 1: .*finite"):
+            pio.parse_config(path)
+
     def test_empty_bumps_give_the_six_bump_phantom(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("bumps =\n")

@@ -196,6 +196,16 @@ class TestConfigValidation:
         with pytest.raises(pv.ConfigError):
             make_cfg(setup65, 0.0, 1)
 
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_non_finite_time(self, setup65, T):
+        with pytest.raises(pv.ConfigError, match="must be finite"):
+            make_cfg(setup65, T, 1)
+
+    @pytest.mark.parametrize("iterations", [2.5, 2.0, "2"])
+    def test_non_integer_iterations(self, setup65, iterations):
+        with pytest.raises(pv.ConfigError, match="must be an integer"):
+            make_cfg(setup65, 1.0, iterations)
+
 
 class TestModeSpaceMeasurement:
     """At constant c an H1 iteration applies P A L through the reversal error,
