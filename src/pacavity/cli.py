@@ -16,7 +16,6 @@ import numpy as np
 
 from . import io as pio
 from .core import (
-    BoundarySpec,
     BoundaryTrace,
     ConfigError,
     Grid2D,
@@ -120,7 +119,10 @@ def _synthesize(cfg: RunConfig, scored: bool = False):
     T = cfg.resolve_T(grid.dt)
     g = synthesize_data(f, bspec, T, grid.dt)
     if cfg.noise > 0:
-        g = add_noise(g, cfg.noise, cfg.seed)
+        try:
+            g = add_noise(g, cfg.noise, cfg.seed)
+        except ConfigError as exc:
+            raise ConfigError(f"key 'noise': {exc}") from None
     return f, T, g
 
 
@@ -136,47 +138,38 @@ def cmd_forward(cfg: RunConfig) -> int:
     return 0
 
 
-def _require_consistent(g: BoundaryTrace, cfg: RunConfig, bspec: BoundarySpec) -> None:
+def _require_consistent(g: BoundaryTrace, cfg: RunConfig) -> None:
     """Refuse to invert a trace under a configuration it was not recorded for,
     naming the first key at fault.  T is compared as a step count on the
     configured dt; the keys that only make the phantom and its noise (bumps,
     noise, seed) are not recorded in a trace and pass unchecked."""
-    grid = bspec.grid
+    grid = cfg.make_grid()
     for key, recorded, configured in (
             ("n", g.grid.n, grid.n),
             ("dt_factor", g.dt, grid.dt),
             ("T", g.n_steps * grid.dt, num_steps(cfg.resolve_T(grid.dt), grid.dt) * grid.dt),
-            ("gamma", g.bspec.gamma_mask, bspec.gamma_mask),
-            ("lambda", g.bspec.lam, bspec.lam)):
+            ("gamma", g.bspec.gamma_mask, cfg.make_bspec(grid).gamma_mask)):
         if not np.array_equal(recorded, configured):
             raise ConfigError(f"key {key!r}: the trace's value ({_brief(recorded)}) does "
                               f"not match the configured value ({_brief(configured)})")
 
 
 def _brief(value) -> str:
-    """A scalar as itself; a per-node array by its nonzero values."""
+    """A scalar as itself; a Gamma mask by its node count."""
     v = np.asarray(value)
     if v.ndim == 0:
         return repr(v.item())
-    on = v[v != 0]
-    nodes = f"on {on.size} of {v.size} nodes"
-    if v.dtype == bool or not on.size:
-        return nodes
-    lo, hi = on.min(), on.max()
-    return f"{lo:g} {nodes}" if lo == hi else f"{lo:g} to {hi:g} {nodes}"
+    return f"on {np.count_nonzero(v)} of {v.size} nodes"
 
 
 def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path,
                  reference: ScalarField | None = None) -> None:
-    """Write recon.csv and recon.pgm; with the phantom the trace was made from
-    as reference, also score the estimate in errors.csv and cross_section.csv."""
-    grid = cfg.make_grid()
-    bspec = cfg.make_bspec(grid)
-    _require_consistent(g, cfg, bspec)
-    c = ScalarField.constant(grid, 1.0)
+    """Invert the trace with the Gamma and lambda it records; write recon.csv
+    and recon.pgm.  With the phantom the trace was made from as reference,
+    also score the estimate in errors.csv and cross_section.csv."""
     T = g.n_steps * g.dt
-    rc = ReconConfig(T=T, iterations=cfg.iterations, c=c, bspec=bspec,
-                     subspace=cfg.subspace)
+    rc = ReconConfig(T=T, iterations=cfg.iterations, c=ScalarField.constant(g.grid, 1.0),
+                     bspec=g.bspec)
     report = neumann_iterate(g, rc, reference=reference)
     est = report.estimate.first
     pio.write_field(out / "recon.csv", est)
@@ -185,7 +178,7 @@ def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path,
     if reference is None:
         print(f"reconstruction ({ran}): wrote {out / 'recon.csv'} and {out / 'recon.pgm'}")
         return
-    _write_cross_section(out / "cross_section.csv", grid, reference, est)
+    _write_cross_section(out / "cross_section.csv", g.grid, reference, est)
     errs = report.per_iteration_errors
     lines = ["iteration,relative_l2_error"]
     lines += [f"{k},{repr(e)}" for k, e in enumerate(errs, start=1)]
@@ -195,7 +188,9 @@ def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path,
 
 
 def cmd_reconstruct(cfg: RunConfig, trace_path: str) -> int:
-    _reconstruct(cfg, pio.read_trace(trace_path), _outdir(cfg))
+    g = pio.read_trace(trace_path)
+    _require_consistent(g, cfg)
+    _reconstruct(cfg, g, _outdir(cfg))
     return 0
 
 

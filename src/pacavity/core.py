@@ -88,12 +88,14 @@ class Grid2D:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarField:
     """One scalar value per grid node; values[k, l] samples (x_k, y_l).
 
     values is always a C-ordered float array (a copy only when the given
-    array is not one), which the solvers' flat-view stencil relies on.
+    array is not one), which the solvers' flat-view stencil relies on.  The
+    fields cannot be reassigned, so that guarantee holds for the field's
+    life; the values themselves may be written in place.
     """
 
     grid: Grid2D
@@ -107,7 +109,7 @@ class ScalarField:
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
-        self.values = v
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def zeros(cls, grid: Grid2D) -> "ScalarField":
@@ -138,9 +140,10 @@ class ScalarField:
     __rmul__ = __mul__
 
 
-@dataclass
+@dataclass(frozen=True)
 class StatePair:
-    """Pressure/velocity pair (u0, u1); both components share one grid."""
+    """Pressure/velocity pair (u0, u1); both components share one grid, and
+    neither can be reassigned."""
 
     first: ScalarField
     second: ScalarField
@@ -280,7 +283,7 @@ class BoundarySpec:
         return cls.from_mask(grid, mask, lambda_value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryTrace:
     """Pressure samples at every boundary node for every time level, and the
     boundary spec they were measured on.
@@ -290,9 +293,10 @@ class BoundaryTrace:
     the fewest any solver takes.  The spec holds the grid, and with it dt, the
     measured set Gamma and lambda: a trace has none of its own, so the
     solvers that read it cannot step on another time step or absorb on
-    another boundary.  Nodes outside Gamma are zeroed on construction.  The
-    trace file stores dt, Gamma and lambda, so a reloaded trace carries all
-    three.
+    another boundary.  Nodes outside Gamma are zeroed on construction, and
+    neither field can be reassigned, so the samples always match the spec.
+    The trace file stores dt, Gamma and lambda, so a reloaded trace carries
+    all three.
     """
 
     bspec: BoundarySpec
@@ -315,7 +319,7 @@ class BoundaryTrace:
         if np.any(s, axis=0)[off].any():
             s = s.copy()
             s[:, off] = 0.0
-        self.samples = s
+        object.__setattr__(self, "samples", s)
 
     @property
     def grid(self) -> Grid2D:

@@ -148,7 +148,10 @@ def read_field(path) -> ScalarField:
         grid = Grid2D(n)
     except ConfigError as exc:
         raise ParseError(f"{path}: header 'n': {exc}") from None
-    return ScalarField(grid, data)
+    try:
+        return ScalarField(grid, data)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_field_pgm(path, f: ScalarField) -> None:
@@ -335,23 +338,16 @@ def _parse_bumps(key, text):
     return tuple(specs)
 
 
-def _parse_subspace(key, text):
-    if text.upper() not in ("H0", "H1"):
-        raise ConfigError(f"key '{key}': expected H0 or H1, got {text!r}")
-    return text.upper()
-
-
 def _parse_bool(key, text):
     if text.lower() not in _BOOL:
         raise ConfigError(f"key '{key}': expected true or false, got {text!r}")
     return _BOOL[text.lower()]
 
 
-def _key(default, parse, key=None):
-    """A RunConfig field set by the configuration key ``key`` (by default the
-    field's own name); parse(key, text) validates the text and names the key
-    on error."""
-    return field(default=default, metadata={"parse": parse, "key": key})
+def _key(default, parse):
+    """A RunConfig field, set by the configuration key of the same name;
+    parse(key, text) validates the text and names the key on error."""
+    return field(default=default, metadata={"parse": parse})
 
 
 @dataclass
@@ -363,12 +359,10 @@ class RunConfig:
                                          hi=1.0 / np.sqrt(2.0) + 1e-12))
     T: float = _key(5.0, partial(_parse_float, lo_strict=0.0))
     gamma: object = _key("full", _parse_gamma)  # "full" | "left_bottom" | node indices
-    lambda_value: float = _key(1.0, partial(_parse_float, lo_strict=0.0), key="lambda")
     bumps: tuple = _key(None, _parse_bumps)     # BumpSpec tuple; None gives PAPER_SIX
     noise: float = _key(0.0, partial(_parse_float, lo=0.0))
     seed: int = _key(0, partial(_parse_int, lo=0))
     iterations: int = _key(1, partial(_parse_int, lo=0))
-    subspace: str = _key("H1", _parse_subspace)
     out: str = _key("out", lambda key, text: text)
     snap_time: bool = _key(False, _parse_bool)
 
@@ -377,14 +371,14 @@ class RunConfig:
         return Grid2D(self.n, self.dt_factor * grid.dx)
 
     def make_bspec(self, grid: Grid2D) -> BoundarySpec:
-        """Gamma and lambda on the grid.  lambda is range-checked when
-        parsed, so an error from a node list is about that list."""
+        """Gamma on the grid, with lambda = 1 (the impedance match 1/c for the
+        unit sound speed) on all of it."""
         if self.gamma == "full":
-            return BoundarySpec.full(grid, self.lambda_value)
+            return BoundarySpec.full(grid)
         if self.gamma == "left_bottom":
-            return BoundarySpec.left_bottom(grid, self.lambda_value)
+            return BoundarySpec.left_bottom(grid)
         try:
-            return BoundarySpec.from_node_list(grid, self.gamma, self.lambda_value)
+            return BoundarySpec.from_node_list(grid, self.gamma)
         except ConfigError as exc:
             raise ConfigError(f"key 'gamma': {exc}") from None
 
@@ -395,17 +389,19 @@ class RunConfig:
     def resolve_T(self, dt: float) -> float:
         """Snap T to the time grid when snap_time is set, else require an
         exact multiple of dt."""
-        if self.snap_time:
-            return snap_duration(self.T, dt)
-        num_steps(self.T, dt)
+        try:
+            if self.snap_time:
+                return snap_duration(self.T, dt)
+            num_steps(self.T, dt)
+        except ConfigError as exc:
+            raise ConfigError(f"key 'T': {exc}") from None
         return self.T
 
 
 # Every configuration key: the RunConfig field it sets and that field's
 # parser.  The config file, the demo presets and the command-line flags all
 # go through this one table.
-CONFIG_KEYS = {f.metadata["key"] or f.name: (f.name, f.metadata["parse"])
-               for f in fields(RunConfig)}
+CONFIG_KEYS = {f.name: (f.name, f.metadata["parse"]) for f in fields(RunConfig)}
 
 
 def apply_config_entry(cfg: RunConfig, key: str, text: str) -> None:

@@ -83,16 +83,21 @@ def add_noise(g: BoundaryTrace, level: float, seed: int) -> BoundaryTrace:
 
     A seeded standard-normal draw per (time, Gamma-node) sample is rescaled
     globally so that ||noise|| / ||g|| equals ``level`` exactly, then added
-    on Gamma nodes only; nodes outside Gamma stay zero.
+    on Gamma nodes only; nodes outside Gamma stay zero.  A level so large
+    that ||g|| + ||noise|| overflows is refused.
     """
     if level < 0:
         raise ConfigError(f"noise level must be nonnegative, got {level!r}")
     if level == 0:
         return replace(g, samples=g.samples.copy())
-    signal = np.linalg.norm(g.samples)
+    signal = float(np.linalg.norm(g.samples))
     if signal == 0.0:
         raise ConfigError("cannot scale noise relative to an all-zero trace")
+    size = level * signal  # Python floats: an overflow is inf, with no warning
+    if not np.isfinite(signal + size):
+        raise ConfigError(f"noise level {level!r} is too large for a trace of norm "
+                          f"{signal:g}: the noisy samples would overflow")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(g.samples.shape) * g.bspec.gamma_mask[None, :]
-    noise *= level * signal / np.linalg.norm(noise)
+    noise *= size / np.linalg.norm(noise)
     return replace(g, samples=g.samples + noise)

@@ -53,9 +53,10 @@ from .core import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconConfig:
-    """Reconstruction parameters: measurement time, iteration count, subspace."""
+    """Reconstruction parameters: measurement time, iteration count, subspace.
+    They are checked once, on construction, and cannot be reassigned."""
 
     T: float
     iterations: int
@@ -75,7 +76,7 @@ class ReconConfig:
         sub = str(self.subspace).upper()
         if sub not in ("H0", "H1"):
             raise ConfigError(f"subspace must be 'H0' or 'H1', got {self.subspace!r}")
-        self.subspace = sub
+        object.__setattr__(self, "subspace", sub)
         if self.c.grid != self.bspec.grid:
             raise GridMismatchError("sound speed and boundary spec live on different grids")
 

@@ -1,11 +1,15 @@
 """Command-line surface: exit codes, files, determinism (small grids)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import pacavity as pv
 from pacavity import io as pio
 from pacavity.cli import main
+
+from helpers import graded
 
 
 def run(*argv):
@@ -56,7 +60,8 @@ class TestForwardCommand:
     def test_non_multiple_T_is_config_error(self, tmp_path, capsys):
         rc = run("forward", "--n", "33", "--T", "1.001", "--out", str(tmp_path))
         assert rc != 0
-        assert "multiple" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "key 'T'" in err and "multiple" in err
 
     @pytest.mark.parametrize("bumps", ["0,0,nan,1", "nan,0,0.3,1", "0,0,0.3,inf"])
     def test_non_finite_bump_is_config_error(self, tmp_path, capsys, bumps):
@@ -73,7 +78,20 @@ class TestForwardCommand:
         rc = run("forward", "--n", "33", "--T", "1e308", "--snap-time", snap,
                  "--out", str(tmp_path))
         assert rc == 2
-        assert "T/dt must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "key 'T'" in err and "T/dt must be finite" in err
+
+    def test_huge_noise_is_config_error(self, tmp_path, capsys):
+        # the scaled noise would overflow: refused before any sample is drawn,
+        # without a numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("forward", "--n", "33", "--T", "1", "--noise", "1e308",
+                     "--out", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "key 'noise'" in err and "too large" in err
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_snap_time_override(self, tmp_path):
         assert run("forward", "--n", "33", "--T", "1.001", "--snap-time", "true",
@@ -136,7 +154,7 @@ class TestReconstructCommand:
     @pytest.mark.parametrize("options, key", [
         (["--dt-factor", "0.4"], "dt_factor"),
         (["--gamma", "full"], "gamma"),
-        (["--gamma", "left_bottom", "--lambda", "2"], "lambda"),
+        (["--T", "1.2", "--snap-time", "true"], "T"),
         (["--gamma", "0,1,2"], "gamma"),
         (["--n", "65"], "n"),
         (["--T", "2.0"], "T"),
@@ -156,6 +174,35 @@ class TestReconstructCommand:
         assert f"'{key}'" in err and "does not match" in err
         assert run("reconstruct", str(out / "trace.csv"), "--n", "33", "--T", "1.0",
                    "--gamma", "left_bottom", "--out", str(out)) == 0
+
+    def test_per_node_lambda_trace_inverts_with_its_own_spec(self, tmp_path):
+        # no key states lambda: the trace's header does, one value per Gamma node
+        grid = pv.Grid2D(33)
+        T = 2.0
+        g = pv.synthesize_data(pv.paper_six_phantom(grid), graded(grid), T, grid.dt)
+        pio.write_trace(tmp_path / "trace.csv", g)
+        g = pio.read_trace(tmp_path / "trace.csv")
+        out = tmp_path / "o"
+        assert run("reconstruct", str(tmp_path / "trace.csv"), "--n", "33", "--T", "2",
+                   "--gamma", "left_bottom", "--iterations", "2", "--out", str(out)) == 0
+        cfg = pv.ReconConfig(T=T, iterations=2, c=pv.ScalarField.constant(grid, 1.0),
+                             bspec=g.bspec)
+        expected = pv.neumann_iterate(g, cfg).estimate.first
+        assert np.array_equal(pio.read_field(out / "recon.csv").values, expected.values)
+
+
+@pytest.mark.parametrize("command", [["phantom"], ["forward"], ["reconstruct", "t.csv"],
+                                     ["demo", "fig1-full"]],
+                         ids=["phantom", "forward", "reconstruct", "demo"])
+@pytest.mark.parametrize("option", [["--lambda", "1"], ["--subspace", "H1"]],
+                         ids=["lambda", "subspace"])
+def test_retired_options_are_refused(tmp_path, capsys, command, option):
+    # lambda comes from the trace and the iteration runs on H1: neither is an option
+    with pytest.raises(SystemExit) as info:
+        run(*command, "--n", "9", *option, "--out", str(tmp_path))
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class TestDemoCommand:

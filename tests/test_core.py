@@ -1,5 +1,7 @@
 """Grid geometry, energy functionals, boundary mean and projectors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,31 @@ class TestFields:
         other = pv.Grid2D(17)
         with pytest.raises(GridMismatchError):
             pv.StatePair(pv.ScalarField.zeros(grid), pv.ScalarField.zeros(other))
+
+    def test_field_values_cannot_be_reassigned(self, grid):
+        # a reassigned Fortran-ordered array would bypass the C-order copy of
+        # construction, and the flat-view stencil would read it in the wrong order
+        f = pv.ScalarField.zeros(grid)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.values = np.asfortranarray(np.ones((grid.n, grid.n)))
+        f.values[1, 2] = 3.0  # writing the values in place stays allowed
+        assert f.values[1, 2] == 3.0
+
+    def test_state_components_cannot_be_reassigned(self, grid):
+        s = pv.StatePair.zeros(grid)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.second = pv.ScalarField.zeros(pv.Grid2D(17))
+
+    def test_trace_fields_cannot_be_reassigned(self, grid):
+        # a left+bottom trace given the full spec would be inverted as if its
+        # unmeasured walls had read zero pressure
+        bs = pv.BoundarySpec.left_bottom(grid)
+        trace = pv.BoundaryTrace(bs, np.ones((3, 4 * grid.n - 4)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.bspec = pv.BoundarySpec.full(grid)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.samples = np.ones((3, 4 * grid.n - 4))
+        assert trace.bspec is bs and not trace.samples[:, ~bs.gamma_mask].any()
 
 
 class TestEnergy:

@@ -58,7 +58,8 @@ class TestFieldFiles:
         ("# pacavity field v1\n# n = 2.5\n1.0,2.0\n3.0,4.0\n", "header 'n' is not an integer"),
         ("# pacavity field v1\n# n = 4\n" + "1,2,3,4\n" * 3, "expected 4 data rows, got 3"),
         ("# pacavity field v1\n# n = 2\n1.0,2.0\n3.0,4.0\n", r"header 'n': .*>= 4, got 2"),
-    ], ids=["no_n", "non_integer_n", "row_count", "too_small_n"])
+        ("# pacavity field v1\n# n = 4\n" + "1,2,3,4\n" * 3 + "1,nan,3,4\n", "non-finite"),
+    ], ids=["no_n", "non_integer_n", "row_count", "too_small_n", "non_finite"])
     def test_bad_field_file_names_file(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -216,10 +217,8 @@ class TestConfig:
         assert cfg.dt_factor == 0.5
         assert cfg.T == 5.0
         assert cfg.gamma == "full"
-        assert cfg.lambda_value == 1.0
         assert cfg.noise == 0.0
         assert cfg.iterations == 1
-        assert cfg.subspace == "H1"
         assert cfg.snap_time is False
 
     def test_partial_preset(self, tmp_path):
@@ -238,8 +237,10 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         # 'phantom' is not a key: bumps sets the phantom, the six-bump one by default
-        # nor is 'taper': lambda is one value on all of Gamma
-        for key, value in (("gamm", "full"), ("phantom", "paper-six"), ("taper", "-1")):
+        # nor are 'taper', 'lambda' and 'subspace': a run inverts with lambda = 1
+        # on Gamma (a trace with its recorded lambda) and iterates on H1
+        for key, value in (("gamm", "full"), ("phantom", "paper-six"), ("taper", "-1"),
+                           ("lambda", "1"), ("subspace", "H1")):
             path.write_text(f"{key} = {value}\n")
             with pytest.raises(pv.ConfigError, match=f"unknown key '{key}'"):
                 pio.parse_config(path)
@@ -258,15 +259,20 @@ class TestConfig:
         assert (sorted(name for name, _ in pio.CONFIG_KEYS.values())
                 == sorted(fld.name for fld in dataclasses.fields(pio.RunConfig)))
 
+    def test_config_keys_in_order(self):
+        assert list(pio.CONFIG_KEYS) == ["n", "dt_factor", "T", "gamma", "bumps", "noise",
+                                         "seed", "iterations", "out", "snap_time"]
+        assert all(name == key for key, (name, _) in pio.CONFIG_KEYS.items())
+
     @pytest.mark.parametrize("entry, key", [("n = -5", "'n'"), ("seed = -1", "'seed'"),
                                             ("n = 4.5", "'n'"),
                                             ("T = inf", "'T'"),
                                             ("dt_factor = 0.8", "'dt_factor'"),
-                                            ("lambda = 0", "'lambda'"),
                                             ("bumps = 0.1,x,0.2,1.0", "'bumps'"),
-                                            ("subspace = H2", "'subspace'"),
                                             ("snap_time = maybe", "'snap_time'"),
-                                            # an unknown key now, still named in the error
+                                            # unknown keys now, still named in the error
+                                            ("lambda = 0", "'lambda'"),
+                                            ("subspace = H2", "'subspace'"),
                                             ("taper = -1", "'taper'"),
                                             ("n 65", "expected 'key = value'")])
     def test_out_of_range_n(self, tmp_path, entry, key):

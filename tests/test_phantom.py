@@ -1,5 +1,7 @@
 """Phantom rendering and measurement noise."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,15 @@ class TestAddNoise:
         z = pv.BoundaryTrace(pv.BoundarySpec.full(g), np.zeros((9, pv.boundary_count(g.n))))
         with pytest.raises(pv.ConfigError):
             pv.add_noise(z, 0.5, seed=0)
+
+    def test_overflowing_level_rejected(self, trace):
+        # the noisy samples would overflow to inf: refused with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pv.ConfigError, match="too large"):
+                pv.add_noise(trace, 1e308, seed=0)
+            big = pv.add_noise(trace, 1e300, seed=0)
+        assert np.all(np.isfinite(big.samples))
 
     def test_noise_is_white(self):
         # lag-1 autocorrelation of > 1e5 injected samples stays near zero

@@ -1,5 +1,7 @@
 """Reconstruction layer: one-shot estimate, fixed-point iteration, diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,15 @@ class TestConfigValidation:
     def test_non_integer_iterations(self, setup65, iterations):
         with pytest.raises(pv.ConfigError, match="must be an integer"):
             make_cfg(setup65, 1.0, iterations)
+
+    def test_fields_cannot_be_reassigned(self, setup65):
+        # the checks of construction hold for the configuration's life
+        cfg = make_cfg(setup65, 1.0, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.T = np.nan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.subspace = "H2"
+        assert cfg.T == 1.0 and cfg.subspace == "H1"
 
 
 class TestModeSpaceMeasurement:
