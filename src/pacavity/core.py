@@ -31,6 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 STEP_TOL = 1e-9  # num_steps accepts T / dt this close to an integer, relative
+MAX_STEPS = 100_000  # ceiling on T / dt: 78 times the presets' 1280 steps; the
+                     # trace at n = 257 is then 0.8 GB
 
 
 class GridMismatchError(ValueError):
@@ -407,12 +409,16 @@ def project_H1(s: StatePair) -> StatePair:
 
 
 def _step_ratio(T: float, dt: float) -> float:
-    """T / dt, for a positive T and dt whose ratio is finite."""
+    """T / dt, for a positive T and dt whose ratio is finite and rounds to
+    at most MAX_STEPS steps."""
     if T <= 0 or dt <= 0:
         raise ConfigError(f"T and dt must be positive, got T = {T!r}, dt = {dt!r}")
     x = T / dt
     if not np.isfinite(x):
         raise ConfigError(f"T/dt must be finite, got T = {T!r}, dt = {dt!r}")
+    if round(x) > MAX_STEPS:
+        raise ConfigError(f"T/dt = {x:.6g} is above the ceiling of {MAX_STEPS} time "
+                          f"steps, got T = {T!r}, dt = {dt!r}")
     return x
 
 

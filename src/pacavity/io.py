@@ -1,10 +1,12 @@
 """File formats and run configuration.
 
-Fields and traces are stored as plain-text CSV with 17 significant
-digits, written and parsed by numpy's C routines, so writing and
-re-reading reproduces every double bit-exactly.  Fields can additionally be written as 16-bit binary
-portable graymaps (PGM) for viewing; the affine value mapping is recorded
-in a comment so the image is deterministic but not meant to be re-read.
+Fields and traces are stored as plain-text CSV.  Each value is written
+as ``'%.16e' % v`` would write it, 17 significant digits in scientific
+notation, which reload bit for bit; ``csvtext.write_rows`` makes those
+bytes from whole row blocks, and numpy's C parser reads them back.
+Fields can additionally be written as 16-bit binary portable graymaps
+(PGM) for viewing; the affine value mapping is recorded in a comment so
+the image is deterministic but not meant to be re-read.
 
 Run configuration is a flat ``key = value`` text file with ``#`` comments.
 Each key is declared once, as a RunConfig field that carries its parser;
@@ -34,6 +36,7 @@ from .core import (
     num_steps,
     snap_duration,
 )
+from .csvtext import write_rows
 from .phantom import PAPER_SIX, BumpSpec, render_phantom
 
 
@@ -43,9 +46,6 @@ class ParseError(ValueError):
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-_CSV_FMT = "%.17g"  # 17 significant digits reproduce every double exactly
 
 
 def _read_csv(path, column_header: bool):
@@ -123,8 +123,9 @@ def _bad_row(path, first: int, width: int) -> ParseError:
 
 def write_field_csv(path, f: ScalarField) -> None:
     """Row-major CSV of raw values, full double precision."""
-    np.savetxt(path, f.values, fmt=_CSV_FMT, delimiter=",",
-               header=f"pacavity field v1\nn = {f.grid.n}", comments="# ")
+    with open(path, "wb") as fh:
+        fh.write(f"# pacavity field v1\n# n = {f.grid.n}\n".encode("ascii"))
+        write_rows(fh, f.values)
 
 
 def read_field(path) -> ScalarField:
@@ -201,9 +202,9 @@ def write_trace(path, g: BoundaryTrace) -> None:
                           else ",".join(str(b) for b in np.flatnonzero(bs.gamma_mask))),
             "lambda = " + ",".join(_fmt(v) for v in lam)]
     columns = ",".join(["t"] + [f"node_{b}" for b in range(nb)])
-    with open(path, "w") as fh:
-        fh.write("# " + "; ".join(meta) + "\n" + columns + "\n")
-        np.savetxt(fh, np.column_stack([g.times, g.samples]), fmt=_CSV_FMT, delimiter=",")
+    with open(path, "wb") as fh:
+        fh.write(("# " + "; ".join(meta) + "\n" + columns + "\n").encode("ascii"))
+        write_rows(fh, g.times[:, None], g.samples)
 
 
 def _trace_spec(path, meta: dict, n: int) -> BoundarySpec:
@@ -394,7 +395,7 @@ class RunConfig:
                 return snap_duration(self.T, dt)
             num_steps(self.T, dt)
         except ConfigError as exc:
-            raise ConfigError(f"key 'T': {exc}") from None
+            raise ConfigError(f"key 'T' (at dt_factor = {self.dt_factor!r}): {exc}") from None
         return self.T
 
 

@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, files, determinism (small grids)."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import pacavity as pv
+from pacavity import cli
 from pacavity import io as pio
 from pacavity.cli import main
 
@@ -80,6 +82,29 @@ class TestForwardCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "key 'T'" in err and "T/dt must be finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--dt-factor", "1e-300"],
+        ["--dt-factor", "1e-12", "--snap-time", "true"],
+    ], ids=["dt_factor_1e-300", "dt_factor_1e-12_snapped"])
+    def test_step_count_above_ceiling_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        # refused before any trace is synthesized or its memory taken
+        def synthesize_data(*args):
+            raise AssertionError("synthesize_data was called")
+
+        monkeypatch.setattr(cli, "synthesize_data", synthesize_data)
+        tracemalloc.start()
+        try:
+            rc = run("forward", "--n", "33", "--T", "1", *argv, "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "key 'T'" in err and "dt_factor" in err and "ceiling" in err
+        assert peak < 1 << 20
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_huge_noise_is_config_error(self, tmp_path, capsys):
         # the scaled noise would overflow: refused before any sample is drawn,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pacavity as pv
-from pacavity.core import GridMismatchError
+from pacavity.core import MAX_STEPS, GridMismatchError
 
 from helpers import eigenfield, full_norm, smooth_random_state
 
@@ -265,6 +265,13 @@ class TestTimeGrid:
         for count in (pv.num_steps, pv.snap_duration):
             with pytest.raises(pv.ConfigError, match="T/dt must be finite"):
                 count(T, dt)
+
+    def test_step_count_ceiling(self):
+        dt = 1.0 / 256
+        for count in (pv.num_steps, pv.snap_duration):
+            count(MAX_STEPS * dt, dt)
+            with pytest.raises(pv.ConfigError, match=f"ceiling of {MAX_STEPS} time steps"):
+                count((MAX_STEPS + 1) * dt, dt)
 
     def test_snap(self):
         dt = 1.0 / 256

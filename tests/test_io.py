@@ -1,12 +1,15 @@
 """File formats: exact CSV round trips, graymaps, configuration parsing."""
 
 import dataclasses
+import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pacavity as pv
+from pacavity import csvtext
 from pacavity import io as pio
 
 from helpers import graded, smooth_random_field
@@ -206,6 +209,83 @@ class TestTraceFiles:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(pio.ParseError, match=r":3"):
             pio.read_trace(path)
+
+
+def _expected_csv(rows) -> bytes:
+    return b"".join(b",".join(b"%.16e" % v for v in row) + b"\n" for row in rows)
+
+
+class TestExactWriter:
+    """The CSV writer's bytes are '%.16e' of every value, which reloads bit
+    for bit."""
+
+    @staticmethod
+    def sample():
+        rng = np.random.default_rng(16)
+        bits = rng.integers(0, 2 ** 64, 1 << 16, dtype=np.uint64).view(np.float64)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        tiny, huge = np.finfo(float).smallest_normal, np.finfo(float).max
+        special = np.concatenate([
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+            rng.integers(1, 2 ** 52, 512, dtype=np.uint64).view(np.float64),  # subnormals
+            [0.0, 5e-324, tiny, np.nextafter(tiny, 0), huge, np.nextafter(huge, 0),
+             1000000000000000.25, 3 * 2.0 ** -24],  # the last two are rounding ties
+        ])
+        values = np.concatenate([bits[np.isfinite(bits)], special])
+        return np.concatenate([values, -values])
+
+    @pytest.mark.parametrize("cols", [1024, 7, 1])
+    def test_bytes_equal_percent_16e(self, cols):
+        # 1024 columns make blocks of 32 rows, so several blocks are written
+        values = self.sample()
+        rows = values[:values.size - values.size % cols].reshape(-1, cols)
+        buf = io.BytesIO()
+        csvtext.write_rows(buf, rows)
+        assert buf.getvalue() == _expected_csv(rows)
+
+    @pytest.mark.parametrize("gamma", ["full", "left_bottom"])
+    def test_trace_round_trip_bit_identical(self, tmp_path, gamma):
+        g = pv.Grid2D(33)
+        bs = getattr(pv.BoundarySpec, gamma)(g)
+        rng = np.random.default_rng(5)
+        trace = pv.BoundaryTrace(bs, rng.standard_normal((200, 128))
+                                 * 10.0 ** rng.integers(-30, 30, (200, 128)))
+        if gamma == "left_bottom":
+            assert not trace.samples[:, ~bs.gamma_mask].any()  # zero columns
+        path = tmp_path / "trace.csv"
+        pio.write_trace(path, trace)
+        back = pio.read_trace(path)
+        assert back.samples.tobytes() == trace.samples.tobytes()
+        assert back.bspec == bs
+
+    def test_trace_written_by_savetxt_reads_bit_identically(self, tmp_path):
+        # traces written by earlier versions: np.savetxt with '%.17g'
+        g = pv.Grid2D(17)
+        trace = pv.synthesize_data(smooth_random_field(g, np.random.default_rng(6)),
+                                   pv.BoundarySpec.left_bottom(g), 1.0, g.dt)
+        path = tmp_path / "trace.csv"
+        gamma = ",".join(str(b) for b in np.flatnonzero(trace.bspec.gamma_mask))
+        with open(path, "w") as fh:
+            fh.write(f"# pacavity trace v2; dt = {g.dt!r}; gamma = {gamma}; lambda = 1.0\n"
+                     "t," + ",".join(f"node_{b}" for b in range(64)) + "\n")
+            np.savetxt(fh, np.column_stack([trace.times, trace.samples]), fmt="%.17g",
+                       delimiter=",")
+        back = pio.read_trace(path)
+        assert back.samples.tobytes() == trace.samples.tobytes()
+        assert back.bspec == trace.bspec
+
+    def test_memory_below_the_samples(self, tmp_path):
+        # the n = 257, T = 5 trace: 1281 levels of 1024 nodes, 10.5 MB of samples
+        g = pv.Grid2D(257)
+        samples = np.random.default_rng(7).standard_normal((1281, 1024))
+        trace = pv.BoundaryTrace(pv.BoundarySpec.full(g), samples)
+        tracemalloc.start()
+        try:
+            pio.write_trace(tmp_path / "trace.csv", trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples.nbytes
 
 
 class TestConfig:
