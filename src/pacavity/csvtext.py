@@ -1,14 +1,18 @@
-"""Exact decimal CSV text for float64 rows, made with numpy array operations.
+"""Exact decimal CSV text for float64 rows, written and read with numpy
+array operations.
 
 Every value is written as ``'%.16e' % v`` would write it: 17 significant
-digits, which reload bit for bit.  Rows are formatted a block at a time,
-so the memory taken does not grow with the number of rows.
+digits, which reload bit for bit.  ``read_rows`` parses that grammar back,
+correctly rounded, and returns None for any other text, which the caller
+then reads with a general parser.  Both directions work a block at a time,
+so the memory taken beyond the rows themselves does not grow with their
+number.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -18,6 +22,9 @@ _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |x| in this range takes the fast path
 _TIE_TOL = 1e-9  # far above the 2**-47 error of the double-double product
 _P16 = 10 ** 16
 _BLOCK_VALUES = 1 << 15  # values formatted per block; bounds the memory
+_E_MIN, _E_MAX = _K_MIN + 16, 280  # exponents E whose d * 10**(E - 16) the reader forms
+_READ_CHUNK = 1 << 20  # text bytes read per chunk; bounds the memory
+_READ_BLOCK = 1 << 13  # values parsed per block
 
 
 def _word(text: bytes) -> int:
@@ -66,13 +73,14 @@ def _format_tables():
     return pow10, digits, exps
 
 
-def _scaled(a, E, pow10):
-    """a * 10**(16 - E) as a normalized double-double (y, r): Dekker's
-    TwoProduct with the table's hi, plus a times its lo."""
-    hi, lo, hh, hl = (t[16 - E - _K_MIN] for t in pow10)
+def _scaled(a, k, pow10, a_lo=0.0):
+    """(a + a_lo) * 10**k as a normalized double-double (y, r): Dekker's
+    TwoProduct of a with the table's hi, plus a times its lo and a_lo
+    (|a_lo| <= ulp(a) / 2) times its hi."""
+    hi, lo, hh, hl = (t[k - _K_MIN] for t in pow10)
     p = a * hi
     ah, al = _split(a)
-    r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+    r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + (a * lo + a_lo * hi)
     y = p + r
     return y, r - (y - p)
 
@@ -99,13 +107,13 @@ def _csv_bytes(block: np.ndarray) -> np.ndarray:
     zero = a == 0
     a[~fast] = 1.0
     E = np.floor(np.log10(a)).astype(np.int64)
-    y, r = _scaled(a, E, pow10)
+    y, r = _scaled(a, 16 - E, pow10)
     low = (y < 1e16) | ((y == 1e16) & (r < 0))
     high = (y > 1e17) | ((y == 1e17) & (r >= 0))
     fix = np.flatnonzero(low | high)
     if fix.size:  # log10 is off by one next to a power of ten
         E[fix] += np.where(high[fix], 1, -1)
-        y[fix], r[fix] = _scaled(a[fix], E[fix], pow10)
+        y[fix], r[fix] = _scaled(a[fix], 16 - E[fix], pow10)
     rr = np.rint(r)
     d = y.astype(np.int64) + rr.astype(np.int64)  # y >= 1e16 > 2**53 is an integer
     fast &= np.abs(r - rr) < 0.5 - _TIE_TOL
@@ -143,3 +151,134 @@ def write_rows(fh, *columns: np.ndarray) -> None:
     step = max(1, _BLOCK_VALUES // width)
     for i in range(0, columns[0].shape[0], step):
         fh.write(_csv_bytes(np.hstack([c[i:i + step] for c in columns])))
+
+
+# SWAR (SIMD within a register) constants for 8 ASCII digits in a uint64,
+# the first digit in the low byte.  They are numpy scalars, so the arithmetic
+# stays in uint64 whatever numpy's rules for mixing in Python ints.
+_U64 = np.uint64
+_ZEROS, _SIXES = _U64(0x3030303030303030), _U64(0x4646464646464646)
+_HIGH = _U64(0x8080808080808080)
+_PAIRS = _U64(0x000000FF000000FF)
+_MUL1, _MUL2 = _U64(100 + (1000000 << 32)), _U64(1 + (10000 << 32))
+_TEN, _SHIFT8, _SHIFT16, _SHIFT32 = _U64(10), _U64(8), _U64(16), _U64(32)
+_E8, _E16 = _U64(10 ** 8), _U64(10 ** 16)
+_EXPONENT_BITS = _U64(0x7FF0000000000000)  # of a float64
+_PAD = bytes(8)  # room for a token's record to run past either end of the text
+
+
+def _eight_digits(words):
+    """The values of uint64 words of 8 ASCII digits (Lemire 2021)."""
+    v = words - _ZEROS
+    v = v * _TEN + (v >> _SHIFT8)
+    return ((v & _PAIRS) * _MUL1 + ((v >> _SHIFT16) & _PAIRS) * _MUL2) >> _SHIFT32
+
+
+def _parse_block(text, start, end, out) -> bool:
+    """Parse the tokens text[start:end] into ``out``, correctly rounded;
+    False, with ``out`` unspecified, when one is not '%.16e' text.
+
+    Each token is gathered as a record of four little-endian uint64 words:
+    six bytes before its leading digit, that digit and '.'; digits 2-9;
+    digits 10-17; 'e', the exponent's sign, its 2 or 3 digits and what
+    follows.  The 17 digits d give the value d * 10**(E - 16),
+    a double-double product against the format tables.  Python's ``float``
+    reads a token with E outside [_E_MIN, _E_MAX], where the product could
+    leave the normal range, and one whose product lies within _TIE_TOL of a
+    rounding midpoint; the gap below a power of two is half the gap above
+    it, so the midpoint is taken on the residual's side.
+    """
+    raw = np.frombuffer(text, np.uint8)
+    neg = raw[start] == ord("-")
+    q = start + neg
+    long_exp = end - q == 23
+    if not (long_exp | (end - q == 22)).all():
+        return False
+    records = np.ndarray((raw.size - 31,), "V32", text, 0, (1,))
+    words = records[q - 6].view("<u8").reshape(-1, 4)
+    b = words.view(np.uint8)
+    digits = np.ascontiguousarray(words[:, 1:3].T)  # digits 2-9 and 10-17
+    lead = b[:, 6] - np.uint8(ord("0"))
+    x = [b[:, i] - np.uint8(ord("0")) for i in (26, 27, 28)]
+    minus = b[:, 25] == ord("-")
+    ok = ((lead <= 9) & (b[:, 7] == ord("."))
+          & (b[:, 24] == ord("e")) & (minus | (b[:, 25] == ord("+")))
+          & (x[0] <= 9) & (x[1] <= 9) & ((x[2] <= 9) | ~long_exp))
+    if not ok.all() or np.bitwise_or.reduce((digits + _SIXES) | (digits - _ZEROS), None) & _HIGH:
+        return False
+    x = [c.astype(np.int64) for c in x]
+    E = x[0] * 10 + x[1]
+    E = np.where(long_exp, E * 10 + x[2], E)
+    E = np.where(minus, -E, E)
+    v = _eight_digits(digits)
+    d = (lead.astype(np.uint64) * _E16 + v[0] * _E8 + v[1]).astype(np.int64)
+    a = d.astype(np.float64)
+    a_lo = (d - a.astype(np.int64)).astype(np.float64)  # d < 10**17: exact
+    fast = (E >= _E_MIN) & (E <= _E_MAX)
+    y, r = _scaled(a, np.where(fast, E - 16, 0), _format_tables()[0], a_lo)
+    # 2**floor(log2 y) from y's exponent bits; y's gap above is that / 2**52
+    scale = (y.view(np.uint64) & _EXPONENT_BITS).view(np.float64)
+    limit = scale * ((0.5 - _TIE_TOL) * 2.0 ** -52)
+    limit[(r < 0) & (y == scale)] *= 0.5
+    fast &= (np.abs(r) < limit) | (d == 0)
+    out[:] = np.where(neg, -y, y)
+    for i in np.flatnonzero(~fast):
+        out[i] = float(text[start[i]:end[i]])
+    return True
+
+
+def _parse_rows(text, cut: int, width: int, out):
+    """Parse the rows text[len(_PAD):cut] into the flat array ``out``; the
+    number of values, or None when they are not rows of ``width`` '%.16e'
+    values."""
+    head = np.frombuffer(text, np.uint8, cut)
+    sep = head == ord(",")
+    sep |= head == ord("\n")
+    end = np.flatnonzero(sep)
+    newline = head[end] == ord("\n")
+    count = end.size
+    if count != newline.sum() * width or not newline[width - 1::width].all():
+        return None
+    start = np.empty_like(end)
+    start[0] = len(_PAD)
+    start[1:] = end[:-1] + 1
+    for i in range(0, count, _READ_BLOCK):
+        block = slice(i, min(i + _READ_BLOCK, count))
+        if not _parse_block(text, start[block], end[block], out[block]):
+            return None
+    return count
+
+
+def read_rows(fh):
+    """Read the rest of the binary file ``fh`` as CSV rows of ``'%.16e'``
+    values, as ``write_rows`` writes them, into a 2-D float64 array: every
+    value is the double nearest its decimal text, so the values written come
+    back bit for bit.
+
+    Returns None for text outside that grammar: no rows, other number
+    syntax, comments, blank lines, CRLF line endings or ragged rows.  The
+    rows are counted first, so the array is filled in place, a chunk of text
+    and a block of values at a time.
+    """
+    origin = fh.tell()
+    width = fh.readline().count(b",") + 1
+    fh.seek(origin)
+    chunks = partial(fh.read, _READ_CHUNK)
+    rows = sum(chunk.count(b"\n") for chunk in iter(chunks, b""))
+    if not rows:
+        return None
+    fh.seek(origin)
+    out = np.empty((rows, width))
+    flat = out.reshape(-1)
+    done, pending = 0, b""
+    for chunk in iter(chunks, b""):
+        text = b"".join((_PAD, pending, chunk, _PAD))
+        del chunk  # one copy of the text at a time
+        cut = text.rfind(b"\n") + 1
+        pending = text[cut:-len(_PAD)]
+        if cut:
+            count = _parse_rows(text, cut, width, flat[done:])
+            if count is None:
+                return None
+            done += count
+    return None if pending else out

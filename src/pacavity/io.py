@@ -3,7 +3,8 @@
 Fields and traces are stored as plain-text CSV.  Each value is written
 as ``'%.16e' % v`` would write it, 17 significant digits in scientific
 notation, which reload bit for bit; ``csvtext.write_rows`` makes those
-bytes from whole row blocks, and numpy's C parser reads them back.
+bytes from whole row blocks, and ``csvtext.read_rows`` parses them back,
+correctly rounded.  Data in any other syntax are read by numpy's C parser.
 Fields can additionally be written as 16-bit binary portable graymaps
 (PGM) for viewing; the affine value mapping is recorded in a comment so
 the image is deterministic but not meant to be re-read.
@@ -36,7 +37,7 @@ from .core import (
     num_steps,
     snap_duration,
 )
-from .csvtext import write_rows
+from .csvtext import read_rows, write_rows
 from .phantom import PAPER_SIX, BumpSpec, render_phantom
 
 
@@ -53,9 +54,12 @@ def _read_csv(path, column_header: bool):
     line, separated by ';') above the data.
 
     Returns the header keys, the column-header row split on commas (None
-    when ``column_header`` is false) and the data as a 2-D array.  The data
-    go through numpy's C parser; when it rejects them, the file is scanned
-    again to name the offending line.
+    when ``column_header`` is false) and the data as a 2-D array.  Data as
+    ``csvtext.write_rows`` writes them are parsed by ``csvtext.read_rows``;
+    anything else (comments or blank lines among the rows, CRLF endings,
+    other number syntax, ragged rows) goes through numpy's C parser from the
+    same line, and when that rejects them, the file is scanned again to
+    name the offending line.
     """
     path = Path(path)
     meta, columns, lineno = {}, None, 0
@@ -82,12 +86,18 @@ def _read_csv(path, column_header: bool):
                 lineno -= 1
             break
         first = lineno + 1
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # header only, no data
-                data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
-        except ValueError:
-            data = None
+        with open(path, "rb") as raw:
+            # a '\r' would end a line in text mode only, so the two would
+            # disagree on where the data start
+            header = [raw.readline() for _ in range(lineno)]
+            data = None if any(b"\r" in line for line in header) else read_rows(raw)
+        if data is None:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # header only, no data
+                    data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+            except ValueError:
+                data = None
     return meta, columns, data, first
 
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import io
+import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -215,9 +217,32 @@ def _expected_csv(rows) -> bytes:
     return b"".join(b",".join(b"%.16e" % v for v in row) + b"\n" for row in rows)
 
 
+def _token(digits: int, exponent: int) -> str:
+    """The '%.16e' token of digits * 10**(exponent - 16), digits < 10**17."""
+    text = f"{digits:017d}"
+    return f"{text[0]}.{text[1:]}e{exponent:+03d}"
+
+
+def _tokens_around(value: Fraction, spread: int = 2) -> list[str]:
+    """The 17-digit tokens nearest a positive value, and `spread` more on
+    each side."""
+    exponent = math.floor(math.log10(value))
+    digits = math.floor(value / Fraction(10) ** (exponent - 16))
+    if digits >= 10 ** 17:  # log10 rounded up across a power of ten
+        exponent += 1
+        digits = math.floor(value / Fraction(10) ** (exponent - 16))
+    return [_token(d, exponent) for d in range(digits - spread, digits + spread + 2)
+            if 0 < d < 10 ** 17]
+
+
+def _read_tokens(tokens) -> np.ndarray:
+    return csvtext.read_rows(io.BytesIO((",".join(tokens) + "\n").encode()))
+
+
+@pytest.mark.filterwarnings("error")
 class TestExactWriter:
     """The CSV writer's bytes are '%.16e' of every value, which reloads bit
-    for bit."""
+    for bit, and the reader parses them back exactly; warnings are errors."""
 
     @staticmethod
     def sample():
@@ -242,6 +267,73 @@ class TestExactWriter:
         buf = io.BytesIO()
         csvtext.write_rows(buf, rows)
         assert buf.getvalue() == _expected_csv(rows)
+
+    @pytest.mark.parametrize("cols", [1024, 7, 1])
+    def test_read_rows_bit_for_bit(self, cols):
+        values = self.sample()
+        rows = values[:values.size - values.size % cols].reshape(-1, cols)
+        buf = io.BytesIO()
+        csvtext.write_rows(buf, rows)
+        buf.seek(0)
+        back = csvtext.read_rows(buf)
+        assert back.shape == rows.shape and back.tobytes() == rows.tobytes()
+
+    def test_sample_field_and_trace_read_back_bit_for_bit(self, tmp_path):
+        values = self.sample()
+        n = math.isqrt(values.size)
+        field = pv.ScalarField(pv.Grid2D(n), values[:n * n].reshape(n, n))
+        pio.write_field(tmp_path / "field.csv", field)
+        assert pio.read_field(tmp_path / "field.csv").values.tobytes() == field.values.tobytes()
+        # 1024 node columns: n = 257
+        samples = values[:values.size - values.size % 1024].reshape(-1, 1024)
+        trace = pv.BoundaryTrace(pv.BoundarySpec.full(pv.Grid2D(257)), samples)
+        pio.write_trace(tmp_path / "trace.csv", trace)
+        assert pio.read_trace(tmp_path / "trace.csv").samples.tobytes() == samples.tobytes()
+
+    def test_grammar_edges_read_as_python_float(self):
+        rng = np.random.default_rng(17)
+        random17 = [int(d) for d in rng.integers(10 ** 16, 10 ** 17, 6)]
+        tokens = [_token(d, e) for d in [10 ** 16, 10 ** 17 - 1, *random17]
+                  # the fast range's ends, 3-digit exponents, subnormals, overflow
+                  for e in (-255, -254, -200, -100, -99, 99, 100, 280, 281, 308, -320, 400)]
+        for k in (-840, -300, -53, -1, 0, 1, 52, 53, 54, 200, 900):
+            # next to 2**k from below: the midpoints on either side of the
+            # double just below 2**k
+            below = Fraction(2) ** k
+            for m in (below * (1 - Fraction(1, 2 ** 54)), below * (1 - Fraction(3, 2 ** 54))):
+                tokens += _tokens_around(m)
+        # exact ties between two doubles, which round to even
+        tokens += ["9.0071992547409930e+15", "9.0071992547409950e+15", "1.8014398509481983e+16",
+                   "7.2057594037927936e+39",
+                   "0.0000000000000000e+00", "0.0000000000000001e-254", "0.5000000000000000e+00"]
+        tokens += ["-" + t for t in tokens]
+        back = _read_tokens(tokens)
+        expected = np.array([[float(t) for t in tokens]])
+        assert back.tobytes() == expected.tobytes()
+
+    def test_rounding_ties_go_to_python_float(self, monkeypatch):
+        # an exact tie between two doubles, and the tie below 2**54, where the
+        # gap is half the gap above, are read by float; their neighbours are not
+        seen = []
+        monkeypatch.setattr(csvtext, "float", lambda t: seen.append(t) or float(t),
+                            raising=False)
+        ties = ["9.0071992547409930e+15", "1.8014398509481983e+16"]
+        back = _read_tokens(ties + ["9.0071992547409940e+15", "1.8014398509481984e+16"])
+        assert back.tolist() == [[2.0 ** 53, 2.0 ** 54, 2.0 ** 53 + 2, 2.0 ** 54]]
+        assert seen == [t.encode() for t in ties]
+
+    @pytest.mark.parametrize("text", [
+        b"", b"\n", b"1.0\n", b"nan\n", b"+1.0000000000000000e+00\n", b" 1.0000000000000000e+00\n",
+        b"1.0000000000000000E+00\n", b"1.0000000000000000e+00\r\n", b"1.0000000000000000e+00",
+        b"1.0000000000000000e+00,1.0000000000000000e+00\n1.0000000000000000e+00\n",
+        b"1.0000000000000000e+00\n# comment\n", b"1.0000000000000000e+00\n\n",
+        b"1.0000000000000000e+0\n", b"1.0000000000000000e+0000\n", b"1.000000000000000e+00\n",
+        b"1.00000000000000000e+00\n", b"1,0000000000000000e+00\n", b"1.0000000000000000e*00\n",
+        b"1.000000000000000/e+00\n", b"1.00000000:0000000e+00\n", b"1.0000000000000000e+0:\n",
+        b"--1.0000000000000000e+00\n", b"\xff" * 23 + b"\n", b"1.0000000000000000e+00;2\n",
+    ], ids=lambda text: repr(text)[2:-1][:40])
+    def test_read_rows_refuses_other_text(self, text):
+        assert csvtext.read_rows(io.BytesIO(text)) is None
 
     @pytest.mark.parametrize("gamma", ["full", "left_bottom"])
     def test_trace_round_trip_bit_identical(self, tmp_path, gamma):
@@ -286,6 +378,62 @@ class TestExactWriter:
         finally:
             tracemalloc.stop()
         assert peak < samples.nbytes
+
+    def test_read_memory_near_the_samples(self, tmp_path):
+        # the same trace, read back: the array is sized before it is filled
+        g = pv.Grid2D(257)
+        samples = np.random.default_rng(7).standard_normal((1281, 1024))
+        pio.write_trace(tmp_path / "trace.csv", pv.BoundaryTrace(pv.BoundarySpec.full(g), samples))
+        tracemalloc.start()
+        try:
+            back = pio.read_trace(tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.samples.tobytes() == samples.tobytes()
+        assert peak < 1.5 * samples.nbytes
+
+
+@pytest.mark.filterwarnings("error")
+class TestGeneralParserFallback:
+    """Data outside the writer's grammar are read by numpy's parser from the
+    first data line, with the same values and the same errors."""
+
+    @staticmethod
+    def written_trace(tmp_path):
+        g = pv.Grid2D(9)
+        samples = np.random.default_rng(8).standard_normal((5, 32))
+        trace = pv.BoundaryTrace(pv.BoundarySpec.full(g), samples)
+        path = tmp_path / "trace.csv"
+        pio.write_trace(path, trace)
+        return path, trace
+
+    @pytest.mark.parametrize("edit", ["crlf", "comment", "blank", "plus"])
+    def test_trace_outside_the_grammar_reads_the_same(self, tmp_path, edit):
+        path, trace = self.written_trace(tmp_path)
+        lines = path.read_bytes().split(b"\n")  # header, columns, 5 rows, b""
+        if edit == "plus":
+            lines[2] = b"+" + lines[2]  # the time column's 0
+        elif edit != "crlf":
+            lines.insert(4, b"# a note" if edit == "comment" else b"")
+        path.write_bytes((b"\r\n" if edit == "crlf" else b"\n").join(lines))
+        data = path.read_bytes().split(b"\n", 2)[2]
+        assert csvtext.read_rows(io.BytesIO(data)) is None
+        back = pio.read_trace(path)
+        assert back.samples.tobytes() == trace.samples.tobytes()
+        assert back.bspec == trace.bspec
+
+    def test_field_with_nan_token_is_refused(self, tmp_path):
+        f = smooth_random_field(pv.Grid2D(9), np.random.default_rng(9))
+        path = tmp_path / "field.csv"
+        pio.write_field(path, f)
+        text = path.read_bytes()
+        token = b"%.16e" % f.values[4, 4]
+        assert text.count(token) == 1
+        path.write_bytes(text.replace(token, b"nan"))
+        with pytest.raises(pio.ParseError, match="non-finite") as info:
+            pio.read_field(path)
+        assert str(info.value).startswith(f"{path}:")
 
 
 class TestConfig:
