@@ -218,6 +218,8 @@ class BoundarySpec:
     immutable: its fields cannot be reassigned, and lam (a copy of the
     given array) and gamma_mask are read-only, so gamma_mask always
     matches lam.  Two specs are equal when their grids and lambdas are.
+    The named constructors put lambda = 1 on their Gamma; any other
+    per-node lambda is given as lam itself.
     """
 
     grid: Grid2D
@@ -247,31 +249,23 @@ class BoundarySpec:
         return self.grid == other.grid and np.array_equal(self.lam, other.lam)
 
     @classmethod
-    def full(cls, grid: Grid2D, lambda_value: float = 1.0) -> "BoundarySpec":
-        """Measurements on all four sides."""
-        return cls(grid, np.full(boundary_count(grid.n), float(lambda_value)))
+    def full(cls, grid: Grid2D) -> "BoundarySpec":
+        """Measurements on all four sides, lambda = 1 on every node."""
+        return cls(grid, np.ones(boundary_count(grid.n)))
 
     @classmethod
-    def left_bottom(cls, grid: Grid2D, lambda_value: float = 1.0) -> "BoundarySpec":
-        """Measurements on the left and bottom sides only.
+    def left_bottom(cls, grid: Grid2D) -> "BoundarySpec":
+        """Measurements on the left and bottom sides only, lambda = 1 there.
 
         The corner (-1,-1) and the side endpoints (1,-1) and (-1,1) belong
         to Gamma; the opposite corner (1,1) does not.
         """
         ks, ls = boundary_indices(grid.n)
-        return cls.from_mask(grid, (ls == 0) | (ks == 0), lambda_value)
+        return cls(grid, ((ls == 0) | (ks == 0)).astype(float))
 
     @classmethod
-    def from_mask(cls, grid: Grid2D, mask: np.ndarray,
-                  lambda_value: float = 1.0) -> "BoundarySpec":
-        """Gamma from an arbitrary boundary mask, with one lambda on all of it."""
-        if lambda_value <= 0:
-            raise ConfigError("lambda_value must be positive")
-        return cls(grid, np.where(np.asarray(mask, dtype=bool), float(lambda_value), 0.0))
-
-    @classmethod
-    def from_node_list(cls, grid: Grid2D, nodes, lambda_value: float = 1.0) -> "BoundarySpec":
-        """Gamma given as explicit canonical boundary indices."""
+    def from_node_list(cls, grid: Grid2D, nodes) -> "BoundarySpec":
+        """Gamma given as explicit canonical boundary indices, lambda = 1 there."""
         nb = boundary_count(grid.n)
         idx = np.asarray(list(nodes))
         if idx.size == 0:
@@ -280,9 +274,9 @@ class BoundarySpec:
             raise ConfigError(f"Gamma node indices must be integers, got {idx.tolist()!r}")
         if idx.min() < 0 or idx.max() >= nb:
             raise ConfigError(f"Gamma node indices must lie in [0, {nb - 1}]")
-        mask = np.zeros(nb, dtype=bool)
-        mask[idx] = True
-        return cls.from_mask(grid, mask, lambda_value)
+        lam = np.zeros(nb)
+        lam[idx] = 1.0
+        return cls(grid, lam)
 
 
 @dataclass(frozen=True)
@@ -404,8 +398,7 @@ def project_H0(s: StatePair) -> StatePair:
 
 def project_H1(s: StatePair) -> StatePair:
     """Remove the boundary mean of the first component and zero the second."""
-    m = boundary_mean(s.first)
-    return StatePair(ScalarField(s.grid, s.first.values - m), ScalarField.zeros(s.grid))
+    return StatePair(project_H0(s).first, ScalarField.zeros(s.grid))
 
 
 def _step_ratio(T: float, dt: float) -> float:

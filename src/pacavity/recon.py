@@ -2,10 +2,9 @@
 
 The time-reversal operator A maps a trace g to the state (v(.,0), v_t(.,0))
 of the backward absorbing solve; the measurement operator L maps an initial
-state to its boundary trace.  With P the projector onto the working
-subspace (boundary-mean-free first component; the pair subspace H1
-additionally has zero second component), the reconstruction is the Neumann
-series for the fixed point of
+state to its boundary trace.  With P = project_H1, the projector onto H1
+(boundary-mean-free first component, zero second component), the
+reconstruction is the Neumann series for the fixed point of
 
     u = (I - P A L) u + P A g,
 
@@ -17,17 +16,19 @@ the iteration geometrically convergent; estimate_contraction measures the
 realized factor for a given configuration.
 
 L is the finite-difference scheme of fdtd, so the operator pair (L, A) is
-self-consistent.  When c is constant and the iterates live in H1 (zero
-velocity), P A L u is applied without forming the trace L u: for data that
-are the forward solve's own trace, the error e = u - v of the backward solve
-obeys the absorbing scheme with zero data, so A L u = u(0) - e(0) in its
-first component.  One call, fdtd.reversal_error, takes the forward solve's
-last two levels from the scheme's own cosine eigenbasis and marches e back
-to t = 0; the result equals dissipative_reverse_solve(forward_solve(u).trace)
-to rounding.  Otherwise P A L u is that composition of the leapfrog march
-and the data-driven backward solve.  The data still come from the
-continuous lam_kl series (spectral.synthesize_data), so no inversion uses
-data made by the model it inverts.
+self-consistent.  Every state P A L is applied to has zero velocity: the
+iterates are project_H1 outputs, and estimate_contraction applies it to
+(f, 0).  When c is constant, P A L u is applied without forming the trace
+L u: for data that are the forward solve's own trace, the error e = u - v
+of the backward solve obeys the absorbing scheme with zero data, so
+A L u = u(0) - e(0) in its first component.  One call, fdtd.reversal_error,
+takes the forward solve's last two levels from the scheme's own cosine
+eigenbasis and marches e back to t = 0; the result equals
+dissipative_reverse_solve(forward_solve(u).trace) to rounding.  For a
+varying c, P A L u is that composition of the leapfrog march and the
+data-driven backward solve.  The data still come from the continuous lam_kl
+series (spectral.synthesize_data), so no inversion uses data made by the
+model it inverts.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .core import (
     ScalarField,
     StatePair,
     num_steps,
-    project_H0,
     project_H1,
     relative_l2,
     seminorm,
@@ -55,37 +55,32 @@ from .core import (
 
 @dataclass(frozen=True)
 class ReconConfig:
-    """Reconstruction parameters: measurement time, iteration count, subspace.
-    They are checked once, on construction, and cannot be reassigned."""
+    """Reconstruction parameters: measurement time, iteration count, sound
+    speed and boundary spec.  The iteration runs on H1 (zero-velocity
+    states).  They are checked once, on construction, and cannot be
+    reassigned."""
 
     T: float
     iterations: int
     c: ScalarField
     bspec: BoundarySpec
-    subspace: str = "H1"
 
     def __post_init__(self):
         if self.T <= 0:
             raise ConfigError(f"measurement time must be positive, got {self.T!r}")
         if not np.isfinite(self.T):
             raise ConfigError(f"measurement time must be finite, got {self.T!r}")
-        if not isinstance(self.iterations, (int, np.integer)):
+        if (isinstance(self.iterations, bool)
+                or not isinstance(self.iterations, (int, np.integer))):
             raise ConfigError(f"iteration count must be an integer, got {self.iterations!r}")
         if self.iterations < 0:
             raise ConfigError(f"iteration count must be >= 0, got {self.iterations!r}")
-        sub = str(self.subspace).upper()
-        if sub not in ("H0", "H1"):
-            raise ConfigError(f"subspace must be 'H0' or 'H1', got {self.subspace!r}")
-        object.__setattr__(self, "subspace", sub)
         if self.c.grid != self.bspec.grid:
             raise GridMismatchError("sound speed and boundary spec live on different grids")
 
     @property
     def grid(self) -> Grid2D:
         return self.c.grid
-
-    def project(self, s: StatePair) -> StatePair:
-        return project_H1(s) if self.subspace == "H1" else project_H0(s)
 
 
 @dataclass
@@ -111,21 +106,21 @@ def _check_trace(g: BoundaryTrace, cfg: ReconConfig) -> None:
 
 
 def _apply(u: StatePair, cfg: ReconConfig) -> StatePair:
-    """P A L u, the operator of the fixed-point iteration: through the
-    reversal error when c is constant and u is an H1 state (zero velocity),
-    else through the trace L u."""
+    """P A L u for a zero-velocity u, the operator of the fixed-point
+    iteration: through the reversal error when c is constant, else through
+    the trace L u."""
     c = cfg.c.values
-    if cfg.subspace == "H1" and np.all(c == c.flat[0]) and not u.second.values.any():
+    if np.all(c == c.flat[0]):
         error = fdtd.reversal_error(u.first, cfg.c, cfg.bspec, cfg.T)
-        return cfg.project(StatePair(u.first - error, u.second))
+        return project_H1(StatePair(u.first - error, u.second))
     trace = fdtd.forward_solve(u, cfg.c, cfg.bspec, cfg.T).trace
-    return cfg.project(fdtd.dissipative_reverse_solve(trace, cfg.c))
+    return project_H1(fdtd.dissipative_reverse_solve(trace, cfg.c))
 
 
 def initial_approximation(g: BoundaryTrace, cfg: ReconConfig) -> StatePair:
     """One-shot estimate P(A g): project the backward solve at t = 0."""
     _check_trace(g, cfg)
-    return cfg.project(fdtd.dissipative_reverse_solve(g, cfg.c))
+    return project_H1(fdtd.dissipative_reverse_solve(g, cfg.c))
 
 
 def neumann_iterate(g: BoundaryTrace, cfg: ReconConfig,
@@ -136,10 +131,12 @@ def neumann_iterate(g: BoundaryTrace, cfg: ReconConfig,
     iterate's first component against it is recorded.
     """
     _check_trace(g, cfg)
+    if reference is not None and reference.grid != cfg.grid:
+        raise GridMismatchError("reference and configuration live on different grids")
     report = ReconReport(estimate=StatePair.zeros(cfg.grid))
     if cfg.iterations == 0:
         return report
-    u = base = cfg.project(fdtd.dissipative_reverse_solve(g, cfg.c))
+    u = base = project_H1(fdtd.dissipative_reverse_solve(g, cfg.c))
 
     def record(state):
         if reference is not None:

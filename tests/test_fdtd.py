@@ -86,14 +86,15 @@ class TestBoundaryEnumeration:
         with pytest.raises(pv.ConfigError, match="at least one boundary node"):
             pv.BoundarySpec(grid, np.zeros(pv.boundary_count(grid.n)))
 
-    @pytest.mark.parametrize("lambda_value, nodes, message", [
-        (0.0, 5, "lambda_value must be positive"),
-        (1.0, 0, "at least one boundary node"),
-    ], ids=["lambda_zero", "empty_mask"])
-    def test_from_mask_rejects(self, grid, lambda_value, nodes, message):
-        mask = np.arange(pv.boundary_count(grid.n)) < nodes
-        with pytest.raises(pv.ConfigError, match=message):
-            pv.BoundarySpec.from_mask(grid, mask, lambda_value)
+    def test_named_constructors_put_lambda_one_exactly_on_gamma(self, grid):
+        ks, ls = boundary_indices(grid.n)
+        nb = pv.boundary_count(grid.n)
+        for bs, on in ((pv.BoundarySpec.full(grid), np.ones(nb, dtype=bool)),
+                       (pv.BoundarySpec.left_bottom(grid), (ls == 0) | (ks == 0)),
+                       (pv.BoundarySpec.from_node_list(grid, [2, 5, 7]),
+                        np.isin(np.arange(nb), [2, 5, 7]))):
+            assert np.array_equal(bs.gamma_mask, on)
+            assert np.array_equal(bs.lam, np.where(on, 1.0, 0.0))
 
     @pytest.mark.parametrize("nodes", [[1.7, 3], [1.0, 3.0], [True, False]],
                              ids=["fraction", "integral_floats", "bools"])

@@ -21,9 +21,8 @@ def setup65():
     }
 
 
-def make_cfg(s, T, iterations, subspace="H1"):
-    return pv.ReconConfig(T=T, iterations=iterations, c=s["c"], bspec=s["bs"],
-                          subspace=subspace)
+def make_cfg(s, T, iterations):
+    return pv.ReconConfig(T=T, iterations=iterations, c=s["c"], bspec=s["bs"])
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ class TestInitialApproximation:
 
     @pytest.mark.parametrize("configured", [
         lambda grid: pv.BoundarySpec.full(grid),
-        lambda grid: pv.BoundarySpec.left_bottom(grid, lambda_value=3.0),
+        lambda grid: pv.BoundarySpec(grid, 3.0 * pv.BoundarySpec.left_bottom(grid).lam),
     ], ids=["full_gamma", "lambda_3"])
     def test_trace_from_another_boundary_spec_rejected(self, setup65, configured):
         # a left+bottom trace inverted as full data returns ~54% error where
@@ -81,6 +80,17 @@ class TestNeumannIterate:
                              np.zeros((steps + 1, pv.boundary_count(other.n))))
         with pytest.raises(pv.GridMismatchError, match="different grids"):
             pv.neumann_iterate(g, make_cfg(setup65, 1.0, 2))
+
+    def test_reference_on_another_grid_rejected_before_any_solve(self, setup65, data65,
+                                                                 monkeypatch):
+        T, g = data65
+        solves = []
+        monkeypatch.setattr(pv.fdtd, "dissipative_reverse_solve",
+                            lambda *args, **kwargs: solves.append(1))
+        reference = pv.paper_six_phantom(pv.Grid2D(33))
+        with pytest.raises(pv.GridMismatchError, match="reference"):
+            pv.neumann_iterate(g, make_cfg(setup65, T, 2), reference=reference)
+        assert solves == []
 
     def test_zero_iterations(self, setup65, data65):
         T, g = data65
@@ -107,8 +117,6 @@ class TestNeumannIterate:
             est = pv.neumann_iterate(g, make_cfg(setup65, T, k)).estimate
             assert abs(pv.boundary_mean(est.first)) <= 1e-10 * scale
             assert np.all(est.second.values == 0.0)
-        est0 = pv.neumann_iterate(g, make_cfg(setup65, T, 2, subspace="H0")).estimate
-        assert abs(pv.boundary_mean(est0.first)) <= 1e-10 * scale
 
     def test_geometric_decay_on_self_consistent_data(self, setup65):
         # data from the forward solver itself: the iteration converges to the
@@ -144,8 +152,8 @@ class TestNeumannIterate:
         u = report.estimate
         fwd = pv.forward_solve(u, setup65["c"], setup65["bs"], T)
         back = pv.dissipative_reverse_solve(fwd.trace, setup65["c"])
-        base = cfg.project(pv.dissipative_reverse_solve(g, setup65["c"]))
-        u_next = u - cfg.project(back) + base
+        base = pv.project_H1(pv.dissipative_reverse_solve(g, setup65["c"]))
+        u_next = u - pv.project_H1(back) + base
         change = (np.linalg.norm((u_next - u).first.values)
                   / np.linalg.norm(setup65["phantom"].values))
         assert change < report.per_iteration_errors[-1]
@@ -186,10 +194,6 @@ class TestEstimateContraction:
 
 
 class TestConfigValidation:
-    def test_bad_subspace(self, setup65):
-        with pytest.raises(pv.ConfigError):
-            make_cfg(setup65, 1.0, 1, subspace="H2")
-
     def test_negative_iterations(self, setup65):
         with pytest.raises(pv.ConfigError):
             make_cfg(setup65, 1.0, -1)
@@ -203,7 +207,7 @@ class TestConfigValidation:
         with pytest.raises(pv.ConfigError, match="must be finite"):
             make_cfg(setup65, T, 1)
 
-    @pytest.mark.parametrize("iterations", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("iterations", [2.5, 2.0, "2", True])
     def test_non_integer_iterations(self, setup65, iterations):
         with pytest.raises(pv.ConfigError, match="must be an integer"):
             make_cfg(setup65, 1.0, iterations)
@@ -213,13 +217,14 @@ class TestConfigValidation:
         cfg = make_cfg(setup65, 1.0, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.T = np.nan
+        bspec = cfg.bspec
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.subspace = "H2"
-        assert cfg.T == 1.0 and cfg.subspace == "H1"
+            cfg.bspec = pv.BoundarySpec.left_bottom(setup65["grid"])
+        assert cfg.T == 1.0 and cfg.bspec is bspec
 
 
 class TestModeSpaceMeasurement:
-    """At constant c an H1 iteration applies P A L through the reversal error,
+    """At constant c the iteration applies P A L through the reversal error,
     with no trace L u: counts of the leapfrog solves keep that speed-up from
     silently going away."""
 
@@ -246,11 +251,11 @@ class TestModeSpaceMeasurement:
     @staticmethod
     def spelled_out(g, cfg):
         # the iteration with every L a leapfrog forward solve
-        base = cfg.project(pv.dissipative_reverse_solve(g, cfg.c))
+        base = pv.project_H1(pv.dissipative_reverse_solve(g, cfg.c))
         u = base.copy()
         for _ in range(1, cfg.iterations):
             fwd = pv.forward_solve(u, cfg.c, cfg.bspec, cfg.T)
-            u = u - cfg.project(pv.dissipative_reverse_solve(fwd.trace, cfg.c)) + base
+            u = u - pv.project_H1(pv.dissipative_reverse_solve(fwd.trace, cfg.c)) + base
         return u
 
     def varying_speed(self, grid):
@@ -282,16 +287,6 @@ class TestModeSpaceMeasurement:
         want = self.spelled_out(g, cfg)
         assert np.array_equal(got.first.values, want.first.values)
 
-    def test_h0_keeps_the_leapfrog(self, setup65, data65, count_forward_solves):
-        # H0 iterates carry a velocity, which the mode-space trace does not take
-        T, g = data65
-        cfg = make_cfg(setup65, T, 4, subspace="H0")
-        got = pv.neumann_iterate(g, cfg).estimate
-        assert len(count_forward_solves) == 3
-        want = self.spelled_out(g, cfg)
-        assert np.array_equal(got.first.values, want.first.values)
-        assert np.array_equal(got.second.values, want.second.values)
-
     def test_contraction_estimate_at_constant_speed(self, setup65, count_forward_solves):
         cfg = make_cfg(setup65, 2.0, 1)
         f = setup65["phantom"]
@@ -299,6 +294,6 @@ class TestModeSpaceMeasurement:
         assert len(count_forward_solves) == 0
         state = pv.StatePair(f, pv.ScalarField.zeros(setup65["grid"]))
         fwd = pv.forward_solve(state, cfg.c, cfg.bspec, cfg.T)
-        back = cfg.project(pv.dissipative_reverse_solve(fwd.trace, cfg.c))
+        back = pv.project_H1(pv.dissipative_reverse_solve(fwd.trace, cfg.c))
         want = pv.seminorm(state - back, cfg.c) / pv.seminorm(state, cfg.c)
         assert factor == pytest.approx(want, rel=1e-12)
