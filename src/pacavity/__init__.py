@@ -7,6 +7,8 @@ condition driven by the data, optionally refined by a geometrically
 convergent fixed-point iteration.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     BoundarySpec,
     BoundaryTrace,
@@ -34,7 +36,7 @@ from .fdtd import (
     forward_solve,
     interior_step,
     leapfrog_levels,
-    reversal_error,
+    reverse_own_trace,
 )
 from .phantom import PAPER_SIX, BumpSpec, add_noise, paper_six_phantom, radial_bump, render_phantom
 from .recon import (
@@ -54,15 +56,6 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundarySpec", "BoundaryTrace", "BumpSpec", "ConfigError", "CosineCoeffs",
-    "Grid2D", "GridMismatchError", "PAPER_SIX", "ReconConfig", "ReconReport",
-    "ScalarField", "StabilityError", "StatePair", "add_noise", "boundary_count",
-    "boundary_indices", "boundary_mean", "dct2_forward", "dct2_inverse",
-    "dissipative_boundary_update", "dissipative_reverse_solve", "energy",
-    "estimate_contraction", "forward_solve", "initial_approximation",
-    "interior_step", "l2_norm", "leapfrog_levels", "mode_frequencies",
-    "neumann_iterate", "num_steps", "paper_six_phantom", "project_H0", "project_H1",
-    "radial_bump", "relative_l2", "render_phantom", "reversal_error", "seminorm",
-    "snap_duration", "synthesize_data",
-]
+# every public name bound above; importing them also binds their modules
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -112,11 +112,11 @@ def _synthesize(cfg: RunConfig, scored: bool = False):
     A phantom that will be scored against must not be zero everywhere."""
     grid = cfg.make_grid()
     bspec = cfg.make_bspec(grid)
+    T = cfg.resolve_T(grid.dt)  # refuse a T / dt above MAX_STEPS before rendering
     f = cfg.make_phantom(grid)
     if scored and not f.values.any():
         raise ConfigError("key 'bumps': the phantom is zero at every node, so there "
                           "is nothing to score the reconstruction against")
-    T = cfg.resolve_T(grid.dt)
     g = synthesize_data(f, bspec, T, grid.dt)
     if cfg.noise > 0:
         try:

@@ -33,6 +33,8 @@ import numpy as np
 STEP_TOL = 1e-9  # num_steps accepts T / dt this close to an integer, relative
 MAX_STEPS = 100_000  # ceiling on T / dt: 78 times the presets' 1280 steps; the
                      # trace at n = 257 is then 0.8 GB
+MAX_N = 8193  # ceiling on the grid size: 32 times the presets' 257; one n x n
+              # field of doubles is then 0.54 GB, and a solve holds several
 
 
 class GridMismatchError(ValueError):
@@ -59,8 +61,9 @@ class Grid2D:
     dt: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 4:
-            raise ConfigError(f"grid size n must be an integer >= 4, got {self.n!r}")
+        if not isinstance(self.n, (int, np.integer)) or not 4 <= self.n <= MAX_N:
+            raise ConfigError(f"grid size n must be an integer <= {MAX_N} and >= 4, "
+                              f"got {self.n!r}")
         if self.dt is None:
             object.__setattr__(self, "dt", 0.5 * self.dx)
         elif not (0.0 < float(self.dt) < np.inf):

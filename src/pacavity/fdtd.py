@@ -45,9 +45,14 @@ takes them from the Taylor start (_taylor_start) and records a trace row at
 each level.  Both backward marches run one absorbing march
 (_absorbing_march): the Taylor start's absorbing ghost at t = T, then the
 leapfrog with the absorbing update on Gamma.  dissipative_reverse_solve
-feeds it the Taylor start from the terminal state and the measured data;
-reversal_error feeds it the forward levels J and J - 1 from leapfrog_levels
-and zero data, which gives the backward solve's error without forming the
+feeds it the Taylor start from the terminal state and the measured data.
+
+reverse_own_trace is A L (f, 0) in its first component, the backward solve
+at t = 0 on the forward solve's own trace, for every c; whether c is
+constant is tested in _coefficient alone.  At constant c it feeds the
+absorbing march the forward levels J and J - 1 from leapfrog_levels and
+zero data, which gives the backward solve's error without forming the
+trace; any other c runs the forward solve and the backward solve on its
 trace.
 """
 
@@ -224,11 +229,10 @@ def _leapfrog_phases(grid: Grid2D, c: ScalarField) -> np.ndarray:
     CFL violation raises StabilityError; a c that is not constant is a
     ConfigError."""
     _check_setup(grid, c)
-    c0 = c.values.flat[0]
-    if np.any(c.values != c0):
+    coef = _coefficient(c.values, grid)
+    if not isinstance(coef, float):
         raise ConfigError("the leapfrog's eigenbasis needs a constant sound speed")
     s = np.sin(0.5 * np.pi * np.arange(grid.n) / (grid.n - 1)) ** 2
-    coef = (grid.dt * c0 / grid.dx) ** 2
     # arcsin keeps the digits of small phases that arccos(1 - 2 x) loses; the
     # clip absorbs the rounding slack check_cfl allows at the bound itself
     return 2.0 * np.arcsin(np.sqrt(np.minimum(coef * (s[:, None] + s[None, :]), 1.0)))
@@ -380,19 +384,25 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, *,
     return _absorbing_march(prev, cur, behind, c, g.bspec, g.samples, snapshots)
 
 
-def reversal_error(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
-                   T: float) -> ScalarField:
-    """The error u - v at t = 0 of dissipative time reversal when the data are
-    the trace of the forward solve over T from (f, 0), so that
-    A L (f, 0) = (f - e^0, ...) at constant sound speed c.
+def reverse_own_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
+                      T: float) -> ScalarField:
+    """v(., 0), the first component of A L (f, 0): the backward solve at
+    t = 0 when its data are the trace of the forward solve over T from
+    (f, 0).
 
-    With g = u on Gamma the data terms cancel (see the module docstring):
-    the error is the absorbing march with zero data from the forward levels
-    u^J and u^{J-1} of leapfrog_levels, its start ghost taking u^J - u^{J-1}
-    where the backward solve takes dt v_t(T) - g^J + g^{J-1}.
+    At constant sound speed c no trace is formed.  With g = u on Gamma the
+    data terms cancel (see the module docstring), so the error e = u - v is
+    the absorbing march with zero data from the forward levels u^J and
+    u^{J-1} of leapfrog_levels, its start ghost taking u^J - u^{J-1} where
+    the backward solve takes dt v_t(T) - g^J + g^{J-1}; v(., 0) = f - e^0.
+    Any other c runs forward_solve and dissipative_reverse_solve.
     """
-    _check_setup(f.grid, c, bspec)
+    grid = f.grid
+    _check_setup(grid, c, bspec)
+    if not isinstance(_coefficient(c.values, grid), float):
+        trace = forward_solve(StatePair(f, ScalarField.zeros(grid)), c, bspec, T).trace
+        return dissipative_reverse_solve(trace, c).first
     before, last = leapfrog_levels(f, c, T)
-    zero = np.zeros((num_steps(T, f.grid.dt) + 1, 1))
-    return _absorbing_march(last.values, before.values, last.values - before.values,
-                            c, bspec, zero, None).first
+    zero = np.zeros((num_steps(T, grid.dt) + 1, 1))
+    return f - _absorbing_march(last.values, before.values, last.values - before.values,
+                                c, bspec, zero, None).first

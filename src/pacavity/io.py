@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import islice
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    MAX_N,
     BoundarySpec,
     BoundaryTrace,
     ConfigError,
@@ -49,6 +51,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def _decoding(path, error=ParseError):
+    """Raise a text decoding error in the block as error, naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def _read_csv(path, column_header: bool):
     """Parse a numeric CSV with ``# key = value`` entries (several per comment
     line, separated by ';') above the data.
@@ -63,7 +74,7 @@ def _read_csv(path, column_header: bool):
     """
     path = Path(path)
     meta, columns, lineno = {}, None, 0
-    with open(path) as fh:
+    with _decoding(path), open(path) as fh:
         while True:
             pos = fh.tell()
             raw = fh.readline()
@@ -104,7 +115,7 @@ def _read_csv(path, column_header: bool):
 def _data_lines(path, first: int):
     """Line number and text of each data line from line ``first`` on;
     comments and blank lines are skipped, as the parser skips them."""
-    with open(path) as fh:
+    with _decoding(path), open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if lineno >= first and line:
@@ -262,8 +273,9 @@ def read_trace(path) -> BoundaryTrace:
     nb = len(header) - 1
     n = nb // 4 + 1
     # the grid size is checked here, so that Grid2D(n, dt) can fail only on dt
-    if nb % 4 != 0 or n < 4:
-        raise ParseError(f"{path}: {nb} node columns is not 4n-4 for any grid size n >= 4")
+    if nb % 4 != 0 or not 4 <= n <= MAX_N:
+        raise ParseError(f"{path}: {nb} node columns is not 4n-4 for any grid size "
+                         f"n in 4 .. {MAX_N}")
     if data is None or data.size and data.shape[1] != nb + 1:
         raise _bad_row(path, first, nb + 1)
     bspec = _trace_spec(path, meta, n)
@@ -288,12 +300,12 @@ def read_trace(path) -> BoundaryTrace:
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _parse_int(key, text, lo=None):
+def _parse_int(key, text, lo, hi=None):
     try:
         val = int(text)
     except ValueError:
         raise ConfigError(f"key '{key}': expected an integer, got {text!r}") from None
-    if lo is not None and val < lo:
+    if val < lo or hi is not None and val > hi:
         raise ConfigError(f"key '{key}': value {val} out of range")
     return val
 
@@ -365,7 +377,7 @@ def _key(default, parse):
 class RunConfig:
     """Validated experiment description; defaults reproduce the T=5 full-data run."""
 
-    n: int = _key(257, partial(_parse_int, lo=4))
+    n: int = _key(257, partial(_parse_int, lo=4, hi=MAX_N))
     dt_factor: float = _key(0.5, partial(_parse_float, lo_strict=0.0,
                                          hi=1.0 / np.sqrt(2.0) + 1e-12))
     T: float = _key(5.0, partial(_parse_float, lo_strict=0.0))
@@ -409,18 +421,17 @@ class RunConfig:
         return self.T
 
 
-# Every configuration key: the RunConfig field it sets and that field's
-# parser.  The config file, the demo presets and the command-line flags all
-# go through this one table.
-CONFIG_KEYS = {f.name: (f.name, f.metadata["parse"]) for f in fields(RunConfig)}
+# Every configuration key, the name of the RunConfig field it sets, with
+# that field's parser.  The config file, the demo presets and the
+# command-line flags all go through this one table.
+CONFIG_KEYS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
 def apply_config_entry(cfg: RunConfig, key: str, text: str) -> None:
     """Set one key = value pair on a RunConfig, validating both."""
     if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown key {key!r}")
-    name, parse = CONFIG_KEYS[key]
-    setattr(cfg, name, parse(key, text))
+    setattr(cfg, key, CONFIG_KEYS[key](key, text))
 
 
 def parse_config(path) -> RunConfig:
@@ -428,7 +439,9 @@ def parse_config(path) -> RunConfig:
     cfg = RunConfig()
     path = Path(path)
     seen = set()
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    with _decoding(path, ConfigError):
+        lines = path.read_text().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -18,17 +18,12 @@ realized factor for a given configuration.
 L is the finite-difference scheme of fdtd, so the operator pair (L, A) is
 self-consistent.  Every state P A L is applied to has zero velocity: the
 iterates are project_H1 outputs, and estimate_contraction applies it to
-(f, 0).  When c is constant, P A L u is applied without forming the trace
-L u: for data that are the forward solve's own trace, the error e = u - v
-of the backward solve obeys the absorbing scheme with zero data, so
-A L u = u(0) - e(0) in its first component.  One call, fdtd.reversal_error,
-takes the forward solve's last two levels from the scheme's own cosine
-eigenbasis and marches e back to t = 0; the result equals
-dissipative_reverse_solve(forward_solve(u).trace) to rounding.  For a
-varying c, P A L u is that composition of the leapfrog march and the
-data-driven backward solve.  The data still come from the continuous lam_kl
-series (spectral.synthesize_data), so no inversion uses data made by the
-model it inverts.
+(f, 0).  P reads only the first component of A L u, which one call,
+fdtd.reverse_own_trace, gives for every sound speed; how the scheme
+evaluates it (without forming the trace L u when c is constant) is fdtd's
+concern.  The data still come from the continuous lam_kl series
+(spectral.synthesize_data), so no inversion uses data made by the model it
+inverts.
 """
 
 from __future__ import annotations
@@ -107,14 +102,9 @@ def _check_trace(g: BoundaryTrace, cfg: ReconConfig) -> None:
 
 def _apply(u: StatePair, cfg: ReconConfig) -> StatePair:
     """P A L u for a zero-velocity u, the operator of the fixed-point
-    iteration: through the reversal error when c is constant, else through
-    the trace L u."""
-    c = cfg.c.values
-    if np.all(c == c.flat[0]):
-        error = fdtd.reversal_error(u.first, cfg.c, cfg.bspec, cfg.T)
-        return project_H1(StatePair(u.first - error, u.second))
-    trace = fdtd.forward_solve(u, cfg.c, cfg.bspec, cfg.T).trace
-    return project_H1(fdtd.dissipative_reverse_solve(trace, cfg.c))
+    iteration."""
+    return project_H1(StatePair(fdtd.reverse_own_trace(u.first, cfg.c, cfg.bspec, cfg.T),
+                                u.second))
 
 
 def initial_approximation(g: BoundaryTrace, cfg: ReconConfig) -> StatePair:

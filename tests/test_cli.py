@@ -10,6 +10,7 @@ import pacavity as pv
 from pacavity import cli
 from pacavity import io as pio
 from pacavity.cli import main
+from pacavity.core import MAX_N
 
 from helpers import graded
 
@@ -40,6 +41,19 @@ class TestPhantomCommand:
                  "--out", str(tmp_path))
         assert rc != 0
         assert "bump 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["phantom"], ["forward"], ["demo", "fig1-full"]],
+                         ids=["phantom", "forward", "demo"])
+def test_n_above_ceiling_is_refused(tmp_path, capsys, monkeypatch, command):
+    # refused when the key is parsed: no grid, phantom or trace is made
+    def make_grid(self):
+        raise AssertionError("make_grid was called")
+
+    monkeypatch.setattr(pio.RunConfig, "make_grid", make_grid)
+    assert run(*command, "--n", str(MAX_N + 1), "--out", str(tmp_path)) == 2
+    assert "key 'n'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class TestForwardCommand:
@@ -118,6 +132,18 @@ class TestForwardCommand:
         assert "key 'noise'" in err and "too large" in err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("command", [["forward"], ["demo", "fig1-full"]],
+                             ids=["forward", "demo"])
+    def test_T_is_refused_before_the_phantom_is_rendered(self, tmp_path, capsys,
+                                                          monkeypatch, command):
+        def make_phantom(self, grid):
+            raise AssertionError("make_phantom was called")
+
+        monkeypatch.setattr(pio.RunConfig, "make_phantom", make_phantom)
+        rc = run(*command, "--n", "33", "--T", "1e308", "--out", str(tmp_path))
+        assert rc == 2
+        assert "key 'T'" in capsys.readouterr().err
+
     def test_snap_time_override(self, tmp_path):
         assert run("forward", "--n", "33", "--T", "1.001", "--snap-time", "true",
                    "--out", str(tmp_path)) == 0
@@ -161,6 +187,15 @@ class TestReconstructCommand:
                            (("phantom", "--n", "9", "--out", str(afile / "sub")), afile / "sub")):
             assert run(*args) == 2
             assert str(path) in capsys.readouterr().err
+
+    def test_undecodable_trace_names_file(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("forward", "--n", "33", "--T", "1.0", "--out", str(out)) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((out / "trace.csv").read_bytes().replace(b"trace v2", b"trace v2 \xe9", 1))
+        capsys.readouterr()
+        assert run("reconstruct", str(bad), "--n", "33", "--T", "1.0", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_grid_mismatch_detected(self, tmp_path, capsys):
         out = tmp_path / "o"

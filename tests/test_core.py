@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pacavity as pv
-from pacavity.core import MAX_STEPS, GridMismatchError
+from pacavity.core import MAX_N, MAX_STEPS, GridMismatchError
 
 from helpers import eigenfield, full_norm, smooth_random_state
 
@@ -44,6 +44,12 @@ class TestGrid:
     def test_bad_size_rejected(self):
         with pytest.raises(pv.ConfigError):
             pv.Grid2D(2)
+
+    def test_size_above_ceiling_rejected(self):
+        # a grid allocates nothing, so the ceiling itself can be built
+        assert pv.Grid2D(MAX_N).n == MAX_N
+        with pytest.raises(pv.ConfigError, match=f"<= {MAX_N} and >= 4, got {MAX_N + 1}"):
+            pv.Grid2D(MAX_N + 1)
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(pv.ConfigError, match="dt must be positive"):

@@ -533,6 +533,9 @@ class TestReverseSolve:
 
 
 class TestReversalError:
+    """reverse_own_trace, v(., 0) of time reversal on the forward solve's own
+    trace, and its error e^0 = f - v(., 0)."""
+
     APERTURES = {
         "full": pv.BoundarySpec.full,
         "left_bottom": pv.BoundarySpec.left_bottom,
@@ -546,7 +549,8 @@ class TestReversalError:
     def test_gives_the_nodal_operator_at_every_node(self, n, dt_factor, speed, aperture):
         # with the forward solve's own trace as data the backward error obeys
         # the absorbing update with zero data, so P(u - e^0) is P A L u; a
-        # rough field excites every mode, wall and corner nodes included
+        # rough field excites every mode, wall and corner nodes included.
+        # c is constant, so reverse_own_trace takes its eigenbasis branch
         grid = pv.Grid2D(n, dt_factor * pv.Grid2D(n).dx)
         bs = self.APERTURES[aperture](grid)
         c = pv.ScalarField.constant(grid, speed)
@@ -554,8 +558,8 @@ class TestReversalError:
         T = 150 * grid.dt
         fwd = pv.forward_solve(pv.StatePair(f, pv.ScalarField.zeros(grid)), c, bs, T)
         want = pv.project_H1(pv.dissipative_reverse_solve(fwd.trace, c)).first.values
-        error = pv.reversal_error(f, c, bs, T)
-        got = pv.project_H1(pv.StatePair(f - error, pv.ScalarField.zeros(grid))).first.values
+        v0 = pv.reverse_own_trace(f, c, bs, T)
+        got = pv.project_H1(pv.StatePair(v0, pv.ScalarField.zeros(grid))).first.values
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("aperture", ["full", "tapered"])
@@ -581,20 +585,33 @@ class TestReversalError:
             new = pv.interior_step(later, cur, c)
             new.values[ks, ls] = pv.dissipative_boundary_update(new, later, zero, zero, bs, c)
             later, cur = cur, new
-        got = pv.reversal_error(f, c, bs, T).values
+        got = (f - pv.reverse_own_trace(f, c, bs, T)).values
         assert np.abs(got - cur.values).max() <= 1e-13 * np.abs(cur.values).max()
+
+    @pytest.mark.parametrize("aperture", ["full", "left_bottom", "tapered"])
+    def test_variable_speed_runs_the_trace_composition(self, aperture):
+        # any c that is not constant goes through the forward solve's trace,
+        # the same operations to the bit
+        grid = pv.Grid2D(33)
+        rng = np.random.default_rng(12)
+        c, bs = varying_speed(grid, rng), self.APERTURES[aperture](grid)
+        f = smooth_random_field(grid, rng)
+        T = 60 * grid.dt
+        trace = pv.forward_solve(pv.StatePair(f, pv.ScalarField.zeros(grid)), c, bs, T).trace
+        want = pv.dissipative_reverse_solve(trace, c).first.values
+        assert_same_bits(pv.reverse_own_trace(f, c, bs, T).values, want)
 
     def test_field_is_not_modified(self, grid, unit, bs_full):
         f = smooth_random_field(grid, np.random.default_rng(10))
         kept = f.values.copy()
-        pv.reversal_error(f, unit, bs_full, 1.0)
+        pv.reverse_own_trace(f, unit, bs_full, 1.0)
         assert np.array_equal(f.values, kept)
 
     def test_short_time_rejected(self, grid, unit, bs_full):
         with pytest.raises(pv.ConfigError):
-            pv.reversal_error(pv.ScalarField.zeros(grid), unit, bs_full, grid.dt)
+            pv.reverse_own_trace(pv.ScalarField.zeros(grid), unit, bs_full, grid.dt)
 
     def test_field_on_another_grid_rejected(self, grid, unit, bs_full):
         other = pv.ScalarField.zeros(pv.Grid2D(17))
         with pytest.raises(GridMismatchError):
-            pv.reversal_error(other, unit, bs_full, 1.0)
+            pv.reverse_own_trace(other, unit, bs_full, 1.0)

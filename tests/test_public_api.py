@@ -7,6 +7,7 @@ from the package, it would be public surface that nothing runs.
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -35,6 +36,17 @@ def test_every_public_name_is_used_outside_the_tests():
     files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     used = set().union(*(used_names(p) for p in files))
     assert sorted(set(pv.__all__) - used) == []
+
+
+def test_all_is_every_public_name_the_package_binds():
+    # __all__ is computed, not kept by hand: the public names __init__ binds,
+    # sorted, without the modules that binding them also binds
+    bound = sorted(name for name, value in vars(pv).items()
+                   if not name.startswith("_") and not isinstance(value, ModuleType))
+    assert pv.__all__ == bound
+    assert "ModuleType" not in pv.__all__
+    assert not any(isinstance(getattr(pv, name), ModuleType) for name in pv.__all__)
+    assert "reverse_own_trace" in pv.__all__ and "fdtd" not in pv.__all__
 
 
 def package_imports(module: str) -> list[tuple[str, str]]:
