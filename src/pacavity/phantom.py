@@ -97,7 +97,9 @@ def add_noise(g: BoundaryTrace, level: float, seed: int) -> BoundaryTrace:
     if not np.isfinite(signal + size):
         raise ConfigError(f"noise level {level!r} is too large for a trace of norm "
                           f"{signal:g}: the noisy samples would overflow")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(g.samples.shape) * g.bspec.gamma_mask[None, :]
-    noise *= size / np.linalg.norm(noise)
-    return replace(g, samples=g.samples + noise)
+    # one trace-sized array: the draw is masked, scaled and summed in place
+    noisy = np.random.default_rng(seed).standard_normal(g.samples.shape)
+    noisy *= g.bspec.gamma_mask
+    noisy *= size / np.linalg.norm(noisy)
+    noisy += g.samples
+    return replace(g, samples=noisy)

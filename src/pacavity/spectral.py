@@ -9,9 +9,11 @@ with angular frequencies lam_{k,l} = (pi/2) * sqrt(k^2 + l^2).  On the
 closed n x n grid the sampled eigenfunctions for k, l = 0 .. n-1 form an
 orthogonal basis under the trapezoid weights, and the type-I discrete
 cosine transform converts between node values and mode coefficients
-exactly: dct2_forward and dct2_inverse are each one 2-D DCT-I
-(scipy.fft.dctn) scaled by outer products of the trapezoid weights, and
-both return C-ordered arrays.  The solution of the wave equation with
+exactly: dct2_forward and dct2_inverse are each one 2-D DCT-I scaled by
+outer products of the trapezoid weights, and both return C-ordered arrays.
+A DCT-I is the real part of the real FFT of the even extension
+x_0 .. x_{n-1}, x_{n-2} .. x_1 (see _dct1), so numpy.fft is the only FFT
+this package needs.  The solution of the wave equation with
 initial data (f, 0) is
 
     u(x, y, t) = sum c_{k,l} phi_{k,l}(x, y) cos(lam_{k,l} t),
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, dctn
 
 from .core import (
     BoundarySpec,
@@ -39,7 +40,7 @@ from .core import (
     Grid2D,
     GridMismatchError,
     ScalarField,
-    boundary_indices,
+    boundary_count,
     num_steps,
 )
 
@@ -65,16 +66,30 @@ def mode_frequencies(grid: Grid2D) -> np.ndarray:
     return 0.5 * np.pi * np.hypot(k[:, None], k[None, :])
 
 
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-I of x along its last axis, y_k = x_0 +
+    (-1)^k x_{n-1} + 2 sum_{m=1}^{n-2} x_m cos(pi k m / (n - 1)): the real
+    part of the real FFT of the even extension, as pocketfft computes it, so
+    the result is scipy.fft.dct(x, type=1) bit for bit where numpy and scipy
+    vendor the same pocketfft."""
+    return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1)).real
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """2-D DCT-I, along axis 0 first, the order of scipy.fft.dctn."""
+    return _dct1(_dct1(x.T).T)
+
+
 def dct2_forward(f: ScalarField) -> CosineCoeffs:
     """Expand a field in the sampled cosine eigenbasis (exact on the grid)."""
     w = 0.5 * f.grid.quad_weights()
-    return CosineCoeffs(f.grid, dctn(f.values, type=1) * np.outer(w, w))
+    return CosineCoeffs(f.grid, _dct2(f.values) * np.outer(w, w))
 
 
 def dct2_inverse(c: CosineCoeffs) -> ScalarField:
     """Evaluate a cosine series at all grid nodes (inverse of dct2_forward)."""
     h = c.grid.dx / (2.0 * c.grid.quad_weights())
-    return ScalarField(c.grid, dctn(c.coeffs * np.outer(h, h), type=1))
+    return ScalarField(c.grid, _dct2(c.coeffs * np.outer(h, h)))
 
 
 def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) -> BoundaryTrace:
@@ -84,33 +99,47 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
     nodes outside Gamma carry zeros.  dt must be the grid's own time step
     f.grid.dt, the step the solvers take on the trace; any other value is a
     ConfigError.  T must be an integer multiple of dt.  Only the walls are
-    evaluated (see _wall_coefficients); one batched DCT-I then turns their
-    cosine coefficients into node values.
+    evaluated (see _wall_coefficients); a DCT-I then turns their cosine
+    coefficients into node values, written over the walls' own buffer (see
+    _trace_from_walls), so the trace is the one trace-sized array made.
     """
     if f.grid != bspec.grid:
         raise GridMismatchError("field and boundary spec live on different grids")
     if dt != f.grid.dt:
         raise ConfigError(f"dt = {dt!r} differs from the grid's time step {f.grid.dt!r}; "
                           "the solvers step the trace on the grid's dt")
+    steps = num_steps(T, dt)
     a = 4.0 * np.sin(0.5 * dt * mode_frequencies(f.grid)) ** 2
-    return _trace_from_walls(_wall_coefficients(dct2_forward(f).coeffs, a, num_steps(T, dt)),
-                             bspec)
+    walls = _wall_coefficients(dct2_forward(f).coeffs, a, steps)
+    del a  # freed before the walls' DCT allocates
+    return _trace_from_walls(walls, bspec)
 
 
 def _trace_from_walls(walls: np.ndarray, bspec: BoundarySpec) -> BoundaryTrace:
-    """The boundary trace from the wall coefficients of _wall_coefficients:
-    one batched DCT-I turns them into node values, a gather puts those in
-    canonical order, and nodes outside Gamma are zeroed."""
+    """The boundary trace from the wall coefficients of _wall_coefficients,
+    built in their own buffer: a DCT-I turns a block of levels into node
+    values, which are written in canonical order (see boundary_indices) over
+    the start of the buffer, and nodes outside Gamma are zeroed.  The
+    trace's samples are a view of that buffer.
+
+    The bottom and top walls give the four corners.  Level j's row ends at
+    (j + 1)(4n - 4) < (j + 1) 4n, so a block overwrites only the walls of
+    its own and earlier levels, which its DCT has already read.
+    """
     n = bspec.grid.n
     levels = walls.shape[0]
     walls[..., 1:-1] *= 0.5
-    walls = dct(walls, type=1, axis=-1, overwrite_x=True)
-    # position of each canonical boundary node in the flattened wall rows
-    ks, ls = boundary_indices(n)
-    gather = np.where(ls == 0, ks, np.where(ls == n - 1, n + ks,
-                                            np.where(ks == 0, 2 * n + ls, 3 * n + ls)))
-    rows = np.take(walls.reshape(levels, 4 * n), gather, axis=1)  # C order: one row per level
-    del walls  # the callers pass a temporary: freed before the trace's checks allocate
+    rows = walls.reshape(-1)[:levels * boundary_count(n)].reshape(levels, -1)
+    # about 2**13 wall values a block: its extension and spectrum stay small
+    # (~0.5 MB each at n = 257) beside the trace-sized buffer
+    block = max(1, 2 ** 13 // n)
+    for j in range(0, levels, block):
+        bottom, top, left, right = _dct1(walls[j:j + block]).transpose(1, 0, 2)
+        out = rows[j:j + block]
+        out[:, :n] = bottom
+        out[:, n:2 * n - 2] = right[:, 1:-1]
+        out[:, 2 * n - 2:3 * n - 2] = top[:, ::-1]
+        out[:, 3 * n - 2:] = left[:, -2:0:-1]
     rows[:, ~bspec.gamma_mask] = 0.0
     return BoundaryTrace(bspec, rows)
 
@@ -127,15 +156,15 @@ def _wall_coefficients(coeffs: np.ndarray, a: np.ndarray, steps: int) -> np.ndar
     D_{j+1} = D_j - a M_j, M_{j+1} = M_j + D_{j+1}, started once from
     M_0 = coeffs and D_0 = (a / 2) coeffs: a carries the small part
     2 - 2 cos(theta) of the low modes that 2 cos(theta) would round away, so
-    no restart from exact cosines is needed.  The n x n work arrays live
-    only in this function, so they are freed before the caller allocates its
-    output.
+    no restart from exact cosines is needed.  M_j is advanced in coeffs
+    itself (the callers pass a temporary), so only three n x n arrays live
+    beside the walls: a, M and D.
     """
     n = coeffs.shape[0]
     s_t = np.stack([np.ones(n), (-1.0) ** np.arange(n)])
-    walls = np.empty((steps + 1, 4, n))
-    m = coeffs.copy()
     d = 0.5 * a * coeffs
+    m = coeffs
+    walls = np.empty((steps + 1, 4, n))
     # the update runs in row blocks of about 2**15 modes, so that a block's a,
     # M, D and product stay in cache across its three passes
     parts = -(-n * n // 2 ** 15)

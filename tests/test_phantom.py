@@ -1,5 +1,6 @@
 """Phantom rendering and measurement noise."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -101,6 +102,24 @@ class TestAddNoise:
         c = pv.add_noise(trace, 0.3, seed=43)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
+
+    def test_input_trace_untouched(self, trace):
+        before = trace.samples.tobytes()
+        out = pv.add_noise(trace, 0.5, seed=1)
+        assert trace.samples.tobytes() == before
+        assert not np.shares_memory(out.samples, trace.samples)
+
+    def test_memory_near_the_trace(self, trace_full_t5):
+        # n = 257, T = 5: 10.5 MB of samples; the draw is masked, scaled and
+        # summed in place, so it is the only trace-sized array made
+        g = trace_full_t5.value
+        tracemalloc.start()
+        try:
+            pv.add_noise(g, 0.1, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * g.samples.nbytes
 
     def test_zero_trace_rejected(self):
         g = pv.Grid2D(33)

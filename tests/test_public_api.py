@@ -6,6 +6,9 @@ from the package, it would be public surface that nothing runs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -97,3 +100,14 @@ def test_no_module_uses_a_private_name_of_another():
     private = [(m, other, name) for m in MODULES for other, name in package_imports(m)
                if name.startswith("_")]
     assert private == []
+
+
+def test_import_loads_no_scipy():
+    # numpy is the package's only runtime dependency: importing it and its
+    # command line loads no scipy module
+    code = ("import sys, pacavity, pacavity.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

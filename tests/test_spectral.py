@@ -1,10 +1,12 @@
 """Cosine transform exactness and the series propagator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import pacavity as pv
-from pacavity.spectral import mode_frequencies
+from pacavity.spectral import _trace_from_walls, mode_frequencies
 
 from helpers import (boundary_values, eigenfield, leapfrog_trace, smooth_random_field,
                      spectral_energy, spectral_propagate, spectral_velocity)
@@ -67,6 +69,50 @@ class TestTransform:
                 oracle[k, l] = num / den
         mine = pv.dct2_forward(f).coeffs
         assert np.abs(mine - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("n", [4, 5, 33, 257])
+class TestAgainstScipyFft:
+    # the DCT-I is the real FFT of the even extension, as pocketfft computes
+    # it; another numpy and scipy may vendor another pocketfft, so the
+    # agreement asked for is to rounding, not bit for bit
+    def test_dct2_forward(self, n):
+        fft = pytest.importorskip("scipy.fft")
+        grid = pv.Grid2D(n)
+        f = smooth_random_field(grid, np.random.default_rng(n), kmax=n - 1)
+        w = 0.5 * grid.quad_weights()
+        expected = fft.dctn(f.values, type=1) * np.outer(w, w)
+        got = pv.dct2_forward(f).coeffs
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_dct2_inverse(self, n):
+        fft = pytest.importorskip("scipy.fft")
+        grid = pv.Grid2D(n)
+        coeffs = np.random.default_rng(n).standard_normal((n, n))
+        h = grid.dx / (2.0 * grid.quad_weights())
+        expected = fft.dctn(coeffs * np.outer(h, h), type=1)
+        got = pv.dct2_inverse(pv.CosineCoeffs(grid, coeffs)).values
+        assert got.flags.c_contiguous
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_batched_wall_transform(self, n):
+        # 70 levels span several of the transform's blocks at n = 257; the
+        # corners come from the bottom and top walls
+        fft = pytest.importorskip("scipy.fft")
+        grid = pv.Grid2D(n)
+        bs = pv.BoundarySpec.left_bottom(grid)
+        walls = np.random.default_rng(n).standard_normal((70, 4, n))
+        halved = walls.copy()
+        halved[..., 1:-1] *= 0.5
+        bottom, top, left, right = fft.dct(halved, type=1, axis=-1).transpose(1, 0, 2)
+        ks, ls = pv.boundary_indices(n)
+        expected = np.where(ls == 0, bottom[:, ks], np.where(
+            ls == n - 1, top[:, ks], np.where(ks == 0, left[:, ls], right[:, ls])))
+        expected *= bs.gamma_mask
+        got = _trace_from_walls(walls, bs).samples
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.all(got[:, ~bs.gamma_mask] == 0.0)
 
 
 class TestPropagate:
@@ -211,6 +257,19 @@ class TestSynthesize:
             oracle[j] = np.where(ls == 0, bottom[ks], np.where(
                 ls == n - 1, top[ks], np.where(ks == 0, left[ls], right[ls])))
         assert np.abs(g.samples - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    def test_memory_near_the_trace(self, phantom257, bspec_full257):
+        # n = 257, T = 5: 1281 levels of 1024 nodes, 10.5 MB of samples; the
+        # trace is written over the buffer of its wall coefficients
+        grid = phantom257.grid
+        tracemalloc.start()
+        try:
+            g = pv.synthesize_data(phantom257, bspec_full257, 5.0, grid.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.samples.shape == (1281, 1024)
+        assert peak < 1.25 * g.samples.nbytes
 
     def test_non_integer_step_count_rejected(self, grid):
         bs = pv.BoundarySpec.full(grid)
