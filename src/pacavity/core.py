@@ -310,12 +310,19 @@ class BoundaryTrace:
             )
         if s.shape[0] < 3:
             raise ConfigError(f"{s.shape[0]} time levels; a trace needs at least 3")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("trace contains non-finite values")
         # samples that are already zero off Gamma are kept as they are;
-        # otherwise a copy is zeroed, so the caller's array never changes
+        # otherwise a copy is zeroed, so the caller's array never changes.
+        # Both tests run on blocks of about 2**15 values: no mask the size
+        # of the samples is made
         off = ~self.bspec.gamma_mask
-        if np.any(s, axis=0)[off].any():
+        dirty = False
+        step = max(1, (1 << 15) // nb)
+        for i in range(0, s.shape[0], step):
+            block = s[i:i + step]
+            if not np.isfinite(block).all():
+                raise ValueError("trace contains non-finite values")
+            dirty = dirty or np.any(block, axis=0)[off].any()
+        if dirty:
             s = s.copy()
             s[:, off] = 0.0
         object.__setattr__(self, "samples", s)

@@ -4,9 +4,9 @@ array operations.
 Every value is written as ``'%.16e' % v`` would write it: 17 significant
 digits, which reload bit for bit.  ``read_rows`` parses that grammar back,
 correctly rounded, and returns None for any other text, which the caller
-then reads with a general parser.  Both directions work a block at a time,
-so the memory taken beyond the rows themselves does not grow with their
-number.
+then reads with a general parser.  The writer works a block of values at a
+time and the reader a chunk of text at a time, so the memory taken beyond
+the rows themselves does not grow with their number.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ _TIE_TOL = 1e-9  # far above the 2**-47 error of the double-double product
 _P16 = 10 ** 16
 _BLOCK_VALUES = 1 << 15  # values formatted per block; bounds the memory
 _E_MIN, _E_MAX = _K_MIN + 16, 280  # exponents E whose d * 10**(E - 16) the reader forms
-_READ_CHUNK = 1 << 20  # text bytes read per chunk; bounds the memory
-_READ_BLOCK = 1 << 13  # values parsed per block
+_READ_CHUNK = 1 << 18  # text bytes read and parsed at once; bounds the memory
 
 
 def _word(text: bytes) -> int:
@@ -227,28 +226,6 @@ def _parse_block(text, start, end, out) -> bool:
     return True
 
 
-def _parse_rows(text, cut: int, width: int, out):
-    """Parse the rows text[len(_PAD):cut] into the flat array ``out``; the
-    number of values, or None when they are not rows of ``width`` '%.16e'
-    values."""
-    head = np.frombuffer(text, np.uint8, cut)
-    sep = head == ord(",")
-    sep |= head == ord("\n")
-    end = np.flatnonzero(sep)
-    newline = head[end] == ord("\n")
-    count = end.size
-    if count != newline.sum() * width or not newline[width - 1::width].all():
-        return None
-    start = np.empty_like(end)
-    start[0] = len(_PAD)
-    start[1:] = end[:-1] + 1
-    for i in range(0, count, _READ_BLOCK):
-        block = slice(i, min(i + _READ_BLOCK, count))
-        if not _parse_block(text, start[block], end[block], out[block]):
-            return None
-    return count
-
-
 def read_rows(fh):
     """Read the rest of the binary file ``fh`` as CSV rows of ``'%.16e'``
     values, as ``write_rows`` writes them, into a 2-D float64 array: every
@@ -257,8 +234,9 @@ def read_rows(fh):
 
     Returns None for text outside that grammar: no rows, other number
     syntax, comments, blank lines, CRLF line endings or ragged rows.  The
-    rows are counted first, so the array is filled in place, a chunk of text
-    and a block of values at a time.
+    rows are counted first, so the array is filled in place: each chunk of
+    text is parsed as it is read, up to its last newline, and the rest of it
+    is carried into the next chunk.
     """
     origin = fh.tell()
     width = fh.readline().count(b",") + 1
@@ -275,10 +253,22 @@ def read_rows(fh):
         text = b"".join((_PAD, pending, chunk, _PAD))
         del chunk  # one copy of the text at a time
         cut = text.rfind(b"\n") + 1
-        pending = text[cut:-len(_PAD)]
-        if cut:
-            count = _parse_rows(text, cut, width, flat[done:])
-            if count is None:
-                return None
-            done += count
+        # without a newline the whole chunk is carried, not its leading pad
+        pending = text[max(cut, len(_PAD)):-len(_PAD)]
+        if not cut:
+            continue
+        head = np.frombuffer(text, np.uint8, cut)
+        sep = head == ord(",")
+        sep |= head == ord("\n")
+        end = np.flatnonzero(sep)
+        newline = head[end] == ord("\n")
+        count = end.size
+        if count != newline.sum() * width or not newline[width - 1::width].all():
+            return None
+        start = np.empty_like(end)
+        start[0] = len(_PAD)
+        start[1:] = end[:-1] + 1
+        if not _parse_block(text, start, end, flat[done:done + count]):
+            return None
+        done += count
     return None if pending else out

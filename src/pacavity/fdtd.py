@@ -49,7 +49,7 @@ feeds it the Taylor start from the terminal state and the measured data.
 
 reverse_own_trace is A L (f, 0) in its first component, the backward solve
 at t = 0 on the forward solve's own trace, for every c; whether c is
-constant is tested in _coefficient alone.  At constant c it feeds the
+constant is tested in _check_setup alone.  At constant c it feeds the
 absorbing march the forward levels J and J - 1 from leapfrog_levels and
 zero data, which gives the backward solve's error without forming the
 trace; any other c runs the forward solve and the backward solve on its
@@ -96,14 +96,6 @@ def _boundary_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     flat.setflags(write=False)
     walls.setflags(write=False)
     return flat, walls
-
-
-def _coefficient(c: np.ndarray, grid: Grid2D):
-    """(dt/dx)^2 c^2 per node, or one scalar when c is constant."""
-    coef = (grid.dt / grid.dx) ** 2 * c ** 2
-    if np.all(coef == coef.flat[0]):
-        return float(coef.flat[0])
-    return coef
 
 
 def _absorption(c: np.ndarray | None, bspec: BoundarySpec) -> np.ndarray:
@@ -174,15 +166,17 @@ def interior_step(prev: ScalarField, curr: ScalarField, c: ScalarField) -> Scala
     is the next level of the forward solve; the backward solve corrects its
     boundary values on Gamma with dissipative_boundary_update.
     Time-symmetric: stepping forward then backward from matched levels
-    returns the original level.
+    returns the original level.  The marches' setup checks apply: the three
+    fields must share a grid (else GridMismatchError), c must be positive
+    (else ValueError) and the grid's dt must satisfy the CFL bound for it
+    (else StabilityError).
     """
-    if prev.grid != curr.grid or curr.grid != c.grid:
+    if prev.grid != curr.grid:
         raise GridMismatchError("fields live on different grids")
-    grid = curr.grid
-    coef = _coefficient(c.values, grid)
+    coef = _check_setup(curr.grid, c)
     out = np.empty_like(curr.values)
     _advance(out, curr.values, prev.values, coef, 2.0 - 4.0 * coef, np.empty_like(out))
-    return ScalarField(grid, out)
+    return ScalarField(curr.grid, out)
 
 
 def dissipative_boundary_update(level_new: ScalarField, level_old: ScalarField,
@@ -213,12 +207,19 @@ def dissipative_boundary_update(level_new: ScalarField, level_old: ScalarField,
                    g_new, g_old, G)
 
 
-def _check_setup(grid: Grid2D, c: ScalarField, bspec: BoundarySpec | None = None) -> None:
+def _check_setup(grid: Grid2D, c: ScalarField, bspec: BoundarySpec | None = None):
+    """Check that c and bspec live on grid, that c is positive and that dt
+    meets the CFL bound; return the scheme's coefficient (dt/dx)^2 c^2, one
+    float when c is constant and else one value per node."""
     if c.grid != grid or (bspec is not None and bspec.grid != grid):
         raise GridMismatchError("grid, sound speed and boundary spec are inconsistent")
     if np.any(c.values <= 0):
         raise ValueError("sound speed must be strictly positive")
     grid.check_cfl(float(c.values.max()))
+    coef = (grid.dt / grid.dx) ** 2 * c.values ** 2
+    if np.all(coef == coef.flat[0]):
+        return float(coef.flat[0])
+    return coef
 
 
 def _leapfrog_phases(grid: Grid2D, c: ScalarField) -> np.ndarray:
@@ -228,8 +229,7 @@ def _leapfrog_phases(grid: Grid2D, c: ScalarField) -> np.ndarray:
     s_k = sin^2(k pi / (2 (n - 1))).  The solvers' setup checks apply, so a
     CFL violation raises StabilityError; a c that is not constant is a
     ConfigError."""
-    _check_setup(grid, c)
-    coef = _coefficient(c.values, grid)
+    coef = _check_setup(grid, c)
     if not isinstance(coef, float):
         raise ConfigError("the leapfrog's eigenbasis needs a constant sound speed")
     s = np.sin(0.5 * np.pi * np.arange(grid.n) / (grid.n - 1)) ** 2
@@ -256,25 +256,25 @@ def leapfrog_levels(f: ScalarField, c: ScalarField,
                  for j in (steps - 1, steps))
 
 
-def _taylor_start(state: StatePair, c: ScalarField,
+def _taylor_start(state: StatePair, coef,
                   sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first two levels of a march from state in the direction sign (the
     second from the mirror-closed second-order Taylor step), and the array
-    -sign dt u_t that stands in for the level before the first."""
-    grid = state.grid
-    coef = _coefficient(c.values, grid)
+    -sign dt u_t that stands in for the level before the first; coef is
+    _check_setup's."""
     first = state.first.values.copy()
-    behind = (-sign * grid.dt) * state.second.values
+    behind = (-sign * state.grid.dt) * state.second.values
     second = _advance(np.empty_like(first), first, behind, 0.5 * coef, 1.0 - 2.0 * coef,
                       np.empty_like(first))
     return first, second, behind
 
 
-def _leapfrog(prev: np.ndarray, cur: np.ndarray, j0: int, j_end: int, c: ScalarField,
-              boundary, snapshots: dict[int, StatePair] | None) -> StatePair:
-    """March the leapfrog scheme from level j0 in cur, with the level before
-    it along the march in prev, to level j_end, forward in time when
-    j_end > j0 and backward otherwise; prev and cur are overwritten.
+def _leapfrog(prev: np.ndarray, cur: np.ndarray, j0: int, j_end: int, grid: Grid2D,
+              coef, boundary, snapshots: dict[int, StatePair] | None) -> StatePair:
+    """March the leapfrog scheme with _check_setup's coef from level j0 in
+    cur, with the level before it along the march in prev, to level j_end,
+    forward in time when j_end > j0 and backward otherwise; prev and cur are
+    overwritten.
 
     Each new level is handed to boundary(j, level, behind), with j its time
     index and behind the level two steps back along the march; the rule
@@ -290,9 +290,6 @@ def _leapfrog(prev: np.ndarray, cur: np.ndarray, j0: int, j_end: int, c: ScalarF
     bad = [j for j in snapshots if not (isinstance(j, (int, np.integer)) and lo <= j <= hi)]
     if bad:
         raise ConfigError(f"snapshot steps must be integers in {lo} .. {hi}, got {bad}")
-    grid = c.grid
-    dt = grid.dt
-    coef = _coefficient(c.values, grid)
     centre = 2.0 - 4.0 * coef
     work = np.empty_like(prev)
     nxt = np.empty_like(prev)
@@ -302,16 +299,16 @@ def _leapfrog(prev: np.ndarray, cur: np.ndarray, j0: int, j_end: int, c: ScalarF
         _advance(nxt, cur, prev, coef, centre, work)
         boundary(j + sign, nxt, prev)
         if j in snapshots:
-            vel = (sign * nxt - sign * prev) / (2.0 * dt)
+            vel = (sign * nxt - sign * prev) / (2.0 * grid.dt)
             snapshots[j] = StatePair(ScalarField(grid, cur.copy()), ScalarField(grid, vel))
         prev, cur, nxt = cur, nxt, prev
     # the loop ran at least once, so nxt now holds the level before prev
-    vel = (3.0 * sign * cur - 4.0 * sign * prev + sign * nxt) / (2.0 * dt)
+    vel = (3.0 * sign * cur - 4.0 * sign * prev + sign * nxt) / (2.0 * grid.dt)
     return StatePair(ScalarField(grid, cur), ScalarField(grid, vel))
 
 
 def _absorbing_march(prev: np.ndarray, cur: np.ndarray, behind: np.ndarray,
-                     c: ScalarField, bspec: BoundarySpec, data: np.ndarray,
+                     c: ScalarField, coef, bspec: BoundarySpec, data: np.ndarray,
                      snapshots: dict[int, StatePair] | None) -> StatePair:
     """March backward from levels J = len(data) - 1 in prev and J - 1 in cur
     to t = 0, absorbing on Gamma with the data rows (zero data may be one
@@ -319,6 +316,7 @@ def _absorbing_march(prev: np.ndarray, cur: np.ndarray, behind: np.ndarray,
 
     cur first takes the Taylor start's absorbing ghost at t = T, which reads
     behind = dt v_t(T) and the one-sided data derivative (g^J - g^{J-1}) / dt.
+    coef is _check_setup's for c.
     """
     flat, _ = _boundary_layout(bspec.grid.n)
     G = _absorption(c.values, bspec)
@@ -330,7 +328,7 @@ def _absorbing_march(prev: np.ndarray, cur: np.ndarray, behind: np.ndarray,
         new = level.reshape(-1)
         new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], data[j], data[j + 2], G)
 
-    return _leapfrog(prev, cur, steps - 1, 0, c, absorb, snapshots)
+    return _leapfrog(prev, cur, steps - 1, 0, bspec.grid, coef, absorb, snapshots)
 
 
 def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, *,
@@ -344,7 +342,7 @@ def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, 
     set to the state at t_j, its velocity the centered difference.
     """
     grid = s0.grid
-    _check_setup(grid, c, bspec)
+    coef = _check_setup(grid, c, bspec)
     steps = num_steps(T, grid.dt)
     flat, _ = _boundary_layout(grid.n)
     rows = np.empty((steps + 1, flat.size))
@@ -352,10 +350,10 @@ def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, 
     def record(j, level, behind):
         np.take(level, flat, out=rows[j])
 
-    prev, cur, _ = _taylor_start(s0, c, +1)
+    prev, cur, _ = _taylor_start(s0, coef, +1)
     record(0, prev, None)
     record(1, cur, None)
-    final = _leapfrog(prev, cur, 1, steps, c, record, snapshots)
+    final = _leapfrog(prev, cur, 1, steps, grid, coef, record, snapshots)
     rows[:, ~bspec.gamma_mask] = 0.0
     return SolveResult(trace=BoundaryTrace(bspec, rows), final_state=final)
 
@@ -375,13 +373,13 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, *,
     equation.  snapshots records states as in forward_solve.
     """
     grid = g.grid
-    _check_setup(grid, c, g.bspec)
+    coef = _check_setup(grid, c, g.bspec)
     if terminal_state is None:
         terminal_state = StatePair.zeros(grid)
     elif terminal_state.grid != grid:
         raise GridMismatchError("terminal state lives on a different grid")
-    prev, cur, behind = _taylor_start(terminal_state, c, -1)
-    return _absorbing_march(prev, cur, behind, c, g.bspec, g.samples, snapshots)
+    prev, cur, behind = _taylor_start(terminal_state, coef, -1)
+    return _absorbing_march(prev, cur, behind, c, coef, g.bspec, g.samples, snapshots)
 
 
 def reverse_own_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
@@ -398,11 +396,11 @@ def reverse_own_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
     Any other c runs forward_solve and dissipative_reverse_solve.
     """
     grid = f.grid
-    _check_setup(grid, c, bspec)
-    if not isinstance(_coefficient(c.values, grid), float):
+    coef = _check_setup(grid, c, bspec)
+    if not isinstance(coef, float):
         trace = forward_solve(StatePair(f, ScalarField.zeros(grid)), c, bspec, T).trace
         return dissipative_reverse_solve(trace, c).first
     before, last = leapfrog_levels(f, c, T)
     zero = np.zeros((num_steps(T, grid.dt) + 1, 1))
     return f - _absorbing_march(last.values, before.values, last.values - before.values,
-                                c, bspec, zero, None).first
+                                c, coef, bspec, zero, None).first

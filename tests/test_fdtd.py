@@ -1,6 +1,7 @@
 """Leapfrog stepping, boundary updates, and the two solvers."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,38 @@ class TestBoundaryTrace:
         g = pv.BoundaryTrace(bs, samples)
         assert np.shares_memory(g.samples, samples)
 
+    @pytest.mark.parametrize("row", [0, -1], ids=["first_row", "last_row"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_refused(self, grid, row, bad):
+        # 600 rows of 128 values span three blocks of the check
+        samples = np.ones((600, pv.boundary_count(grid.n)))
+        samples[row, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pv.BoundaryTrace(pv.BoundarySpec.left_bottom(grid), samples)
+
+    def test_finite_samples_whose_sum_overflows_accepted(self, grid):
+        samples = np.full((600, pv.boundary_count(grid.n)), 1.5e308)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(samples.sum())
+        bs = pv.BoundarySpec.left_bottom(grid)
+        g = pv.BoundaryTrace(bs, samples)
+        assert np.all(g.samples[:, bs.gamma_mask] == 1.5e308)
+        assert np.all(g.samples[:, ~bs.gamma_mask] == 0.0)
+
+    def test_construction_memory_far_below_the_samples(self):
+        # n = 257 and 1281 levels: 10.5 MB of samples, checked a block at a
+        # time, so no samples-sized mask is made
+        grid = pv.Grid2D(257)
+        samples = np.random.default_rng(0).standard_normal((1281, pv.boundary_count(grid.n)))
+        bs = pv.BoundarySpec.full(grid)
+        tracemalloc.start()
+        try:
+            pv.BoundaryTrace(bs, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
+
     def test_boundary_spec_is_the_only_metadata(self, grid, unit, bs_full):
         # Gamma, lambda and dt have one home, the spec; the backward solve
         # takes none of them separately, so a call that passes a spec fails
@@ -237,6 +270,24 @@ class TestInteriorStep:
         other = pv.ScalarField.zeros(pv.Grid2D(17))
         with pytest.raises(GridMismatchError):
             pv.interior_step(other, pv.ScalarField.zeros(grid), unit)
+
+    def test_speed_on_another_grid_rejected(self, grid):
+        z = pv.ScalarField.zeros(grid)
+        with pytest.raises(GridMismatchError):
+            pv.interior_step(z, z, pv.ScalarField.constant(pv.Grid2D(17), 1.0))
+
+    def test_cfl_violation_rejected(self, grid):
+        # dt = dx / 2 exceeds the bound dx / (sqrt(2) c) at c = 2
+        z = pv.ScalarField.zeros(grid)
+        with pytest.raises(pv.StabilityError):
+            pv.interior_step(z, z, pv.ScalarField.constant(grid, 2.0))
+
+    def test_nonpositive_speed_rejected(self, grid):
+        z = pv.ScalarField.zeros(grid)
+        c = np.ones((grid.n, grid.n))
+        c[5, 7] = 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            pv.interior_step(z, z, pv.ScalarField(grid, c))
 
     def test_time_reversibility(self, grid, unit):
         rng = np.random.default_rng(0)

@@ -291,14 +291,18 @@ class TestExactWriter:
         assert buf.getvalue() == _expected_csv(rows)
 
     @pytest.mark.parametrize("cols", [1024, 7, 1])
-    def test_read_rows_bit_for_bit(self, cols):
+    def test_read_rows_bit_for_bit(self, cols, monkeypatch):
+        # in 1000-byte chunks tokens straddle chunks, and a row of 1024
+        # values is longer than a chunk
         values = self.sample()
         rows = values[:values.size - values.size % cols].reshape(-1, cols)
         buf = io.BytesIO()
         csvtext.write_rows(buf, rows)
-        buf.seek(0)
-        back = csvtext.read_rows(buf)
-        assert back.shape == rows.shape and back.tobytes() == rows.tobytes()
+        for chunk in (csvtext._READ_CHUNK, 1000):
+            monkeypatch.setattr(csvtext, "_READ_CHUNK", chunk)
+            buf.seek(0)
+            back = csvtext.read_rows(buf)
+            assert back.shape == rows.shape and back.tobytes() == rows.tobytes()
 
     def test_sample_field_and_trace_read_back_bit_for_bit(self, tmp_path):
         values = self.sample()
@@ -354,8 +358,10 @@ class TestExactWriter:
         b"1.000000000000000/e+00\n", b"1.00000000:0000000e+00\n", b"1.0000000000000000e+0:\n",
         b"--1.0000000000000000e+00\n", b"\xff" * 23 + b"\n", b"1.0000000000000000e+00;2\n",
     ], ids=lambda text: repr(text)[2:-1][:40])
-    def test_read_rows_refuses_other_text(self, text):
-        assert csvtext.read_rows(io.BytesIO(text)) is None
+    def test_read_rows_refuses_other_text(self, text, monkeypatch):
+        for chunk in (csvtext._READ_CHUNK, 1000):
+            monkeypatch.setattr(csvtext, "_READ_CHUNK", chunk)
+            assert csvtext.read_rows(io.BytesIO(text)) is None
 
     @pytest.mark.parametrize("gamma", ["full", "left_bottom"])
     def test_trace_round_trip_bit_identical(self, tmp_path, gamma):
@@ -413,7 +419,7 @@ class TestExactWriter:
         finally:
             tracemalloc.stop()
         assert back.samples.tobytes() == samples.tobytes()
-        assert peak < 1.5 * samples.nbytes
+        assert peak < 1.4 * samples.nbytes
 
 
 @pytest.mark.filterwarnings("error")
