@@ -94,7 +94,7 @@ def _write_cross_section(path, grid: Grid2D, phantom: ScalarField,
     for k in range(grid.n):
         lines.append(",".join(repr(float(v)) for v in
                               (x[k], phantom.values[k, mid], estimate.values[k, mid])))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_phantom(cfg: RunConfig) -> int:
@@ -132,7 +132,7 @@ def cmd_forward(cfg: RunConfig) -> int:
     pio.write_trace(out / "trace.csv", g)
     metrics = [f"T_effective = {T!r}", f"steps = {g.n_steps}",
                f"dt = {g.dt!r}", f"noise_ratio = {cfg.noise!r}"]
-    (out / "metrics.txt").write_text("\n".join(metrics) + "\n")
+    (out / "metrics.txt").write_text("\n".join(metrics) + "\n", encoding="utf-8")
     print(f"wrote {out / 'trace.csv'} ({g.n_steps} steps, T = {T:g}, "
           f"noise ratio {cfg.noise:.3f})")
     return 0
@@ -182,7 +182,7 @@ def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path,
     errs = report.per_iteration_errors
     lines = ["iteration,relative_l2_error"]
     lines += [f"{k},{repr(e)}" for k, e in enumerate(errs, start=1)]
-    (out / "errors.csv").write_text("\n".join(lines) + "\n")
+    (out / "errors.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     final = errs[-1] if errs else relative_l2(est, reference)
     print(f"reconstruction: relative L2 error = {final * 100:.2f}% ({ran})")
 

@@ -65,7 +65,9 @@ def _read_csv(path, column_header: bool):
     line, separated by ';') above the data.
 
     Returns the header keys, the column-header row split on commas (None
-    when ``column_header`` is false) and the data as a 2-D array.  Data as
+    when ``column_header`` is false) and the data as a 2-D array.  The file
+    is read once, in binary: the header lines are decoded as UTF-8, and a
+    line ends at LF (so CRLF ends one too, but a lone CR does not).  Data as
     ``csvtext.write_rows`` writes them are parsed by ``csvtext.read_rows``;
     anything else (comments or blank lines among the rows, CRLF endings,
     other number syntax, ragged rows) goes through numpy's C parser from the
@@ -74,48 +76,39 @@ def _read_csv(path, column_header: bool):
     """
     path = Path(path)
     meta, columns, lineno = {}, None, 0
-    with _decoding(path), open(path) as fh:
-        while True:
-            pos = fh.tell()
-            raw = fh.readline()
-            if not raw:
-                break
-            lineno += 1
-            line = raw.strip()
-            if not line:
-                continue
+    with _decoding(path), open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.decode("utf-8").strip()
             if line.startswith("#"):
                 for part in line[1:].split(";"):
                     m = re.match(r"\s*(\w+)\s*=(.*)$", part)
                     if m:
                         meta[m.group(1)] = m.group(2).strip()
-                continue
-            if column_header:
-                columns = line.split(",")
-            else:
-                fh.seek(pos)
-                lineno -= 1
-            break
-        first = lineno + 1
-        with open(path, "rb") as raw:
-            # a '\r' would end a line in text mode only, so the two would
-            # disagree on where the data start
-            header = [raw.readline() for _ in range(lineno)]
-            data = None if any(b"\r" in line for line in header) else read_rows(raw)
+            elif line:
+                if column_header:
+                    columns = line.split(",")
+                else:
+                    fh.seek(-len(raw), 1)  # back to the first data row
+                    lineno -= 1
+                break
+        pos = fh.tell()
+        data = read_rows(fh)
         if data is None:
+            fh.seek(pos)
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # header only, no data
-                    data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+                    data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2,
+                                      encoding="utf-8")
             except ValueError:
                 data = None
-    return meta, columns, data, first
+    return meta, columns, data, lineno + 1
 
 
 def _data_lines(path, first: int):
     """Line number and text of each data line from line ``first`` on;
     comments and blank lines are skipped, as the parser skips them."""
-    with _decoding(path), open(path) as fh:
+    with _decoding(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if lineno >= first and line:
@@ -440,7 +433,7 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     seen = set()
     with _decoding(path, ConfigError):
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -62,14 +62,22 @@ def radial_bump(r, radius: float, amplitude: float):
 
 
 def render_phantom(specs, grid: Grid2D) -> ScalarField:
-    """Pointwise sum of the BumpSpecs' bumps sampled at the grid nodes."""
+    """Pointwise sum of the BumpSpecs' bumps sampled at the grid nodes.
+
+    Each bump is evaluated on the index box of its support, padded by one
+    node on each side: every node outside that box lies farther than the
+    radius from the center, where the bump would add exactly 0.0.
+    """
     x = grid.coords()
-    X, Y = np.meshgrid(x, x, indexing="ij")
     values = np.zeros((grid.n, grid.n))
     for spec in specs:
-        cx, cy = spec.center
-        r = np.hypot(X - cx, Y - cy)
-        values += radial_bump(r, spec.radius, spec.amplitude)
+        (cx, cy), radius = spec.center, spec.radius
+        # >= 0: the support lies strictly inside the square, beyond x[0] = -1
+        lo = np.searchsorted(x, (cx - radius, cy - radius)) - 1
+        hi = np.searchsorted(x, (cx + radius, cy + radius), side="right") + 1
+        box = np.s_[lo[0]:hi[0], lo[1]:hi[1]]
+        r = np.hypot(x[box[0], None] - cx, x[None, box[1]] - cy)
+        values[box] += radial_bump(r, radius, spec.amplitude)
     return ScalarField(grid, values)
 
 

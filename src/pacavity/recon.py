@@ -123,21 +123,13 @@ def neumann_iterate(g: BoundaryTrace, cfg: ReconConfig,
     _check_trace(g, cfg)
     if reference is not None and reference.grid != cfg.grid:
         raise GridMismatchError("reference and configuration live on different grids")
-    report = ReconReport(estimate=StatePair.zeros(cfg.grid))
-    if cfg.iterations == 0:
-        return report
-    u = base = project_H1(fdtd.dissipative_reverse_solve(g, cfg.c))
-
-    def record(state):
+    u, errors = StatePair.zeros(cfg.grid), []
+    base = project_H1(fdtd.dissipative_reverse_solve(g, cfg.c)) if cfg.iterations else None
+    for k in range(cfg.iterations):
+        u = base if k == 0 else u - _apply(u, cfg) + base
         if reference is not None:
-            report.per_iteration_errors.append(relative_l2(state.first, reference))
-
-    record(u)
-    for _ in range(1, cfg.iterations):
-        u = u - _apply(u, cfg) + base
-        record(u)
-    report.estimate = u
-    return report
+            errors.append(relative_l2(u.first, reference))
+    return ReconReport(u, errors)
 
 
 def estimate_contraction(f: ScalarField, cfg: ReconConfig) -> float:

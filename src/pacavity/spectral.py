@@ -41,6 +41,7 @@ from .core import (
     GridMismatchError,
     ScalarField,
     boundary_count,
+    boundary_indices,
     num_steps,
 )
 
@@ -133,13 +134,12 @@ def _trace_from_walls(walls: np.ndarray, bspec: BoundarySpec) -> BoundaryTrace:
     # about 2**13 wall values a block: its extension and spectrum stay small
     # (~0.5 MB each at n = 257) beside the trace-sized buffer
     block = max(1, 2 ** 13 // n)
+    ks, ls = boundary_indices(n)
+    # each node's place among a level's bottom, top, left and right walls
+    index = np.select([ls == 0, ls == n - 1, ks == 0], [ks, n + ks, 2 * n + ls], 3 * n + ls)
     for j in range(0, levels, block):
-        bottom, top, left, right = _dct1(walls[j:j + block]).transpose(1, 0, 2)
-        out = rows[j:j + block]
-        out[:, :n] = bottom
-        out[:, n:2 * n - 2] = right[:, 1:-1]
-        out[:, 2 * n - 2:3 * n - 2] = top[:, ::-1]
-        out[:, 3 * n - 2:] = left[:, -2:0:-1]
+        nodes = _dct1(walls[j:j + block]).reshape(-1, 4 * n)
+        np.take(nodes, index, axis=1, out=rows[j:j + block])
     rows[:, ~bspec.gamma_mask] = 0.0
     return BoundaryTrace(bspec, rows)
 

@@ -1,7 +1,11 @@
 """Command-line surface: exit codes, files, determinism (small grids)."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,3 +314,20 @@ class TestDemoCommand:
         assert "; gamma = 0,1,2;" in header
         for name in ("phantom.csv", "recon.csv", "errors.csv", "cross_section.csv"):
             assert (d / name).exists()
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    # with the locale's default encoding, any text open, read_text or
+    # write_text without an encoding raises EncodingWarning, an error here
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 17\nT = 2\ngamma = left_bottom\n", encoding="utf-8")
+    out = tmp_path / "o"
+    for args in (["forward", "--config", str(cfg)],
+                 ["reconstruct", str(out / "trace.csv"), "--config", str(cfg)],
+                 ["demo", "fig4-iter-partial", "--n", "17"]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "pacavity.cli", *args, "--out", str(out)],
+            env=env, capture_output=True, encoding="utf-8")
+        assert proc.returncode == 0, proc.stderr

@@ -451,6 +451,19 @@ class TestGeneralParserFallback:
         assert back.samples.tobytes() == trace.samples.tobytes()
         assert back.bspec == trace.bspec
 
+    @pytest.mark.parametrize("kind", ["trace", "field"])
+    def test_lone_cr_line_ends_are_refused(self, tmp_path, kind):
+        # a file is read in binary, where only LF ends a line
+        if kind == "trace":
+            path, _ = self.written_trace(tmp_path)
+        else:
+            path = tmp_path / "field.csv"
+            pio.write_field(path, smooth_random_field(pv.Grid2D(9), np.random.default_rng(9)))
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        with pytest.raises(pio.ParseError) as info:
+            (pio.read_trace if kind == "trace" else pio.read_field)(path)
+        assert str(info.value).startswith(f"{path}:")
+
     def test_field_with_nan_token_is_refused(self, tmp_path):
         f = smooth_random_field(pv.Grid2D(9), np.random.default_rng(9))
         path = tmp_path / "field.csv"

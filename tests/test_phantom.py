@@ -65,6 +65,41 @@ class TestRenderPhantom:
         with pytest.raises(pv.ConfigError, match="must be finite"):
             pv.BumpSpec(center, radius, amplitude)
 
+    def test_equals_the_full_grid_sum(self):
+        # each bump is evaluated near its support only; the sum over every
+        # node, as a meshgrid, must come out bit for bit the same
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            g = pv.Grid2D(int(rng.integers(4, 130)))
+            x = g.coords()
+            specs = []
+            for _ in range(int(rng.integers(1, 5))):
+                # the center and the support edge on grid lines, or anywhere
+                cx, cy = x[rng.integers(1, g.n - 1, 2)]
+                radius = min(rng.integers(1, 6) * g.dx, 0.999 - max(abs(cx), abs(cy)))
+                if rng.random() < 0.5:
+                    radius = rng.uniform(0.01, 0.4)
+                    cx, cy = rng.uniform(radius - 0.999, 0.999 - radius, 2)
+                if radius > 0:
+                    specs.append(pv.BumpSpec((cx, cy), radius, rng.uniform(-2.0, 2.0)))
+            X, Y = np.meshgrid(x, x, indexing="ij")
+            expected = np.zeros((g.n, g.n))
+            for b in specs:
+                expected += pv.radial_bump(np.hypot(X - b.center[0], Y - b.center[1]),
+                                           b.radius, b.amplitude)
+            got = pv.render_phantom(specs, g).values
+            assert got.tobytes() == expected.tobytes()
+
+    def test_memory_near_the_field(self, grid257):
+        # n = 257: 0.53 MB a field; a bump's arrays cover its support only
+        tracemalloc.start()
+        try:
+            f = pv.paper_six_phantom(grid257)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * f.values.nbytes
+
     def test_gradient_bounded_by_analytic_slope(self):
         g = pv.Grid2D(257)
         f = pv.paper_six_phantom(g)
