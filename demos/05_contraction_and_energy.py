@@ -64,4 +64,4 @@ for T_req in (2.0 * np.sqrt(2.0), 4.0, 5.0):
     delta = pv.estimate_contraction(phantom, cfg)
     lines.append(f"{T!r},{delta!r}")
     print(f"contraction factor at T = {T:.3f}: {delta:.4f}")
-(OUT / "contraction.csv").write_text("\n".join(lines) + "\n")
+(OUT / "contraction.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -47,6 +47,18 @@ each level.  Both backward marches run one absorbing march
 leapfrog with the absorbing update on Gamma.  dissipative_reverse_solve
 feeds it the Taylor start from the terminal state and the measured data.
 
+A march holds three n x n buffers, two levels and a scratch, and at a
+variable c the per-node coefficient and centre.  Level j - 1 is dead once
+level j + 1 is formed, so _advance writes j + 1 over it: it takes
+centre u^j - u^{j-1} into the scratch before it builds the neighbour sum in
+the retired buffer, the stencil's terms in the same order but for the
+operands of the last add, which IEEE addition lets commute, so every level
+is the same to the bit.  What later steps read of a retired level is kept
+apart: the absorbing update its boundary values (4n - 4 per level), the
+centered snapshot velocity sign u^{j-1} on snapshot steps only, and the
+one-sided end velocity sign u^{L-2}, a fourth n x n array for the last
+step alone.
+
 reverse_own_trace is A L (f, 0) in its first component, the backward solve
 at t = 0 on the forward solve's own trace, for every c; whether c is
 constant is tested in _check_setup alone.  At constant c it feeds the
@@ -116,7 +128,13 @@ def _advance(out: np.ndarray, cur: np.ndarray, prev: np.ndarray, coef, centre,
     Wall nodes read the mirror ghost u_{-1} = u_1.  With centre = 2 - 4 coef
     this is one leapfrog step of the mirror-closed scheme; with coef / 2,
     centre = 1 - 2 coef and prev = -dt u_t it is the second-order Taylor
-    start.  work is scratch space; nothing of size n x n is allocated.
+    start.  out may be prev itself, so that the new level takes the buffer
+    of the one it retires: D = centre cur - prev goes into the scratch work
+    first, and only then is the neighbour sum built in out, scaled by coef
+    and D added to it.  That is (centre cur - prev) + coef sum, the order of
+    the 2-D stencil, with the two operands of the last add swapped, and IEEE
+    addition commutes, so the result is the same to the bit.  Nothing of
+    size n x n is allocated.
 
     The left and right neighbours are added on the flat view, where they sit
     at offsets -1 and +1: one contiguous pass each, where the same adds on
@@ -124,26 +142,26 @@ def _advance(out: np.ndarray, cur: np.ndarray, prev: np.ndarray, coef, centre,
     the two wall columns pick up a value from the adjacent row instead of
     the mirror ghost, so they are saved after the row adds, given their
     mirror neighbour twice and written back.  Every node thus sums its
-    neighbours in the order up, down, left, right, as the 2-D stencil does,
-    and the result is the same to the bit.  All arrays must be C-ordered
-    (ScalarField guarantees it for its values): of any other array
-    reshape(-1) is a copy, and the adds to work would be lost.
+    neighbours in the order up, down, left, right, as the 2-D stencil does.
+    All arrays must be C-ordered (ScalarField guarantees it for its values):
+    of any other array reshape(-1) is a copy, and the adds to out would be
+    lost.
     """
-    flat, src = work.reshape(-1), cur.reshape(-1)
-    work[1:] = cur[:-1]
-    work[0] = cur[1]
-    work[:-1] += cur[1:]
-    work[-1] += cur[-2]
-    walls = work[:, [0, -1]]
+    np.multiply(cur, centre, out=work)
+    work -= prev
+    flat, src = out.reshape(-1), cur.reshape(-1)
+    out[1:] = cur[:-1]
+    out[0] = cur[1]
+    out[:-1] += cur[1:]
+    out[-1] += cur[-2]
+    walls = out[:, [0, -1]]
     mirror = cur[:, [1, -2]]
     walls += mirror
     walls += mirror
     flat[1:] += src[:-1]
     flat[:-1] += src[1:]
-    work[:, [0, -1]] = walls
-    work *= coef
-    np.multiply(cur, centre, out=out)
-    out -= prev
+    out[:, [0, -1]] = walls
+    out *= coef
     out += work
     return out
 
@@ -259,13 +277,15 @@ def leapfrog_levels(f: ScalarField, c: ScalarField,
 def _taylor_start(state: StatePair, coef,
                   sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first two levels of a march from state in the direction sign (the
-    second from the mirror-closed second-order Taylor step), and the array
-    -sign dt u_t that stands in for the level before the first; coef is
-    _check_setup's."""
+    second from the mirror-closed second-order Taylor step), and the boundary
+    values, in canonical order, of -sign dt u_t, the array that stands in
+    for the level before the first; coef is _check_setup's.  The second
+    level is built in the buffer of -sign dt u_t, once its boundary values
+    are taken."""
     first = state.first.values.copy()
-    behind = (-sign * state.grid.dt) * state.second.values
-    second = _advance(np.empty_like(first), first, behind, 0.5 * coef, 1.0 - 2.0 * coef,
-                      np.empty_like(first))
+    second = (-sign * state.grid.dt) * state.second.values
+    behind = second.reshape(-1)[_boundary_layout(state.grid.n)[0]]
+    _advance(second, first, second, 0.5 * coef, 1.0 - 2.0 * coef, np.empty_like(first))
     return first, second, behind
 
 
@@ -276,13 +296,17 @@ def _leapfrog(prev: np.ndarray, cur: np.ndarray, j0: int, j_end: int, grid: Grid
     forward in time when j_end > j0 and backward otherwise; prev and cur are
     overwritten.
 
-    Each new level is handed to boundary(j, level, behind), with j its time
-    index and behind the level two steps back along the march; the rule
-    finishes the boundary values of level in place.  For every key j of
+    prev, cur and one scratch buffer are the only n x n arrays the march
+    holds: each new level is written over the level two steps back, which it
+    retires (see _advance), and handed to boundary(j, level), with j its
+    time index; the rule finishes the boundary values of level in place and
+    keeps for itself what it reads of earlier levels.  For every key j of
     snapshots (levels j0 up to the one before j_end) the state at t_j is
-    stored, with the centered-difference velocity.  Returns the state at
-    level j_end, its velocity from the one-sided second-order difference of
-    the last three levels.
+    stored, with the centered-difference velocity, for which sign u^{j-1} is
+    kept before its buffer is reused.  Returns the state at level j_end, its
+    velocity from the one-sided second-order difference of the last three
+    levels, formed in the scratch buffer from sign u of the third last, kept
+    the same way.
     """
     sign = 1 if j_end > j0 else -1
     lo, hi = sorted((j0, j_end - sign))
@@ -292,18 +316,24 @@ def _leapfrog(prev: np.ndarray, cur: np.ndarray, j0: int, j_end: int, grid: Grid
         raise ConfigError(f"snapshot steps must be integers in {lo} .. {hi}, got {bad}")
     centre = 2.0 - 4.0 * coef
     work = np.empty_like(prev)
-    nxt = np.empty_like(prev)
     # the velocities below negate each operand, not the difference, so they
     # equal the differences taken in time order bit for bit, signed zeros too
     for j in range(j0, j_end, sign):
-        _advance(nxt, cur, prev, coef, centre, work)
-        boundary(j + sign, nxt, prev)
+        if j in snapshots or j == j_end - sign:
+            back = sign * prev
+        _advance(prev, cur, prev, coef, centre, work)
+        boundary(j + sign, prev)
         if j in snapshots:
-            vel = (sign * nxt - sign * prev) / (2.0 * grid.dt)
+            vel = (sign * prev - back) / (2.0 * grid.dt)
             snapshots[j] = StatePair(ScalarField(grid, cur.copy()), ScalarField(grid, vel))
-        prev, cur, nxt = cur, nxt, prev
-    # the loop ran at least once, so nxt now holds the level before prev
-    vel = (3.0 * sign * cur - 4.0 * sign * prev + sign * nxt) / (2.0 * grid.dt)
+        prev, cur = cur, prev
+    # ((3 sign u^L - 4 sign u^{L-1}) + sign u^{L-2}) / (2 dt) in the scratch
+    # and in u^{L-1}'s buffer, the loop's last pass having kept sign u^{L-2}
+    vel = np.multiply(cur, 3.0 * sign, out=work)
+    prev *= 4.0 * sign
+    vel -= prev
+    vel += back
+    vel /= 2.0 * grid.dt
     return StatePair(ScalarField(grid, cur), ScalarField(grid, vel))
 
 
@@ -315,18 +345,25 @@ def _absorbing_march(prev: np.ndarray, cur: np.ndarray, behind: np.ndarray,
     broadcast column); prev and cur are overwritten.
 
     cur first takes the Taylor start's absorbing ghost at t = T, which reads
-    behind = dt v_t(T) and the one-sided data derivative (g^J - g^{J-1}) / dt.
-    coef is _check_setup's for c.
+    behind, the boundary values of dt v_t(T) in canonical order, and the
+    one-sided data derivative (g^J - g^{J-1}) / dt.  The update of level j
+    reads the boundary values of level j + 2, whose buffer level j + 1 has
+    already taken, so the rule keeps the boundary values of the last two
+    levels itself.  coef is _check_setup's for c.
     """
     flat, _ = _boundary_layout(bspec.grid.n)
     G = _absorption(c.values, bspec)
     steps = data.shape[0] - 1
+    rings = np.empty((2, flat.size))
+    rings[steps % 2] = prev.reshape(-1)[flat]
     edge = cur.reshape(-1)
-    edge[flat] += G * (behind.reshape(-1)[flat] - data[steps] + data[steps - 1])
+    edge[flat] += G * (behind - data[steps] + data[steps - 1])
+    rings[(steps - 1) % 2] = edge[flat]
 
-    def absorb(j, level, behind):
-        new = level.reshape(-1)
-        new[flat] = _absorb(new[flat], behind.reshape(-1)[flat], data[j], data[j + 2], G)
+    def absorb(j, level):
+        later = rings[j % 2]
+        later[:] = _absorb(level.reshape(-1)[flat], later, data[j], data[j + 2], G)
+        level.reshape(-1)[flat] = later
 
     return _leapfrog(prev, cur, steps - 1, 0, bspec.grid, coef, absorb, snapshots)
 
@@ -347,12 +384,12 @@ def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, 
     flat, _ = _boundary_layout(grid.n)
     rows = np.empty((steps + 1, flat.size))
 
-    def record(j, level, behind):
+    def record(j, level):
         np.take(level, flat, out=rows[j])
 
     prev, cur, _ = _taylor_start(s0, coef, +1)
-    record(0, prev, None)
-    record(1, cur, None)
+    record(0, prev)
+    record(1, cur)
     final = _leapfrog(prev, cur, 1, steps, grid, coef, record, snapshots)
     rows[:, ~bspec.gamma_mask] = 0.0
     return SolveResult(trace=BoundaryTrace(bspec, rows), final_state=final)
@@ -375,10 +412,13 @@ def dissipative_reverse_solve(g: BoundaryTrace, c: ScalarField, *,
     grid = g.grid
     coef = _check_setup(grid, c, g.bspec)
     if terminal_state is None:
-        terminal_state = StatePair.zeros(grid)
+        # the Taylor start from (0, 0) is +0 at every node, and so is dt v_t
+        prev, cur = np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))
+        behind = np.zeros(boundary_count(grid.n))
     elif terminal_state.grid != grid:
         raise GridMismatchError("terminal state lives on a different grid")
-    prev, cur, behind = _taylor_start(terminal_state, coef, -1)
+    else:
+        prev, cur, behind = _taylor_start(terminal_state, coef, -1)
     return _absorbing_march(prev, cur, behind, c, coef, g.bspec, g.samples, snapshots)
 
 
@@ -401,6 +441,8 @@ def reverse_own_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
         trace = forward_solve(StatePair(f, ScalarField.zeros(grid)), c, bspec, T).trace
         return dissipative_reverse_solve(trace, c).first
     before, last = leapfrog_levels(f, c, T)
+    flat, _ = _boundary_layout(grid.n)
+    behind = last.values.reshape(-1)[flat] - before.values.reshape(-1)[flat]
     zero = np.zeros((num_steps(T, grid.dt) + 1, 1))
-    return f - _absorbing_march(last.values, before.values, last.values - before.values,
-                                c, coef, bspec, zero, None).first
+    return f - _absorbing_march(last.values, before.values, behind, c, coef, bspec, zero,
+                                None).first

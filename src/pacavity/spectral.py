@@ -72,8 +72,26 @@ def _dct1(x: np.ndarray) -> np.ndarray:
     (-1)^k x_{n-1} + 2 sum_{m=1}^{n-2} x_m cos(pi k m / (n - 1)): the real
     part of the real FFT of the even extension, as pocketfft computes it, so
     the result is scipy.fft.dct(x, type=1) bit for bit where numpy and scipy
-    vendor the same pocketfft."""
-    return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1)).real
+    vendor the same pocketfft.
+
+    The result is a C-ordered array, allocated once.  The rows go through
+    the FFT in blocks whose even extension, built in one reused buffer,
+    holds about 2**14 values, so only a block of the extension and of its
+    complex spectrum (~128 KB each) is held beside the result.  Each row is
+    transformed on its own, so the block size does not change its bits.
+    """
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    out = np.empty(rows.shape)
+    step = min(len(rows), max(1, 2 ** 14 // (2 * n - 2)))
+    ext = np.empty((step, 2 * n - 2))
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        m = len(block)
+        ext[:m, :n] = block
+        ext[:m, n:] = block[:, -2:0:-1]
+        out[i:i + m] = np.fft.rfft(ext[:m]).real
+    return out.reshape(x.shape)
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:
@@ -131,8 +149,8 @@ def _trace_from_walls(walls: np.ndarray, bspec: BoundarySpec) -> BoundaryTrace:
     levels = walls.shape[0]
     walls[..., 1:-1] *= 0.5
     rows = walls.reshape(-1)[:levels * boundary_count(n)].reshape(levels, -1)
-    # about 2**13 wall values a block: its extension and spectrum stay small
-    # (~0.5 MB each at n = 257) beside the trace-sized buffer
+    # about 2**15 wall values a block: their node values stay small
+    # (~0.25 MB) beside the trace-sized buffer
     block = max(1, 2 ** 13 // n)
     ks, ls = boundary_indices(n)
     # each node's place among a level's bottom, top, left and right walls

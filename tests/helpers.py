@@ -3,8 +3,8 @@
 import numpy as np
 
 from pacavity import (BoundarySpec, BoundaryTrace, ConfigError, CosineCoeffs, Grid2D,
-                      ScalarField, StatePair, boundary_indices, dct2_forward, dct2_inverse,
-                      energy, mode_frequencies, num_steps)
+                      ScalarField, StatePair, boundary_count, boundary_indices, dct2_forward,
+                      dct2_inverse, energy, leapfrog_levels, mode_frequencies, num_steps)
 from pacavity.fdtd import _leapfrog_phases
 from pacavity.spectral import _trace_from_walls, _wall_coefficients
 
@@ -104,14 +104,9 @@ def spectral_energy(c: CosineCoeffs) -> float:
     return float(np.sum(np.outer(w1, w1) * (c.coeffs * mode_frequencies(c.grid)) ** 2))
 
 
-def slice_stencil_step(prev: ScalarField, curr: ScalarField, c: ScalarField) -> ScalarField:
-    """One mirror-closed leapfrog level on 2-D slices, independent of the
-    solvers' kernel: 2 u - u_prev + (dt/dx)^2 c^2 (neighbour sum - 4 u),
-    the neighbours summed up, down, left, right, with the mirror ghost
-    u_{-1} = u_1 at the walls."""
-    grid = curr.grid
-    coef = (grid.dt / grid.dx) ** 2 * c.values ** 2
-    u = curr.values
+def neighbour_sum(u: np.ndarray) -> np.ndarray:
+    """The four neighbours of every node summed on 2-D slices, up, down,
+    left, right, with the mirror ghost u_{-1} = u_1 at the walls."""
     s = np.empty_like(u)
     s[1:] = u[:-1]
     s[0] = u[1]
@@ -121,4 +116,112 @@ def slice_stencil_step(prev: ScalarField, curr: ScalarField, c: ScalarField) -> 
     s[:, 0] += u[:, 1]
     s[:, :-1] += u[:, 1:]
     s[:, -1] += u[:, -2]
-    return ScalarField(grid, (2.0 - 4.0 * coef) * u - prev.values + coef * s)
+    return s
+
+
+def slice_stencil_step(prev: ScalarField, curr: ScalarField, c: ScalarField) -> ScalarField:
+    """One mirror-closed leapfrog level on 2-D slices, independent of the
+    solvers' kernel: 2 u - u_prev + (dt/dx)^2 c^2 (neighbour sum - 4 u),
+    the neighbours summed up, down, left, right, with the mirror ghost
+    u_{-1} = u_1 at the walls."""
+    grid = curr.grid
+    coef = (grid.dt / grid.dx) ** 2 * c.values ** 2
+    u = curr.values
+    return ScalarField(grid, (2.0 - 4.0 * coef) * u - prev.values + coef * neighbour_sum(u))
+
+
+# The marches of fdtd written plainly from its module docstring, as the
+# reference that the solvers' buffer-saving march must equal bit for bit:
+# every level is a new array, four of them live, the boundary rules act on
+# whole 2-D rings, and the velocities are the centered and one-sided
+# differences of the levels kept.
+
+def _taylor_level(first: np.ndarray, behind: np.ndarray, c: ScalarField) -> np.ndarray:
+    """The second level of a march from u = first: the mirror-closed
+    second-order Taylor step u + dt u_t + (dt^2 / 2) c^2 (D_xx + D_yy) u,
+    given behind = -dt u_t along the march."""
+    grid = c.grid
+    coef = (grid.dt / grid.dx) ** 2 * c.values ** 2
+    return (1.0 - 2.0 * coef) * first - behind + 0.5 * coef * neighbour_sum(first)
+
+
+def _reference_leapfrog(prev, cur, j0, j_end, c, boundary, snapshots):
+    """From level j0 in cur and the level before it in prev to level j_end:
+    each new level from slice_stencil_step, finished by
+    boundary(j, level, level two steps back).  Returns (u, u_t) at j_end and
+    {j: (u, u_t)} for the steps j in snapshots."""
+    grid = c.grid
+    sign = 1 if j_end > j0 else -1
+    states = {}
+    for j in range(j0, j_end, sign):
+        nxt = slice_stencil_step(ScalarField(grid, prev), ScalarField(grid, cur), c).values
+        boundary(j + sign, nxt, prev)
+        if j in snapshots:
+            states[j] = (cur, (sign * nxt - sign * prev) / (2.0 * grid.dt))
+        prev, cur, older = cur, nxt, prev
+    vel = (3.0 * sign * cur - 4.0 * sign * prev + sign * older) / (2.0 * grid.dt)
+    return (cur, vel), states
+
+
+def reference_forward(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float,
+                      snapshots=()):
+    """forward_solve's trace rows, final (u, u_t) and snapshot states."""
+    grid = s0.grid
+    ks, ls = boundary_indices(grid.n)
+    first = s0.first.values
+    second = _taylor_level(first, -grid.dt * s0.second.values, c)
+    rows = [first[ks, ls], second[ks, ls]]
+    final, states = _reference_leapfrog(
+        first, second, 1, num_steps(T, grid.dt), c,
+        lambda j, level, behind: rows.append(level[ks, ls]), snapshots)
+    rows = np.array(rows)
+    rows[:, ~bspec.gamma_mask] = 0.0
+    return rows, final, states
+
+
+def reference_absorbing(later, cur, behind, c: ScalarField, bspec: BoundarySpec,
+                        data: np.ndarray, snapshots=()):
+    """The backward march from level J = len(data) - 1 in later and J - 1 in
+    cur: the Taylor start's absorbing ghost on cur, reading behind (dt v_t(T)
+    for the backward solve), then every level's ring updated by the centered
+    absorbing condition, with G = 0 off Gamma."""
+    grid = c.grid
+    n = grid.n
+    ks, ls = boundary_indices(n)
+    walls = (ks % (n - 1) == 0).astype(float) + (ls % (n - 1) == 0)
+    G = (grid.dt / grid.dx) * c.values[ks, ls] ** 2 * bspec.lam * walls
+    steps = len(data) - 1
+    cur = cur.copy()
+    cur[ks, ls] += G * (behind[ks, ls] - data[steps] + data[steps - 1])
+
+    def absorb(j, level, later):
+        level[ks, ls] = (level[ks, ls] + G * (later[ks, ls] - data[j + 2] + data[j])) / (1.0 + G)
+
+    return _reference_leapfrog(later, cur, steps - 1, 0, c, absorb, snapshots)
+
+
+def reference_reverse(data: np.ndarray, c: ScalarField, bspec: BoundarySpec,
+                      terminal: StatePair | None = None, snapshots=()):
+    """dissipative_reverse_solve's (v, v_t) at t = 0 and snapshot states,
+    from the terminal state or (0, 0), through its Taylor start."""
+    terminal = StatePair.zeros(c.grid) if terminal is None else terminal
+    first = terminal.first.values
+    behind = c.grid.dt * terminal.second.values
+    return reference_absorbing(first, _taylor_level(first, behind, c), behind, c, bspec,
+                               data, snapshots)
+
+
+def reference_own_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
+                        T: float) -> np.ndarray:
+    """reverse_own_trace's v(., 0): at constant c, f minus the zero-data
+    absorbing march from the levels of leapfrog_levels; at any other c, the
+    backward march on the forward march's trace."""
+    grid = f.grid
+    if np.ptp(c.values) == 0.0:
+        before, last = leapfrog_levels(f, c, T)
+        zero = np.zeros((num_steps(T, grid.dt) + 1, boundary_count(grid.n)))
+        (e, _), _ = reference_absorbing(last.values, before.values,
+                                        last.values - before.values, c, bspec, zero)
+        return f.values - e
+    rows, _, _ = reference_forward(StatePair(f, ScalarField.zeros(grid)), c, bspec, T)
+    return reference_reverse(rows, c, bspec)[0][0]

@@ -9,7 +9,8 @@ import pytest
 import pacavity as pv
 from pacavity.core import GridMismatchError, boundary_indices
 
-from helpers import (eigenfield, graded, slice_stencil_step, smooth_random_field,
+from helpers import (eigenfield, graded, reference_forward, reference_own_trace,
+                     reference_reverse, slice_stencil_step, smooth_random_field,
                      smooth_random_state)
 
 
@@ -666,3 +667,132 @@ class TestReversalError:
         other = pv.ScalarField.zeros(pv.Grid2D(17))
         with pytest.raises(GridMismatchError):
             pv.reverse_own_trace(other, unit, bs_full, 1.0)
+
+
+def march_setup(n, speed, aperture):
+    """Grid, sound speed and boundary spec of one reference-march case."""
+    dx = pv.Grid2D(n).dx
+    grid = pv.Grid2D(n, 0.3 * dx if speed == "unit_dt0.3dx" else 0.5 * dx)
+    if speed == "smooth":
+        x = grid.coords()
+        r2 = (x[:, None] - 0.2) ** 2 + (x[None, :] + 0.1) ** 2
+        c = pv.ScalarField(grid, 1.0 + 0.25 * np.exp(-r2 / 0.3))
+    else:
+        c = pv.ScalarField.constant(grid, 1.0)
+    if aperture == "node_list":
+        bs = pv.BoundarySpec.from_node_list(grid, range(0, pv.boundary_count(n), 3))
+    else:
+        bs = {"full": pv.BoundarySpec.full, "left_bottom": pv.BoundarySpec.left_bottom,
+              "graded": graded}[aperture](grid)
+    return grid, c, bs
+
+
+MARCH_APERTURES = pytest.mark.parametrize("aperture",
+                                          ["full", "left_bottom", "node_list", "graded"])
+MARCH_SPEEDS = pytest.mark.parametrize("speed", ["unit_dt0.5dx", "unit_dt0.3dx", "smooth"])
+MARCH_SIZES = pytest.mark.parametrize("n", [17, 33])
+
+
+class TestAgainstTheReferenceMarch:
+    """Every output of the marches equals, bit for bit, the plain four-level
+    march of tests/helpers.py, whatever buffers the solvers reuse."""
+
+    STEPS = 24
+
+    @MARCH_SIZES
+    @MARCH_SPEEDS
+    @MARCH_APERTURES
+    def test_forward_solve(self, n, speed, aperture):
+        grid, c, bs = march_setup(n, speed, aperture)
+        s0 = smooth_random_state(grid, np.random.default_rng(n))
+        T = self.STEPS * grid.dt
+        snaps = dict.fromkeys((5, self.STEPS - 1))
+        res = pv.forward_solve(s0, c, bs, T, snapshots=snaps)
+        rows, (u, ut), states = reference_forward(s0, c, bs, T, snaps)
+        assert_same_bits(res.trace.samples, rows)
+        assert_same_bits(res.final_state.first.values, u)
+        assert_same_bits(res.final_state.second.values, ut)
+        for j, (uj, utj) in states.items():
+            assert_same_bits(snaps[j].first.values, uj)
+            assert_same_bits(snaps[j].second.values, utj)
+
+    @MARCH_SIZES
+    @MARCH_SPEEDS
+    @MARCH_APERTURES
+    @pytest.mark.parametrize("terminal", ["zero", "nonzero"])
+    def test_dissipative_reverse_solve(self, n, speed, aperture, terminal):
+        grid, c, bs = march_setup(n, speed, aperture)
+        rng = np.random.default_rng(n)
+        T = self.STEPS * grid.dt
+        data = pv.forward_solve(smooth_random_state(grid, rng), c, bs, T).trace
+        end = None if terminal == "zero" else smooth_random_state(grid, rng)
+        snaps = dict.fromkeys((2, self.STEPS - 1))
+        out = pv.dissipative_reverse_solve(data, c, terminal_state=end, snapshots=snaps)
+        (v, vt), states = reference_reverse(data.samples, c, bs, end, snaps)
+        assert_same_bits(out.first.values, v)
+        assert_same_bits(out.second.values, vt)
+        for j, (vj, vtj) in states.items():
+            assert_same_bits(snaps[j].first.values, vj)
+            assert_same_bits(snaps[j].second.values, vtj)
+
+    @MARCH_SIZES
+    @MARCH_SPEEDS
+    @MARCH_APERTURES
+    def test_reverse_own_trace(self, n, speed, aperture):
+        grid, c, bs = march_setup(n, speed, aperture)
+        f = smooth_random_field(grid, np.random.default_rng(n))
+        T = self.STEPS * grid.dt
+        assert_same_bits(pv.reverse_own_trace(f, c, bs, T).values,
+                         reference_own_trace(f, c, bs, T))
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes fn allocates while it runs, its result included, above
+    what is live when it starts."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMarchMemory:
+    """A march holds three n x n buffers (two levels and a scratch), and
+    s u^{L-2} once for the end velocity; at variable c also the per-node
+    coefficient and centre.  The
+    bounds, in n x n arrays at n = 129, are set from measurement: the
+    backward solve from (0, 0) read 4.27 at constant and 6.27 at variable c
+    (10.05 and 12.05 with four rotating levels and a full-size start)."""
+
+    N = 129
+
+    def case(self, speed):
+        grid = pv.Grid2D(self.N)
+        if speed == "variable":
+            x = grid.coords()
+            r2 = x[:, None] ** 2 + x[None, :] ** 2
+            c = pv.ScalarField(grid, 1.0 + 0.25 * np.exp(-r2 / 0.3))
+        else:
+            c = pv.ScalarField.constant(grid, 1.0)
+        return grid, c, pv.BoundarySpec.left_bottom(grid), pv.paper_six_phantom(grid)
+
+    @pytest.mark.parametrize("speed, bound", [("constant", 4.5), ("variable", 6.5)])
+    def test_reverse_solve_from_zero(self, speed, bound):
+        grid, c, bs, f = self.case(speed)
+        trace = pv.forward_solve(pv.StatePair(f, pv.ScalarField.zeros(grid)), c, bs, 1.0).trace
+        peak = traced_peak(pv.dissipative_reverse_solve, trace, c)
+        assert peak < bound * f.values.nbytes
+
+    # at constant c the peak is leapfrog_levels' transforms (11.95 arrays
+    # with whole-array DCTs, 9.95 in blocks); at variable c it is the
+    # forward solve beside its trace (13.05 beyond it with four levels,
+    # 8.18 with three)
+    @pytest.mark.parametrize("speed, bound", [("constant", 10.5), ("variable", 8.5)])
+    def test_reverse_own_trace(self, speed, bound):
+        grid, c, bs, f = self.case(speed)
+        T = 1.0
+        levels = pv.num_steps(T, grid.dt) + 1
+        trace = 0 if speed == "constant" else levels * pv.boundary_count(grid.n) * 8
+        peak = traced_peak(pv.reverse_own_trace, f, c, bs, T)
+        assert peak - trace < bound * f.values.nbytes

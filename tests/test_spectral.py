@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pacavity as pv
-from pacavity.spectral import _trace_from_walls, mode_frequencies
+from pacavity.spectral import _dct1, _trace_from_walls, mode_frequencies
 
 from helpers import (boundary_values, eigenfield, leapfrog_trace, smooth_random_field,
                      spectral_energy, spectral_propagate, spectral_velocity)
@@ -69,6 +69,17 @@ class TestTransform:
                 oracle[k, l] = num / den
         mine = pv.dct2_forward(f).coeffs
         assert np.abs(mine - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("n", [4, 5, 33, 257])
+def test_dct1_blocks_do_not_change_the_bits(n):
+    # 300 rows span several of _dct1's blocks from n = 33 on; the
+    # transposed input is the strided one that _dct2 hands it
+    x = np.random.default_rng(n).standard_normal((n, 300)).T
+    whole = np.fft.rfft(np.concatenate([x, x[:, -2:0:-1]], axis=1)).real
+    got = _dct1(x)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(whole).tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 5, 33, 257])
@@ -270,6 +281,19 @@ class TestSynthesize:
             tracemalloc.stop()
         assert g.samples.shape == (1281, 1024)
         assert peak < 1.25 * g.samples.nbytes
+
+    def test_mode_space_memory_beyond_the_trace(self, phantom257, bspec_full257):
+        # over 32 steps the peak is in mode space: the coefficients, a, M, D
+        # and the transforms' blocks, 3.58 n x n arrays beyond the trace
+        # (6.72 with whole-array DCT-I extensions and spectra)
+        grid = phantom257.grid
+        tracemalloc.start()
+        try:
+            g = pv.synthesize_data(phantom257, bspec_full257, 32 * grid.dt, grid.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - g.samples.nbytes < 4.0 * phantom257.values.nbytes
 
     def test_non_integer_step_count_rejected(self, grid):
         bs = pv.BoundarySpec.full(grid)
