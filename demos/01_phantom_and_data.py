@@ -31,7 +31,7 @@ print(f"phantom peak {phantom.values.max():.3f}, "
 
 # the cosine transform is an exact interpolant on the grid
 coeffs = pv.dct2_forward(phantom)
-recovered = pv.dct2_inverse(coeffs)
+recovered = pv.dct2_inverse(grid, coeffs)
 print(f"transform round-trip error: {np.abs(recovered.values - phantom.values).max():.2e}")
 
 # boundary data on the full boundary over [0, 5]

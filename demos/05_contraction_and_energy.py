@@ -42,10 +42,10 @@ print(f"forward energy drift over T=5: {drift * 100:.3f}%")
 rng = np.random.default_rng(3)
 coeffs = np.zeros((N, N))
 coeffs[:8, :8] = rng.standard_normal((8, 8))
-w0 = pv.dct2_inverse(pv.CosineCoeffs(grid, coeffs))
+w0 = pv.dct2_inverse(grid, coeffs)
 coeffs2 = np.zeros((N, N))
 coeffs2[:8, :8] = rng.standard_normal((8, 8))
-w1 = pv.dct2_inverse(pv.CosineCoeffs(grid, coeffs2))
+w1 = pv.dct2_inverse(grid, coeffs2)
 zero = pv.BoundaryTrace(bspec, np.zeros((steps + 1, pv.boundary_count(N))))
 snaps = dict.fromkeys(range(100, steps, 100))
 out = pv.dissipative_reverse_solve(zero, speed, terminal_state=pv.StatePair(w0, w1),

@@ -47,7 +47,6 @@ from .recon import (
     neumann_iterate,
 )
 from .spectral import (
-    CosineCoeffs,
     dct2_forward,
     dct2_inverse,
     mode_frequencies,

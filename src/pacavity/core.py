@@ -64,9 +64,11 @@ class Grid2D:
         if not isinstance(self.n, (int, np.integer)) or not 4 <= self.n <= MAX_N:
             raise ConfigError(f"grid size n must be an integer <= {MAX_N} and >= 4, "
                               f"got {self.n!r}")
-        if self.dt is None:
-            object.__setattr__(self, "dt", 0.5 * self.dx)
-        elif not (0.0 < float(self.dt) < np.inf):
+        if isinstance(self.dt, (str, bytes, bool, np.bool_)):
+            raise ConfigError(f"time step dt must be a number, got {self.dt!r}")
+        # a Python float, so that dt / dx and the scheme's coefficient are doubles
+        object.__setattr__(self, "dt", 0.5 * self.dx if self.dt is None else float(self.dt))
+        if not 0.0 < self.dt < np.inf:
             raise ConfigError(f"time step dt must be positive, got {self.dt!r}")
 
     @property

@@ -87,7 +87,7 @@ from .core import (
     boundary_indices,
     num_steps,
 )
-from .spectral import CosineCoeffs, dct2_forward, dct2_inverse
+from .spectral import dct2_forward, dct2_inverse
 
 
 @dataclass
@@ -268,10 +268,9 @@ def leapfrog_levels(f: ScalarField, c: ScalarField,
     """
     grid = f.grid
     theta = _leapfrog_phases(grid, c)
-    coeffs = dct2_forward(f).coeffs
+    coeffs = dct2_forward(f)
     steps = num_steps(T, grid.dt)
-    return tuple(dct2_inverse(CosineCoeffs(grid, coeffs * np.cos(j * theta)))
-                 for j in (steps - 1, steps))
+    return tuple(dct2_inverse(grid, coeffs * np.cos(j * theta)) for j in (steps - 1, steps))
 
 
 def _taylor_start(state: StatePair, coef,
@@ -438,6 +437,7 @@ def reverse_own_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
     grid = f.grid
     coef = _check_setup(grid, c, bspec)
     if not isinstance(coef, float):
+        del coef  # the two solves derive their own; freed before they march
         trace = forward_solve(StatePair(f, ScalarField.zeros(grid)), c, bspec, T).trace
         return dissipative_reverse_solve(trace, c).first
     before, last = leapfrog_levels(f, c, T)

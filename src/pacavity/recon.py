@@ -124,7 +124,7 @@ def neumann_iterate(g: BoundaryTrace, cfg: ReconConfig,
     if reference is not None and reference.grid != cfg.grid:
         raise GridMismatchError("reference and configuration live on different grids")
     u, errors = StatePair.zeros(cfg.grid), []
-    base = project_H1(fdtd.dissipative_reverse_solve(g, cfg.c)) if cfg.iterations else None
+    base = initial_approximation(g, cfg) if cfg.iterations else None
     for k in range(cfg.iterations):
         u = base if k == 0 else u - _apply(u, cfg) + base
         if reference is not None:

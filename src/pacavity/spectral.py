@@ -9,8 +9,10 @@ with angular frequencies lam_{k,l} = (pi/2) * sqrt(k^2 + l^2).  On the
 closed n x n grid the sampled eigenfunctions for k, l = 0 .. n-1 form an
 orthogonal basis under the trapezoid weights, and the type-I discrete
 cosine transform converts between node values and mode coefficients
-exactly: dct2_forward and dct2_inverse are each one 2-D DCT-I scaled by
-outer products of the trapezoid weights, and both return C-ordered arrays.
+exactly: dct2_forward(f) returns the coefficients c_{k,l} as an n x n
+array, and dct2_inverse(grid, coeffs) evaluates such an array at the nodes.
+Each is one 2-D DCT-I scaled by outer products of the trapezoid weights,
+and both return C-ordered arrays.
 A DCT-I is the real part of the real FFT of the even extension
 x_0 .. x_{n-1}, x_{n-2} .. x_1 (see _dct1), so numpy.fft is the only FFT
 this package needs.  The solution of the wave equation with
@@ -29,8 +31,6 @@ with this DCT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -44,22 +44,6 @@ from .core import (
     boundary_indices,
     num_steps,
 )
-
-@dataclass
-class CosineCoeffs:
-    """Cosine-mode coefficients c_{k,l} of a field on its grid."""
-
-    grid: Grid2D
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.grid.n, self.grid.n):
-            raise GridMismatchError(
-                f"coefficient shape {c.shape} does not match grid {self.grid.n}"
-            )
-        self.coeffs = c
-
 
 def mode_frequencies(grid: Grid2D) -> np.ndarray:
     """Angular frequencies lam_{k,l} = (pi/2) sqrt(k^2 + l^2)."""
@@ -99,16 +83,20 @@ def _dct2(x: np.ndarray) -> np.ndarray:
     return _dct1(_dct1(x.T).T)
 
 
-def dct2_forward(f: ScalarField) -> CosineCoeffs:
-    """Expand a field in the sampled cosine eigenbasis (exact on the grid)."""
+def dct2_forward(f: ScalarField) -> np.ndarray:
+    """Expand a field in the sampled cosine eigenbasis (exact on the grid):
+    the n x n coefficients c_{k,l}."""
     w = 0.5 * f.grid.quad_weights()
-    return CosineCoeffs(f.grid, _dct2(f.values) * np.outer(w, w))
+    return _dct2(f.values) * np.outer(w, w)
 
 
-def dct2_inverse(c: CosineCoeffs) -> ScalarField:
-    """Evaluate a cosine series at all grid nodes (inverse of dct2_forward)."""
-    h = c.grid.dx / (2.0 * c.grid.quad_weights())
-    return ScalarField(c.grid, _dct2(c.coeffs * np.outer(h, h)))
+def dct2_inverse(grid: Grid2D, coeffs: np.ndarray) -> ScalarField:
+    """Evaluate the cosine series with n x n coefficients coeffs at all grid
+    nodes (inverse of dct2_forward)."""
+    if np.shape(coeffs) != (grid.n, grid.n):
+        raise GridMismatchError(f"coefficient shape {np.shape(coeffs)} is not {grid.n}x{grid.n}")
+    h = grid.dx / (2.0 * grid.quad_weights())
+    return ScalarField(grid, _dct2(coeffs * np.outer(h, h)))
 
 
 def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) -> BoundaryTrace:
@@ -129,7 +117,7 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
                           "the solvers step the trace on the grid's dt")
     steps = num_steps(T, dt)
     a = 4.0 * np.sin(0.5 * dt * mode_frequencies(f.grid)) ** 2
-    walls = _wall_coefficients(dct2_forward(f).coeffs, a, steps)
+    walls = _wall_coefficients(dct2_forward(f), a, steps)
     del a  # freed before the walls' DCT allocates
     return _trace_from_walls(walls, bspec)
 

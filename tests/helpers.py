@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from pacavity import (BoundarySpec, BoundaryTrace, ConfigError, CosineCoeffs, Grid2D,
-                      ScalarField, StatePair, boundary_count, boundary_indices, dct2_forward,
-                      dct2_inverse, energy, leapfrog_levels, mode_frequencies, num_steps)
+from pacavity import (BoundarySpec, BoundaryTrace, ConfigError, Grid2D, ScalarField,
+                      StatePair, boundary_count, boundary_indices, dct2_forward, dct2_inverse,
+                      energy, leapfrog_levels, mode_frequencies, num_steps)
 from pacavity.fdtd import _leapfrog_phases
 from pacavity.spectral import _trace_from_walls, _wall_coefficients
 
@@ -18,7 +18,7 @@ def smooth_random_field(grid: Grid2D, rng, kmax: int = 9, scale: float = 1.0) ->
     kmax = min(kmax, grid.n - 1)
     coeffs = np.zeros((grid.n, grid.n))
     coeffs[: kmax + 1, : kmax + 1] = scale * rng.standard_normal((kmax + 1, kmax + 1))
-    return dct2_inverse(CosineCoeffs(grid, coeffs))
+    return dct2_inverse(grid, coeffs)
 
 
 def smooth_random_state(grid: Grid2D, rng, kmax: int = 9) -> StatePair:
@@ -58,12 +58,12 @@ def boundary_values(f: ScalarField) -> np.ndarray:
     return f.values[ks, ls]
 
 
-def spectral_propagate(c: CosineCoeffs, t: float) -> ScalarField:
-    """Wave field u(., t) for initial data (f, 0), f = dct2_inverse(c)."""
+def spectral_propagate(grid: Grid2D, coeffs: np.ndarray, t: float) -> ScalarField:
+    """Wave field u(., t) for initial data (f, 0), f = dct2_inverse(grid, coeffs)."""
     if t < 0:
         raise ConfigError("propagation time must be nonnegative")
-    lam = mode_frequencies(c.grid)
-    return dct2_inverse(CosineCoeffs(c.grid, c.coeffs * np.cos(lam * t)))
+    lam = mode_frequencies(grid)
+    return dct2_inverse(grid, coeffs * np.cos(lam * t))
 
 
 def leapfrog_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
@@ -81,27 +81,26 @@ def leapfrog_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
     grid = f.grid
     a = 4.0 * np.sin(0.5 * _leapfrog_phases(grid, c)) ** 2
     return _trace_from_walls(
-        _wall_coefficients(dct2_forward(f).coeffs, a, num_steps(T, grid.dt)), bspec)
+        _wall_coefficients(dct2_forward(f), a, num_steps(T, grid.dt)), bspec)
 
 
-def spectral_velocity(c: CosineCoeffs, t: float) -> ScalarField:
+def spectral_velocity(grid: Grid2D, coeffs: np.ndarray, t: float) -> ScalarField:
     """Time derivative u_t(., t) of the series solution, differentiated term-wise."""
-    lam = mode_frequencies(c.grid)
-    return dct2_inverse(CosineCoeffs(c.grid, -c.coeffs * lam * np.sin(lam * t)))
+    lam = mode_frequencies(grid)
+    return dct2_inverse(grid, -coeffs * lam * np.sin(lam * t))
 
 
-def spectral_energy(c: CosineCoeffs) -> float:
+def spectral_energy(grid: Grid2D, coeffs: np.ndarray) -> float:
     """Conserved energy of the series solution, summed mode-wise.
 
     Modes are orthogonal with squared norms prod(2 for index 0 or n-1 else 1);
     the energy of initial data (f, 0) is sum c^2 lam^2 * weight, and stays
     constant in time by cos^2 + sin^2 = 1.
     """
-    n = c.grid.n
-    w1 = np.ones(n)
+    w1 = np.ones(grid.n)
     w1[0] = 2.0
     w1[-1] = 2.0
-    return float(np.sum(np.outer(w1, w1) * (c.coeffs * mode_frequencies(c.grid)) ** 2))
+    return float(np.sum(np.outer(w1, w1) * (coeffs * mode_frequencies(grid)) ** 2))
 
 
 def neighbour_sum(u: np.ndarray) -> np.ndarray:

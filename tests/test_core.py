@@ -54,6 +54,12 @@ class TestGrid:
     def test_nonpositive_step_rejected(self):
         with pytest.raises(pv.ConfigError, match="dt must be positive"):
             pv.Grid2D(9, dt=0.0)
+        for dt in ("0.1", True, np.True_):
+            with pytest.raises(pv.ConfigError, match="dt must be a number"):
+                pv.Grid2D(9, dt=dt)
+        # a float32 step is held as a double, so the scheme runs in doubles
+        dt = pv.Grid2D(9, np.float32(0.125)).dt
+        assert type(dt) is float and dt == 0.125
 
     def test_quad_weights_sum_to_side_length(self, grid):
         assert np.sum(grid.quad_weights()) == pytest.approx(2.0, abs=1e-14)

@@ -787,8 +787,9 @@ class TestMarchMemory:
     # at constant c the peak is leapfrog_levels' transforms (11.95 arrays
     # with whole-array DCTs, 9.95 in blocks); at variable c it is the
     # forward solve beside its trace (13.05 beyond it with four levels,
-    # 8.18 with three)
-    @pytest.mark.parametrize("speed, bound", [("constant", 10.5), ("variable", 8.5)])
+    # 8.18 with three, 7.18 once reverse_own_trace frees its own
+    # coefficient before the solves)
+    @pytest.mark.parametrize("speed, bound", [("constant", 10.5), ("variable", 7.5)])
     def test_reverse_own_trace(self, speed, bound):
         grid, c, bs, f = self.case(speed)
         T = 1.0
