@@ -33,7 +33,7 @@ DEMOS = {
     "fig1-full": dict(T="5", iterations="1", gamma="full"),
     "fig1-partial": dict(T="5", iterations="1", gamma="left_bottom"),
     "fig2-noise": dict(T="5", iterations="1", noise="0.5", seed="7"),
-    "fig3-iter-full": dict(T="1.6", iterations="5", gamma="full", snap_time="true"),
+    "fig3-iter-full": dict(T="1.6", iterations="5", gamma="full"),
     "fig4-iter-partial": dict(T="3", iterations="5", gamma="left_bottom"),
 }
 

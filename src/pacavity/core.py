@@ -296,8 +296,9 @@ class BoundaryTrace:
     solvers that read it cannot step on another time step or absorb on
     another boundary.  Nodes outside Gamma are zeroed on construction, and
     neither field can be reassigned, so the samples always match the spec.
-    The trace file stores dt, Gamma and lambda, so a reloaded trace carries
-    all three.
+    The trace file's header stores n, dt, Gamma and lambda, and its rows
+    only the samples, one row per time level (no time column: the times
+    are j*dt); a reloaded trace carries the same spec.
     """
 
     bspec: BoundarySpec

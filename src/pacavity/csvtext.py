@@ -96,7 +96,8 @@ def _csv_bytes(block: np.ndarray) -> np.ndarray:
     a rounding tie, is formatted by Python one value at a time.  Each value
     is a record of seven uint32 words (sign, digit and point; four 4-digit
     groups; 'e' and sign; exponent and separator), whose 0 pad bytes are
-    then dropped.
+    then dropped.  The block is only read: ``write_rows`` passes views of
+    the caller's array.
     """
     pow10, digits, exps = _format_tables()
     rows, cols = block.shape
@@ -143,13 +144,12 @@ def _csv_bytes(block: np.ndarray) -> np.ndarray:
     return text[text != 0]
 
 
-def write_rows(fh, *columns: np.ndarray) -> None:
-    """Write the 2-D float arrays ``columns``, side by side, to the binary
-    file ``fh`` as CSV rows of ``'%.16e'`` values, a block of rows at a time."""
-    width = sum(c.shape[1] for c in columns)
-    step = max(1, _BLOCK_VALUES // width)
-    for i in range(0, columns[0].shape[0], step):
-        fh.write(_csv_bytes(np.hstack([c[i:i + step] for c in columns])))
+def write_rows(fh, rows: np.ndarray) -> None:
+    """Write the 2-D float array ``rows`` to the binary file ``fh`` as CSV
+    rows of ``'%.16e'`` values, a block of rows at a time."""
+    step = max(1, _BLOCK_VALUES // rows.shape[1])
+    for i in range(0, rows.shape[0], step):
+        fh.write(_csv_bytes(rows[i:i + step]))
 
 
 # SWAR (SIMD within a register) constants for 8 ASCII digits in a uint64,

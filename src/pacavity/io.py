@@ -1,6 +1,10 @@
 """File formats and run configuration.
 
-Fields and traces are stored as plain-text CSV.  Each value is written
+Fields and traces are stored as plain-text CSV in one grammar: comment
+lines of ``# key = value`` entries, the grid size n among them, then rows
+of values and nothing else.  A field has n rows of n values; a trace has
+one row of 4n-4 boundary samples per time level, row j at t = j*dt, so
+neither the times nor the node numbers are stored.  Each value is written
 as ``'%.16e' % v`` would write it, 17 significant digits in scientific
 notation, which reload bit for bit; ``csvtext.write_rows`` makes those
 bytes from whole row blocks, and ``csvtext.read_rows`` parses them back,
@@ -23,7 +27,6 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -60,22 +63,21 @@ def _decoding(path, error=ParseError):
         raise error(f"{path}: {exc}") from None
 
 
-def _read_csv(path, column_header: bool):
+def _read_csv(path):
     """Parse a numeric CSV with ``# key = value`` entries (several per comment
     line, separated by ';') above the data.
 
-    Returns the header keys, the column-header row split on commas (None
-    when ``column_header`` is false) and the data as a 2-D array.  The file
-    is read once, in binary: the header lines are decoded as UTF-8, and a
-    line ends at LF (so CRLF ends one too, but a lone CR does not).  Data as
+    Returns the header keys, the data as a 2-D array (None when no parser
+    takes them) and the line number of the first data row.  The file is
+    read once, in binary: the header lines are decoded as UTF-8, and a line
+    ends at LF (so CRLF ends one too, but a lone CR does not).  Data as
     ``csvtext.write_rows`` writes them are parsed by ``csvtext.read_rows``;
     anything else (comments or blank lines among the rows, CRLF endings,
     other number syntax, ragged rows) goes through numpy's C parser from the
     same line, and when that rejects them, the file is scanned again to
     name the offending line.
     """
-    path = Path(path)
-    meta, columns, lineno = {}, None, 0
+    meta, lineno = {}, 0
     with _decoding(path), open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.decode("utf-8").strip()
@@ -85,11 +87,8 @@ def _read_csv(path, column_header: bool):
                     if m:
                         meta[m.group(1)] = m.group(2).strip()
             elif line:
-                if column_header:
-                    columns = line.split(",")
-                else:
-                    fh.seek(-len(raw), 1)  # back to the first data row
-                    lineno -= 1
+                fh.seek(-len(raw), 1)  # back to the first data row
+                lineno -= 1
                 break
         pos = fh.tell()
         data = read_rows(fh)
@@ -102,32 +101,36 @@ def _read_csv(path, column_header: bool):
                                       encoding="utf-8")
             except ValueError:
                 data = None
-    return meta, columns, data, lineno + 1
+    return meta, data, lineno + 1
 
 
-def _data_lines(path, first: int):
-    """Line number and text of each data line from line ``first`` on;
-    comments and blank lines are skipped, as the parser skips them."""
-    with _decoding(path), open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if lineno >= first and line:
-                yield lineno, line
+def _header_n(path, meta: dict) -> int:
+    """The grid size from the header entry n."""
+    if "n" not in meta:
+        raise ParseError(f"{path}: missing '# n = ...' header")
+    try:
+        return int(meta["n"])
+    except ValueError:
+        raise ParseError(f"{path}: header 'n' is not an integer: {meta['n']!r}") from None
 
 
 def _bad_row(path, first: int, width: int) -> ParseError:
     """The error for the first data line from ``first`` on that is not
-    ``width`` comma-separated numbers."""
-    for lineno, line in _data_lines(path, first):
-        toks = line.split(",")
-        try:
-            [float(tok) for tok in toks]
-        except ValueError as exc:
-            return ParseError(f"{path}:{lineno}: {exc}")
-        if len(toks) != width:
-            return ParseError(
-                f"{path}:{lineno}: expected {width} values per row, got {len(toks)}"
-            )
+    ``width`` comma-separated numbers; comments and blank lines are skipped,
+    as the parser skips them."""
+    with _decoding(path), open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            toks = raw.split("#", 1)[0].strip().split(",")
+            if lineno < first or toks == [""]:
+                continue
+            try:
+                [float(tok) for tok in toks]
+            except ValueError as exc:
+                return ParseError(f"{path}:{lineno}: {exc}")
+            if len(toks) != width:
+                return ParseError(
+                    f"{path}:{lineno}: expected {width} values per row, got {len(toks)}"
+                )
     return ParseError(f"{path}: malformed data")
 
 
@@ -148,13 +151,8 @@ def read_field(path) -> ScalarField:
     suffix = Path(path).suffix.lower()
     if suffix != ".csv":
         raise ConfigError(f"cannot read field format {suffix!r}; only .csv reloads exactly")
-    meta, _, data, first = _read_csv(path, column_header=False)
-    if "n" not in meta:
-        raise ParseError(f"{path}: missing '# n = ...' header")
-    try:
-        n = int(meta["n"])
-    except ValueError:
-        raise ParseError(f"{path}: header 'n' is not an integer: {meta['n']!r}") from None
+    meta, data, first = _read_csv(path)
+    n = _header_n(path, meta)
     if data is None or data.size and data.shape[1] != n:
         raise _bad_row(path, first, n)
     if data.shape[0] != n:
@@ -201,24 +199,23 @@ def write_field(path, f: ScalarField) -> None:
 # ---------------------------------------------------------------------------
 
 def write_trace(path, g: BoundaryTrace) -> None:
-    """CSV with header row t,node_0,...,node_{4n-5}; one row per time level.
+    """CSV with one row of 4n-4 node values per time level, row j at t = j*dt.
 
-    The comment line above it records the trace's boundary spec: the time
-    step, the measured set Gamma ('full' or its node indices) and lambda
-    (one value when uniform on Gamma, else one per Gamma node).
+    The comment line above the rows records the grid size n and the
+    trace's boundary spec: the time step, the measured set Gamma ('full' or
+    its node indices) and lambda (one value when uniform on Gamma, else one
+    per Gamma node).
     """
     bs = g.bspec
-    nb = boundary_count(g.grid.n)
     lam = bs.lam[bs.gamma_mask]
     lam = lam[:1] if np.all(lam == lam[:1]) else lam
-    meta = ["pacavity trace v2", f"dt = {_fmt(g.dt)}",
+    meta = ["pacavity trace v3", f"n = {g.grid.n}", f"dt = {_fmt(g.dt)}",
             "gamma = " + ("full" if bs.gamma_mask.all()
                           else ",".join(str(b) for b in np.flatnonzero(bs.gamma_mask))),
             "lambda = " + ",".join(_fmt(v) for v in lam)]
-    columns = ",".join(["t"] + [f"node_{b}" for b in range(nb)])
     with open(path, "wb") as fh:
-        fh.write(("# " + "; ".join(meta) + "\n" + columns + "\n").encode("ascii"))
-        write_rows(fh, g.times[:, None], g.samples)
+        fh.write(("# " + "; ".join(meta) + "\n").encode("ascii"))
+        write_rows(fh, g.samples)
 
 
 def _trace_spec(path, meta: dict, n: int) -> BoundarySpec:
@@ -254,36 +251,23 @@ def _trace_spec(path, meta: dict, n: int) -> BoundarySpec:
 def read_trace(path) -> BoundaryTrace:
     """Reload a trace CSV; sample values are bit-identical.
 
-    The boundary spec (time step, Gamma mask and lambda) comes from the
-    header, which must carry all three; the time column must read j * dt
-    at row j for that dt.
+    The header must carry the grid size n and the boundary spec: the time
+    step, the Gamma mask and lambda.
     """
-    meta, header, data, first = _read_csv(path, column_header=True)
-    if header is None:
-        raise ParseError(f"{path}: missing header row")
-    if header[0] != "t" or len(header) < 2 or header[1] != "node_0":
-        raise ParseError(f"{path}:{first - 1}: expected header 't,node_0,...'")
-    nb = len(header) - 1
-    n = nb // 4 + 1
+    meta, data, first = _read_csv(path)
+    n = _header_n(path, meta)
     # the grid size is checked here, so that Grid2D(n, dt) can fail only on dt
-    if nb % 4 != 0 or not 4 <= n <= MAX_N:
-        raise ParseError(f"{path}: {nb} node columns is not 4n-4 for any grid size "
-                         f"n in 4 .. {MAX_N}")
-    if data is None or data.size and data.shape[1] != nb + 1:
-        raise _bad_row(path, first, nb + 1)
+    if not 4 <= n <= MAX_N:
+        raise ParseError(f"{path}: header 'n' = {n} is not in 4 .. {MAX_N}")
+    nb = boundary_count(n)
+    if data is None or data.size and data.shape[1] != nb:
+        raise _bad_row(path, first, nb)
     bspec = _trace_spec(path, meta, n)
     try:
         # reshape: a file without data rows loads as shape (0, 0)
-        trace = BoundaryTrace(bspec, data[:, 1:].reshape(-1, nb))
+        return BoundaryTrace(bspec, data.reshape(-1, nb))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    off = np.flatnonzero(~np.isclose(data[:, 0], trace.times, rtol=1e-12, atol=0.0))
-    if off.size:
-        j = off[0]
-        lineno, _ = next(islice(_data_lines(path, first), j, None))
-        raise ParseError(f"{path}:{lineno}: time {data[j, 0]!r} is not {j} * dt "
-                         f"for header 'dt' = {trace.dt!r}")
-    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -196,10 +196,26 @@ class TestReconstructCommand:
         out = tmp_path / "o"
         assert run("forward", "--n", "33", "--T", "1.0", "--out", str(out)) == 0
         bad = tmp_path / "bad.csv"
-        bad.write_bytes((out / "trace.csv").read_bytes().replace(b"trace v2", b"trace v2 \xe9", 1))
+        bad.write_bytes((out / "trace.csv").read_bytes().replace(b"trace v3", b"trace v3 \xe9", 1))
         capsys.readouterr()
         assert run("reconstruct", str(bad), "--n", "33", "--T", "1.0", "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_v2_trace_names_file_and_n(self, tmp_path, capsys):
+        # the same trace as v2 wrote it: no n entry, a t,node_0,... row and
+        # a time column
+        out = tmp_path / "o"
+        assert run("forward", "--n", "33", "--T", "1.0", "--out", str(out)) == 0
+        header, *rows = (out / "trace.csv").read_text().splitlines()
+        dt = pv.Grid2D(33).dt
+        bad = tmp_path / "v2.csv"
+        bad.write_text("\n".join([header.replace("trace v3; n = 33;", "trace v2;"),
+                                  "t," + ",".join(f"node_{b}" for b in range(128))]
+                                 + [f"{j * dt!r},{row}" for j, row in enumerate(rows)]) + "\n")
+        capsys.readouterr()
+        assert run("reconstruct", str(bad), "--n", "33", "--T", "1.0", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "'# n = ...'" in err
 
     def test_grid_mismatch_detected(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -95,8 +95,7 @@ class TestTraceFiles:
         # no trace holds fewer than 3 time levels (2 steps), so write_trace
         # cannot make this file: it is written by hand
         path = tmp_path / "empty.csv"
-        path.write_text("# pacavity trace v2; dt = 0.125; gamma = full; lambda = 1.0\n"
-                        "t," + ",".join(f"node_{b}" for b in range(32)) + "\n")
+        path.write_text("# pacavity trace v3; n = 9; dt = 0.125; gamma = full; lambda = 1.0\n")
         with pytest.raises(pio.ParseError, match="0 time levels") as info:
             pio.read_trace(path)
         assert str(info.value).startswith(f"{path}:")
@@ -142,42 +141,34 @@ class TestTraceFiles:
         assert back.bspec == bs
         assert np.array_equal(back.samples, trace.samples)
 
-    @pytest.mark.parametrize("entry, key", [("dt = soon", "'dt'"),
-                                            ("gamma = 0,99", "'gamma'"),
-                                            ("gamma = full; lambda = 1,2", "'lambda'"),
-                                            ("gamma = 0,1; lambda = -1", "'lambda'"),
-                                            ("gamma = 0,1; lambda = 0,1", "'lambda'"),
-                                            ("gamma = 5,3,4", "'gamma'"),
-                                            ("gamma = 3,3,4", "'gamma'"),
-                                            ("dt", "'dt'"),
-                                            ("gamma", "'gamma'"),
-                                            ("lambda", "'lambda'")])
-    def test_bad_header_entry_names_key(self, tmp_path, entry, key):
+    @pytest.mark.parametrize("entry, message", [("dt = soon", "'dt'"),
+                                                ("gamma = 0,99", "'gamma'"),
+                                                ("gamma = full; lambda = 1,2", "'lambda'"),
+                                                ("gamma = 0,1; lambda = -1", "'lambda'"),
+                                                ("gamma = 0,1; lambda = 0,1", "'lambda'"),
+                                                ("gamma = 5,3,4", "'gamma'"),
+                                                ("gamma = 3,3,4", "'gamma'"),
+                                                ("dt", "'dt'"),
+                                                ("gamma", "'gamma'"),
+                                                ("lambda", "'lambda'"),
+                                                ("n", r"missing '# n = \.\.\.' header"),
+                                                ("n = nine", "'n' is not an integer: 'nine'"),
+                                                ("n = 3", r"'n' = 3 is not in 4 \.\. 8193"),
+                                                ("n = 8194", r"'n' = 8194 is not in 4 \.\. 8193"),
+                                                # the rows are n = 9's
+                                                ("n = 10", ":2: expected 36 values per row, got 32")])
+    def test_bad_header_entry_names_key(self, tmp_path, entry, message):
         # each entry replaces the written one of its key; a bare key drops it
         g = pv.Grid2D(9)
         path = tmp_path / "trace.csv"
         pio.write_trace(path, pv.BoundaryTrace(pv.BoundarySpec.full(g), np.ones((3, 32))))
         text = path.read_text().splitlines()
-        header = {"dt": repr(g.dt), "gamma": "full", "lambda": "1.0"}
+        header = {"n": "9", "dt": repr(g.dt), "gamma": "full", "lambda": "1.0"}
         for part in entry.split("; "):
             name, _, value = part.partition(" = ")
             header[name] = value
-        text[0] = "# pacavity trace v2; " + "; ".join(f"{k} = {v}" for k, v in header.items() if v)
+        text[0] = "# pacavity trace v3; " + "; ".join(f"{k} = {v}" for k, v in header.items() if v)
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(pio.ParseError, match=key):
-            pio.read_trace(path)
-
-    @pytest.mark.parametrize("columns, message", [
-        (None, "missing header row"),
-        ("time,node_0", r":2: expected header 't,node_0,\.\.\.'"),
-    ], ids=["no_column_header", "first_column_not_t"])
-    def test_bad_column_header_names_file(self, tmp_path, columns, message):
-        path = tmp_path / "trace.csv"
-        lines = ["# pacavity trace v2; dt = 0.125; gamma = full; lambda = 1.0"]
-        if columns is not None:
-            lines += [columns + "".join(f",node_{b}" for b in range(1, 32)),
-                      ",".join(["0"] * 33)]
-        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(pio.ParseError, match=message) as info:
             pio.read_trace(path)
         assert str(info.value).startswith(f"{path}:")
@@ -195,33 +186,34 @@ class TestTraceFiles:
         assert str(info.value).startswith(f"{path}: ")
 
     def test_wrong_column_count_rejected(self, tmp_path):
+        # n = 9 has 32 boundary nodes
         path = tmp_path / "bad.csv"
-        cols = ",".join(f"node_{b}" for b in range(7))
-        path.write_text(f"t,{cols}\n" + "0.0," + ",".join(["0"] * 7) + "\n")
-        with pytest.raises(pio.ParseError, match="4n-4"):
+        path.write_text("# pacavity trace v3; n = 9; dt = 0.125; gamma = full; lambda = 1.0\n"
+                        + ",".join(["0"] * 7) + "\n")
+        with pytest.raises(pio.ParseError, match=":2: expected 32 values per row, got 7") as info:
             pio.read_trace(path)
+        assert str(info.value).startswith(f"{path}:")
 
     def test_too_few_node_columns_is_a_column_error(self, tmp_path):
         # 8 node columns would be n = 3, below the smallest grid: the error
-        # is about the columns, not about the header's dt
+        # is about the header's n, not about its dt
         path = tmp_path / "small.csv"
-        cols = ",".join(f"node_{b}" for b in range(8))
-        path.write_text(f"# pacavity trace v2; dt = 0.5; gamma = full; lambda = 1.0\n"
-                        f"t,{cols}\n" + "0.0," + ",".join(["0"] * 8) + "\n")
-        with pytest.raises(pio.ParseError, match="8 node columns") as info:
+        path.write_text("# pacavity trace v3; n = 3; dt = 0.5; gamma = full; lambda = 1.0\n"
+                        + ",".join(["0"] * 8) + "\n")
+        with pytest.raises(pio.ParseError, match="header 'n' = 3") as info:
             pio.read_trace(path)
         assert "'dt'" not in str(info.value)
 
-    def test_time_column_must_follow_the_header_dt(self, tmp_path):
-        g = pv.Grid2D(9)
-        assert g.dt == 0.125
-        path = tmp_path / "trace.csv"
-        pio.write_trace(path, pv.BoundaryTrace(pv.BoundarySpec.full(g), np.ones((3, 32))))
-        text = path.read_text()
-        path.write_text(text.replace("dt = 0.125", "dt = 0.1"))
-        # line 3 holds t = 0 and agrees; line 4 holds t = 0.125
-        with pytest.raises(pio.ParseError, match=r":4: .*'dt' = 0\.1"):
+    def test_v2_trace_is_refused(self, tmp_path):
+        # a v2 trace has a time column and a t,node_0,... row, and no n entry
+        path = tmp_path / "v2.csv"
+        path.write_text("# pacavity trace v2; dt = 0.125; gamma = full; lambda = 1.0\n"
+                        "t," + ",".join(f"node_{b}" for b in range(32)) + "\n"
+                        + "".join(f"{j * 0.125!r}," + ",".join(["0"] * 32) + "\n"
+                                  for j in range(3)))
+        with pytest.raises(pio.ParseError, match=r"missing '# n = \.\.\.' header") as info:
             pio.read_trace(path)
+        assert str(info.value).startswith(f"{path}:")
 
     def test_ragged_row_rejected(self, tmp_path):
         g = pv.Grid2D(9)
@@ -289,6 +281,25 @@ class TestExactWriter:
         buf = io.BytesIO()
         csvtext.write_rows(buf, rows)
         assert buf.getvalue() == _expected_csv(rows)
+
+    def test_views_write_the_bytes_of_their_copies(self):
+        # write_rows formats views of the caller's rows, not copies of them
+        values = self.sample()
+        rows = values[:values.size - values.size % 14].reshape(-1, 14)
+        for view in (rows[:, ::2], rows[::3], rows.T[:, :1000]):
+            assert not view.flags.c_contiguous
+            buf, copy = io.BytesIO(), io.BytesIO()
+            csvtext.write_rows(buf, view)
+            csvtext.write_rows(copy, view.copy())
+            assert buf.getvalue() == copy.getvalue() == _expected_csv(view)
+
+    def test_write_trace_leaves_the_samples_alone(self, tmp_path):
+        values = self.sample()
+        samples = values[:values.size - values.size % 32].reshape(-1, 32)
+        before = samples.copy()
+        trace = pv.BoundaryTrace(pv.BoundarySpec.full(pv.Grid2D(9)), samples)
+        pio.write_trace(tmp_path / "trace.csv", trace)
+        assert trace.samples.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("cols", [1024, 7, 1])
     def test_read_rows_bit_for_bit(self, cols, monkeypatch):
@@ -379,17 +390,16 @@ class TestExactWriter:
         assert back.bspec == bs
 
     def test_trace_written_by_savetxt_reads_bit_identically(self, tmp_path):
-        # traces written by earlier versions: np.savetxt with '%.17g'
+        # rows as earlier versions wrote them: np.savetxt with '%.17g'
         g = pv.Grid2D(17)
         trace = pv.synthesize_data(smooth_random_field(g, np.random.default_rng(6)),
                                    pv.BoundarySpec.left_bottom(g), 1.0, g.dt)
         path = tmp_path / "trace.csv"
         gamma = ",".join(str(b) for b in np.flatnonzero(trace.bspec.gamma_mask))
         with open(path, "w") as fh:
-            fh.write(f"# pacavity trace v2; dt = {g.dt!r}; gamma = {gamma}; lambda = 1.0\n"
-                     "t," + ",".join(f"node_{b}" for b in range(64)) + "\n")
-            np.savetxt(fh, np.column_stack([trace.times, trace.samples]), fmt="%.17g",
-                       delimiter=",")
+            fh.write(f"# pacavity trace v3; n = 17; dt = {g.dt!r}; gamma = {gamma}; "
+                     "lambda = 1.0\n")
+            np.savetxt(fh, trace.samples, fmt="%.17g", delimiter=",")
         back = pio.read_trace(path)
         assert back.samples.tobytes() == trace.samples.tobytes()
         assert back.bspec == trace.bspec
@@ -439,13 +449,13 @@ class TestGeneralParserFallback:
     @pytest.mark.parametrize("edit", ["crlf", "comment", "blank", "plus"])
     def test_trace_outside_the_grammar_reads_the_same(self, tmp_path, edit):
         path, trace = self.written_trace(tmp_path)
-        lines = path.read_bytes().split(b"\n")  # header, columns, 5 rows, b""
+        lines = path.read_bytes().split(b"\n")  # header, 5 rows, b""
         if edit == "plus":
-            lines[2] = b"+" + lines[2]  # the time column's 0
+            lines[3] = b"+" + lines[3]  # the first value of row 2 is positive
         elif edit != "crlf":
             lines.insert(4, b"# a note" if edit == "comment" else b"")
         path.write_bytes((b"\r\n" if edit == "crlf" else b"\n").join(lines))
-        data = path.read_bytes().split(b"\n", 2)[2]
+        data = path.read_bytes().split(b"\n", 1)[1]
         assert csvtext.read_rows(io.BytesIO(data)) is None
         back = pio.read_trace(path)
         assert back.samples.tobytes() == trace.samples.tobytes()
