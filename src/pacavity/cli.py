@@ -148,7 +148,7 @@ def _require_consistent(g: BoundaryTrace, cfg: RunConfig) -> None:
             ("n", g.grid.n, grid.n),
             ("dt_factor", g.dt, grid.dt),
             ("T", g.n_steps * grid.dt, num_steps(cfg.resolve_T(grid.dt), grid.dt) * grid.dt),
-            ("gamma", g.bspec.gamma_mask, cfg.make_bspec(grid).gamma_mask)):
+            ("gamma", g.bspec.lam > 0, cfg.make_bspec(grid).lam > 0)):
         if not np.array_equal(recorded, configured):
             raise ConfigError(f"key {key!r}: the trace's value ({_brief(recorded)}) does "
                               f"not match the configured value ({_brief(configured)})")

@@ -219,17 +219,18 @@ class BoundarySpec:
     """Measurement set Gamma and the dissipation weight lambda per node.
 
     lam is indexed by the canonical boundary enumeration, and Gamma is where
-    it is positive: gamma_mask is derived from lam, never given.  A spec is
-    immutable: its fields cannot be reassigned, and lam (a copy of the
-    given array) and gamma_mask are read-only, so gamma_mask always
-    matches lam.  Two specs are equal when their grids and lambdas are.
-    The named constructors put lambda = 1 on their Gamma; any other
-    per-node lambda is given as lam itself.
+    it is positive: gamma, the increasing canonical indices of Gamma's
+    nodes, is derived from lam, never given.  A spec is immutable: its
+    fields cannot be reassigned, and lam (a copy of the given array) and
+    gamma are read-only, so gamma always matches lam.  Two specs are equal
+    when their grids and lambdas are.  The named constructors put
+    lambda = 1 on their Gamma; any other per-node lambda is given as lam
+    itself.
     """
 
     grid: Grid2D
     lam: np.ndarray
-    gamma_mask: np.ndarray = field(init=False)
+    gamma: np.ndarray = field(init=False)
 
     def __post_init__(self):
         nb = boundary_count(self.grid.n)
@@ -240,13 +241,13 @@ class BoundarySpec:
             )
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("lambda must be finite and nonnegative")
-        mask = lam > 0
-        if not mask.any():
+        gamma = np.flatnonzero(lam > 0)
+        if not gamma.size:
             raise ConfigError("Gamma must contain at least one boundary node")
         lam.setflags(write=False)
-        mask.setflags(write=False)
+        gamma.setflags(write=False)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "gamma_mask", mask)
+        object.__setattr__(self, "gamma", gamma)
 
     def __eq__(self, other):
         if not isinstance(other, BoundarySpec):
@@ -286,19 +287,19 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Pressure samples at every boundary node for every time level, and the
+    """Pressure samples at the nodes of Gamma for every time level, and the
     boundary spec they were measured on.
 
-    samples[j, b] is the value at time t_j = j*dt at boundary node b in the
-    canonical enumeration; a trace holds at least 3 time levels (2 steps),
-    the fewest any solver takes.  The spec holds the grid, and with it dt, the
-    measured set Gamma and lambda: a trace has none of its own, so the
-    solvers that read it cannot step on another time step or absorb on
-    another boundary.  Nodes outside Gamma are zeroed on construction, and
-    neither field can be reassigned, so the samples always match the spec.
-    The trace file's header stores n, dt, Gamma and lambda, and its rows
-    only the samples, one row per time level (no time column: the times
-    are j*dt); a reloaded trace carries the same spec.
+    samples[j, i] is the value at time t_j = j*dt at boundary node
+    bspec.gamma[i], so the columns are Gamma's nodes in canonical order; a
+    trace holds at least 3 time levels (2 steps), the fewest any solver
+    takes.  The spec holds the grid, and with it dt, the measured set Gamma
+    and lambda: a trace has none of its own, so the solvers that read it
+    cannot step on another time step or absorb on another boundary, and
+    neither field can be reassigned.  The trace file's header stores n, dt,
+    Gamma and lambda, and its rows only the samples, one row per time level
+    (no time column: the times are j*dt); a reloaded trace carries the same
+    spec.
     """
 
     bspec: BoundarySpec
@@ -306,28 +307,17 @@ class BoundaryTrace:
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
-        nb = boundary_count(self.grid.n)
-        if s.ndim != 2 or s.shape[1] != nb:
-            raise GridMismatchError(
-                f"trace must have {nb} columns for n = {self.grid.n}, got shape {s.shape}"
-            )
+        width = self.bspec.gamma.size
+        if s.ndim != 2 or s.shape[1] != width:
+            raise GridMismatchError(f"trace must have {width} columns, one per Gamma node, "
+                                    f"for n = {self.grid.n}, got shape {s.shape}")
         if s.shape[0] < 3:
             raise ConfigError(f"{s.shape[0]} time levels; a trace needs at least 3")
-        # samples that are already zero off Gamma are kept as they are;
-        # otherwise a copy is zeroed, so the caller's array never changes.
-        # Both tests run on blocks of about 2**15 values: no mask the size
-        # of the samples is made
-        off = ~self.bspec.gamma_mask
-        dirty = False
-        step = max(1, (1 << 15) // nb)
+        # blocks of about 2**15 values: no mask the size of the samples is made
+        step = max(1, (1 << 15) // width)
         for i in range(0, s.shape[0], step):
-            block = s[i:i + step]
-            if not np.isfinite(block).all():
+            if not np.isfinite(s[i:i + step]).all():
                 raise ValueError("trace contains non-finite values")
-            dirty = dirty or np.any(block, axis=0)[off].any()
-        if dirty:
-            s = s.copy()
-            s[:, off] = 0.0
         object.__setattr__(self, "samples", s)
 
     @property

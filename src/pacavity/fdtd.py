@@ -26,8 +26,9 @@ its two walls.
       v_b^{j-1} = [E_b + G (v_b^{j+1} - g^{j+1} + g^{j-1})] / (1 + G),
 
   where E_b is the mirror-closed stencil value and G = (dt/dx)^2 c^2 gamma for
-  each wall through the node (twice that at a corner).  Off Gamma, G = 0 and
-  the update is the forward closure.
+  each wall through the node (twice that at a corner).  Off Gamma G would
+  be 0 and the update the forward closure, so the march updates Gamma's
+  nodes only and leaves the others their mirror-closed values.
 
 At constant sound speed c the type-I DCT of spectral diagonalizes the
 mirror-closed leapfrog and its Taylor start: mode (k, l) advances as
@@ -54,7 +55,7 @@ centre u^j - u^{j-1} into the scratch before it builds the neighbour sum in
 the retired buffer, the stencil's terms in the same order but for the
 operands of the last add, which IEEE addition lets commute, so every level
 is the same to the bit.  What later steps read of a retired level is kept
-apart: the absorbing update its boundary values (4n - 4 per level), the
+apart: the absorbing update its values on Gamma (|Gamma| per level), the
 centered snapshot velocity sign u^{j-1} on snapshot steps only, and the
 one-sided end velocity sign u^{L-2}, a fourth n x n array for the last
 step alone.
@@ -340,29 +341,32 @@ def _absorbing_march(prev: np.ndarray, cur: np.ndarray, behind: np.ndarray,
                      c: ScalarField, coef, bspec: BoundarySpec, data: np.ndarray,
                      snapshots: dict[int, StatePair] | None) -> StatePair:
     """March backward from levels J = len(data) - 1 in prev and J - 1 in cur
-    to t = 0, absorbing on Gamma with the data rows (zero data may be one
-    broadcast column); prev and cur are overwritten.
+    to t = 0, absorbing on Gamma with the data rows, one value per Gamma
+    node (zero data may be one broadcast column); prev and cur are
+    overwritten.
 
     cur first takes the Taylor start's absorbing ghost at t = T, which reads
     behind, the boundary values of dt v_t(T) in canonical order, and the
     one-sided data derivative (g^J - g^{J-1}) / dt.  The update of level j
-    reads the boundary values of level j + 2, whose buffer level j + 1 has
-    already taken, so the rule keeps the boundary values of the last two
-    levels itself.  coef is _check_setup's for c.
+    reads the values on Gamma of level j + 2, whose buffer level j + 1 has
+    already taken, so the rule keeps those of the last two levels itself.
+    Only Gamma's nodes are touched: G, the ghost and the two rings live on
+    Gamma alone.  coef is _check_setup's for c.
     """
-    flat, _ = _boundary_layout(bspec.grid.n)
-    G = _absorption(c.values, bspec)
+    gamma = bspec.gamma
+    nodes = _boundary_layout(bspec.grid.n)[0][gamma]
+    G = _absorption(c.values, bspec)[gamma]
     steps = data.shape[0] - 1
-    rings = np.empty((2, flat.size))
-    rings[steps % 2] = prev.reshape(-1)[flat]
+    rings = np.empty((2, nodes.size))
+    rings[steps % 2] = prev.reshape(-1)[nodes]
     edge = cur.reshape(-1)
-    edge[flat] += G * (behind - data[steps] + data[steps - 1])
-    rings[(steps - 1) % 2] = edge[flat]
+    edge[nodes] += G * (behind[gamma] - data[steps] + data[steps - 1])
+    rings[(steps - 1) % 2] = edge[nodes]
 
     def absorb(j, level):
         later = rings[j % 2]
-        later[:] = _absorb(level.reshape(-1)[flat], later, data[j], data[j + 2], G)
-        level.reshape(-1)[flat] = later
+        later[:] = _absorb(level.reshape(-1)[nodes], later, data[j], data[j + 2], G)
+        level.reshape(-1)[nodes] = later
 
     return _leapfrog(prev, cur, steps - 1, 0, bspec.grid, coef, absorb, snapshots)
 
@@ -371,8 +375,8 @@ def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, 
                   snapshots: dict[int, StatePair] | None = None) -> SolveResult:
     """Solve the Neumann problem from initial state s0 and record the trace.
 
-    The trace holds u at every boundary node for t_j = 0 .. T (zeroed off
-    Gamma).  The terminal velocity is extracted with the one-sided
+    The trace holds u at the nodes of Gamma, one column each, for
+    t_j = 0 .. T.  The terminal velocity is extracted with the one-sided
     second-order difference (3 u^J - 4 u^{J-1} + u^{J-2}) / (2 dt).  The
     keys of snapshots are the steps j (1 .. J-1) to record: each value is
     set to the state at t_j, its velocity the centered difference.
@@ -380,17 +384,16 @@ def forward_solve(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float, 
     grid = s0.grid
     coef = _check_setup(grid, c, bspec)
     steps = num_steps(T, grid.dt)
-    flat, _ = _boundary_layout(grid.n)
-    rows = np.empty((steps + 1, flat.size))
+    nodes = _boundary_layout(grid.n)[0][bspec.gamma]
+    rows = np.empty((steps + 1, nodes.size))
 
     def record(j, level):
-        np.take(level, flat, out=rows[j])
+        np.take(level, nodes, out=rows[j])
 
     prev, cur, _ = _taylor_start(s0, coef, +1)
     record(0, prev)
     record(1, cur)
     final = _leapfrog(prev, cur, 1, steps, grid, coef, record, snapshots)
-    rows[:, ~bspec.gamma_mask] = 0.0
     return SolveResult(trace=BoundaryTrace(bspec, rows), final_state=final)
 
 

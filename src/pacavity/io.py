@@ -3,8 +3,9 @@
 Fields and traces are stored as plain-text CSV in one grammar: comment
 lines of ``# key = value`` entries, the grid size n among them, then rows
 of values and nothing else.  A field has n rows of n values; a trace has
-one row of 4n-4 boundary samples per time level, row j at t = j*dt, so
-neither the times nor the node numbers are stored.  Each value is written
+one row of samples at Gamma's nodes per time level, row j at t = j*dt, so
+neither the times nor the node numbers are stored: the header's gamma
+entry lists the nodes, and with it the row width.  Each value is written
 as ``'%.16e' % v`` would write it, 17 significant digits in scientific
 notation, which reload bit for bit; ``csvtext.write_rows`` makes those
 bytes from whole row blocks, and ``csvtext.read_rows`` parses them back,
@@ -199,19 +200,20 @@ def write_field(path, f: ScalarField) -> None:
 # ---------------------------------------------------------------------------
 
 def write_trace(path, g: BoundaryTrace) -> None:
-    """CSV with one row of 4n-4 node values per time level, row j at t = j*dt.
+    """CSV with one row of Gamma's node values per time level, row j at
+    t = j*dt.
 
     The comment line above the rows records the grid size n and the
     trace's boundary spec: the time step, the measured set Gamma ('full' or
-    its node indices) and lambda (one value when uniform on Gamma, else one
-    per Gamma node).
+    its node indices, which are the rows' columns) and lambda (one value
+    when uniform on Gamma, else one per Gamma node).
     """
     bs = g.bspec
-    lam = bs.lam[bs.gamma_mask]
+    lam = bs.lam[bs.gamma]
     lam = lam[:1] if np.all(lam == lam[:1]) else lam
-    meta = ["pacavity trace v3", f"n = {g.grid.n}", f"dt = {_fmt(g.dt)}",
-            "gamma = " + ("full" if bs.gamma_mask.all()
-                          else ",".join(str(b) for b in np.flatnonzero(bs.gamma_mask))),
+    meta = ["pacavity trace v4", f"n = {g.grid.n}", f"dt = {_fmt(g.dt)}",
+            "gamma = " + ("full" if bs.gamma.size == bs.lam.size
+                          else ",".join(str(b) for b in bs.gamma)),
             "lambda = " + ",".join(_fmt(v) for v in lam)]
     with open(path, "wb") as fh:
         fh.write(("# " + "; ".join(meta) + "\n").encode("ascii"))
@@ -252,20 +254,21 @@ def read_trace(path) -> BoundaryTrace:
     """Reload a trace CSV; sample values are bit-identical.
 
     The header must carry the grid size n and the boundary spec: the time
-    step, the Gamma mask and lambda.
+    step, the Gamma nodes and lambda.  The spec is read first, since each
+    row holds one value per Gamma node.
     """
     meta, data, first = _read_csv(path)
     n = _header_n(path, meta)
     # the grid size is checked here, so that Grid2D(n, dt) can fail only on dt
     if not 4 <= n <= MAX_N:
         raise ParseError(f"{path}: header 'n' = {n} is not in 4 .. {MAX_N}")
-    nb = boundary_count(n)
-    if data is None or data.size and data.shape[1] != nb:
-        raise _bad_row(path, first, nb)
     bspec = _trace_spec(path, meta, n)
+    width = bspec.gamma.size
+    if data is None or data.size and data.shape[1] != width:
+        raise _bad_row(path, first, width)
     try:
         # reshape: a file without data rows loads as shape (0, 0)
-        return BoundaryTrace(bspec, data.reshape(-1, nb))
+        return BoundaryTrace(bspec, data.reshape(-1, width))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import BoundaryTrace, ConfigError, Grid2D, ScalarField
+from .core import BoundaryTrace, ConfigError, Grid2D, ScalarField, boundary_count
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,12 @@ def paper_six_phantom(grid: Grid2D) -> ScalarField:
 def add_noise(g: BoundaryTrace, level: float, seed: int) -> BoundaryTrace:
     """Add white Gaussian noise of prescribed relative L2 size to a trace.
 
-    A seeded standard-normal draw per (time, Gamma-node) sample is rescaled
-    globally so that ||noise|| / ||g|| equals ``level`` exactly, then added
-    on Gamma nodes only; nodes outside Gamma stay zero.  A level so large
-    that ||g|| + ||noise|| overflows is refused.
+    A seeded standard-normal draw per (time, boundary node) is made, the
+    values at Gamma's nodes are kept, rescaled globally so that
+    ||noise|| / ||g|| equals ``level`` exactly, and added to the samples.
+    The draw is made in full-width row blocks, so the noise at a node does
+    not depend on Gamma: it is that of one (J + 1) x (4n - 4) draw.  A level
+    so large that ||g|| + ||noise|| overflows is refused.
     """
     if level < 0:
         raise ConfigError(f"noise level must be nonnegative, got {level!r}")
@@ -105,9 +107,16 @@ def add_noise(g: BoundaryTrace, level: float, seed: int) -> BoundaryTrace:
     if not np.isfinite(signal + size):
         raise ConfigError(f"noise level {level!r} is too large for a trace of norm "
                           f"{signal:g}: the noisy samples would overflow")
-    # one trace-sized array: the draw is masked, scaled and summed in place
-    noisy = np.random.default_rng(seed).standard_normal(g.samples.shape)
-    noisy *= g.bspec.gamma_mask
+    # one trace-sized array: row blocks of about 2**15 draws each give it
+    # Gamma's columns, and it is scaled and summed in place.  It is C-ordered,
+    # so at full Gamma the norm sums in the order of one draw, to the bit
+    rng = np.random.default_rng(seed)
+    nb = boundary_count(g.grid.n)
+    noisy = np.empty(g.samples.shape)
+    step = max(1, (1 << 15) // nb)
+    for i in range(0, len(noisy), step):
+        rows = noisy[i:i + step]
+        rows[:] = rng.standard_normal((len(rows), nb))[:, g.bspec.gamma]
     noisy *= size / np.linalg.norm(noisy)
     noisy += g.samples
     return replace(g, samples=noisy)

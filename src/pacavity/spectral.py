@@ -40,7 +40,6 @@ from .core import (
     Grid2D,
     GridMismatchError,
     ScalarField,
-    boundary_count,
     boundary_indices,
     num_steps,
 )
@@ -102,13 +101,13 @@ def dct2_inverse(grid: Grid2D, coeffs: np.ndarray) -> ScalarField:
 def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) -> BoundaryTrace:
     """Boundary pressure trace of the series solution with initial data (f, 0).
 
-    Samples u at every boundary node at times t_j = j*dt, j = 0 .. T/dt;
-    nodes outside Gamma carry zeros.  dt must be the grid's own time step
-    f.grid.dt, the step the solvers take on the trace; any other value is a
-    ConfigError.  T must be an integer multiple of dt.  Only the walls are
-    evaluated (see _wall_coefficients); a DCT-I then turns their cosine
-    coefficients into node values, written over the walls' own buffer (see
-    _trace_from_walls), so the trace is the one trace-sized array made.
+    Samples u at the nodes of Gamma at times t_j = j*dt, j = 0 .. T/dt.  dt
+    must be the grid's own time step f.grid.dt, the step the solvers take
+    on the trace; any other value is a ConfigError.  T must be an integer
+    multiple of dt.  Only the walls are evaluated (see _wall_coefficients);
+    a DCT-I then turns their cosine coefficients into node values, written
+    over the walls' own buffer (see _trace_from_walls), so the trace is the
+    one trace-sized array made.
     """
     if f.grid != bspec.grid:
         raise GridMismatchError("field and boundary spec live on different grids")
@@ -125,28 +124,28 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
 def _trace_from_walls(walls: np.ndarray, bspec: BoundarySpec) -> BoundaryTrace:
     """The boundary trace from the wall coefficients of _wall_coefficients,
     built in their own buffer: a DCT-I turns a block of levels into node
-    values, which are written in canonical order (see boundary_indices) over
-    the start of the buffer, and nodes outside Gamma are zeroed.  The
-    trace's samples are a view of that buffer.
+    values, of which Gamma's are written in canonical order (see
+    boundary_indices) over the start of the buffer.  The trace's samples
+    are a view of that buffer.
 
     The bottom and top walls give the four corners.  Level j's row ends at
-    (j + 1)(4n - 4) < (j + 1) 4n, so a block overwrites only the walls of
+    (j + 1) |Gamma| < (j + 1) 4n, so a block overwrites only the walls of
     its own and earlier levels, which its DCT has already read.
     """
     n = bspec.grid.n
     levels = walls.shape[0]
     walls[..., 1:-1] *= 0.5
-    rows = walls.reshape(-1)[:levels * boundary_count(n)].reshape(levels, -1)
+    rows = walls.reshape(-1)[:levels * bspec.gamma.size].reshape(levels, -1)
     # about 2**15 wall values a block: their node values stay small
     # (~0.25 MB) beside the trace-sized buffer
     block = max(1, 2 ** 13 // n)
     ks, ls = boundary_indices(n)
     # each node's place among a level's bottom, top, left and right walls
     index = np.select([ls == 0, ls == n - 1, ks == 0], [ks, n + ks, 2 * n + ls], 3 * n + ls)
+    index = index[bspec.gamma]
     for j in range(0, levels, block):
         nodes = _dct1(walls[j:j + block]).reshape(-1, 4 * n)
         np.take(nodes, index, axis=1, out=rows[j:j + block])
-    rows[:, ~bspec.gamma_mask] = 0.0
     return BoundaryTrace(bspec, rows)
 
 

@@ -51,8 +51,7 @@ def trace_full_t5(grid257, phantom257, bspec_full257):
 @pytest.fixture(scope="session")
 def trace_partial_t5(trace_full_t5, grid257, bspec_lb257):
     g = trace_full_t5.value
-    samples = g.samples * bspec_lb257.gamma_mask[None, :]
-    return pv.BoundaryTrace(bspec_lb257, samples)
+    return pv.BoundaryTrace(bspec_lb257, g.samples[:, bspec_lb257.gamma])
 
 
 @pytest.fixture(scope="session")

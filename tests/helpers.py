@@ -35,9 +35,9 @@ def eigenfield(grid: Grid2D, k: int, l: int) -> ScalarField:
 def graded(grid: Grid2D) -> BoundarySpec:
     """Left+bottom Gamma with lambda rising from 0.5 to 2.5 along it: one
     value per Gamma node, so the per-node path of every solver is covered."""
-    mask = BoundarySpec.left_bottom(grid).gamma_mask
-    lam = np.zeros(mask.size)
-    lam[mask] = np.linspace(0.5, 2.5, mask.sum())
+    gamma = BoundarySpec.left_bottom(grid).gamma
+    lam = np.zeros(boundary_count(grid.n))
+    lam[gamma] = np.linspace(0.5, 2.5, gamma.size)
     return BoundarySpec(grid, lam)
 
 
@@ -132,8 +132,10 @@ def slice_stencil_step(prev: ScalarField, curr: ScalarField, c: ScalarField) -> 
 # The marches of fdtd written plainly from its module docstring, as the
 # reference that the solvers' buffer-saving march must equal bit for bit:
 # every level is a new array, four of them live, the boundary rules act on
-# whole 2-D rings, and the velocities are the centered and one-sided
-# differences of the levels kept.
+# whole 2-D rings, with G = 0 off Gamma, and the velocities are the
+# centered and one-sided differences of the levels kept.  Data rows hold
+# Gamma's columns, as a trace does; the absorbing march scatters them into
+# rows of all 4n - 4 nodes, zero off Gamma.
 
 def _taylor_level(first: np.ndarray, behind: np.ndarray, c: ScalarField) -> np.ndarray:
     """The second level of a march from u = first: the mirror-closed
@@ -164,7 +166,8 @@ def _reference_leapfrog(prev, cur, j0, j_end, c, boundary, snapshots):
 
 def reference_forward(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: float,
                       snapshots=()):
-    """forward_solve's trace rows, final (u, u_t) and snapshot states."""
+    """forward_solve's trace rows (Gamma's columns of the ring), final
+    (u, u_t) and snapshot states."""
     grid = s0.grid
     ks, ls = boundary_indices(grid.n)
     first = s0.first.values
@@ -173,20 +176,22 @@ def reference_forward(s0: StatePair, c: ScalarField, bspec: BoundarySpec, T: flo
     final, states = _reference_leapfrog(
         first, second, 1, num_steps(T, grid.dt), c,
         lambda j, level, behind: rows.append(level[ks, ls]), snapshots)
-    rows = np.array(rows)
-    rows[:, ~bspec.gamma_mask] = 0.0
-    return rows, final, states
+    return np.array(rows)[:, bspec.gamma], final, states
 
 
 def reference_absorbing(later, cur, behind, c: ScalarField, bspec: BoundarySpec,
                         data: np.ndarray, snapshots=()):
     """The backward march from level J = len(data) - 1 in later and J - 1 in
     cur: the Taylor start's absorbing ghost on cur, reading behind (dt v_t(T)
-    for the backward solve), then every level's ring updated by the centered
-    absorbing condition, with G = 0 off Gamma."""
+    for the backward solve), then every level's whole ring updated by the
+    centered absorbing condition, with G = 0 off Gamma and the data rows
+    (one value per Gamma node) scattered into zero rows of all its nodes."""
     grid = c.grid
     n = grid.n
     ks, ls = boundary_indices(n)
+    ring = np.zeros((len(data), ks.size))
+    ring[:, bspec.gamma] = data
+    data = ring
     walls = (ks % (n - 1) == 0).astype(float) + (ls % (n - 1) == 0)
     G = (grid.dt / grid.dx) * c.values[ks, ls] ** 2 * bspec.lam * walls
     steps = len(data) - 1
@@ -218,7 +223,7 @@ def reference_own_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
     grid = f.grid
     if np.ptp(c.values) == 0.0:
         before, last = leapfrog_levels(f, c, T)
-        zero = np.zeros((num_steps(T, grid.dt) + 1, boundary_count(grid.n)))
+        zero = np.zeros((num_steps(T, grid.dt) + 1, bspec.gamma.size))
         (e, _), _ = reference_absorbing(last.values, before.values,
                                         last.values - before.values, c, bspec, zero)
         return f.values - e

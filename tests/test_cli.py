@@ -196,7 +196,7 @@ class TestReconstructCommand:
         out = tmp_path / "o"
         assert run("forward", "--n", "33", "--T", "1.0", "--out", str(out)) == 0
         bad = tmp_path / "bad.csv"
-        bad.write_bytes((out / "trace.csv").read_bytes().replace(b"trace v3", b"trace v3 \xe9", 1))
+        bad.write_bytes((out / "trace.csv").read_bytes().replace(b"trace v4", b"trace v4 \xe9", 1))
         capsys.readouterr()
         assert run("reconstruct", str(bad), "--n", "33", "--T", "1.0", "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
@@ -209,13 +209,32 @@ class TestReconstructCommand:
         header, *rows = (out / "trace.csv").read_text().splitlines()
         dt = pv.Grid2D(33).dt
         bad = tmp_path / "v2.csv"
-        bad.write_text("\n".join([header.replace("trace v3; n = 33;", "trace v2;"),
+        bad.write_text("\n".join([header.replace("trace v4; n = 33;", "trace v2;"),
                                   "t," + ",".join(f"node_{b}" for b in range(128))]
                                  + [f"{j * dt!r},{row}" for j, row in enumerate(rows)]) + "\n")
         capsys.readouterr()
         assert run("reconstruct", str(bad), "--n", "33", "--T", "1.0", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "'# n = ...'" in err
+
+    def test_parent_layout_partial_trace_names_file(self, tmp_path, capsys):
+        # a left+bottom trace as v3 wrote it: all 128 boundary nodes a row,
+        # zeros off Gamma, where a row now holds Gamma's 65 values
+        out = tmp_path / "o"
+        assert run("forward", "--n", "33", "--T", "1.0", "--gamma", "left_bottom",
+                   "--out", str(out)) == 0
+        trace = pio.read_trace(out / "trace.csv")
+        rows = np.zeros((trace.samples.shape[0], 128))
+        rows[:, trace.bspec.gamma] = trace.samples
+        header = (out / "trace.csv").read_text().splitlines()[0]
+        bad = tmp_path / "v3.csv"
+        bad.write_text("\n".join([header.replace("trace v4", "trace v3")]
+                                 + [",".join(f"{v:.16e}" for v in row) for row in rows]) + "\n")
+        capsys.readouterr()
+        assert run("reconstruct", str(bad), "--n", "33", "--T", "1.0", "--gamma", "left_bottom",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}:2: expected 65 values per row, got 128")
 
     def test_grid_mismatch_detected(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -31,7 +31,7 @@ def bs_full(grid):
 
 def zero_trace(grid, bspec, T):
     steps = pv.num_steps(T, grid.dt)
-    samples = np.zeros((steps + 1, pv.boundary_count(grid.n)))
+    samples = np.zeros((steps + 1, bspec.gamma.size))
     return pv.BoundaryTrace(bspec, samples)
 
 
@@ -58,19 +58,19 @@ class TestBoundaryEnumeration:
         bs = pv.BoundarySpec.left_bottom(g)
         ks, ls = boundary_indices(n)
         # bottom row and left column, corner (1,1) excluded
-        assert bs.gamma_mask.sum() == 2 * n - 1
-        for pos, (k, l) in enumerate(zip(ks, ls)):
-            assert bs.gamma_mask[pos] == (l == 0 or k == 0)
+        assert bs.gamma.size == 2 * n - 1
+        assert bs.gamma.tolist() == [pos for pos, (k, l) in enumerate(zip(ks, ls))
+                                     if l == 0 or k == 0]
 
     def test_lambda_positive_exactly_on_gamma(self, grid):
         # Gamma is the support of lambda: the spec is its grid and lambda
         bs = graded(grid)
         assert [f.name for f in dataclasses.fields(pv.BoundarySpec) if f.init] == ["grid", "lam"]
-        assert np.array_equal(bs.gamma_mask, bs.lam > 0)
-        assert np.array_equal(bs.gamma_mask, pv.BoundarySpec.left_bottom(grid).gamma_mask)
+        assert np.array_equal(bs.gamma, np.flatnonzero(bs.lam > 0))
+        assert np.array_equal(bs.gamma, pv.BoundarySpec.left_bottom(grid).gamma)
 
     def test_spec_cannot_be_changed_after_construction(self):
-        # a reassigned or edited lambda would leave gamma_mask and the checks
+        # a reassigned or edited lambda would leave gamma and the checks
         # of construction behind
         lam = np.ones(32)
         bs = pv.BoundarySpec(pv.Grid2D(9), lam)
@@ -79,10 +79,10 @@ class TestBoundaryEnumeration:
         with pytest.raises(ValueError, match="read-only"):
             bs.lam[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            bs.gamma_mask[0] = False
+            bs.gamma[0] = 5
         # the spec holds a copy: the caller's array stays its own, writable
         lam[0] = 0.0
-        assert bs.lam[0] == 1.0 and bs.gamma_mask.sum() == 32
+        assert bs.lam[0] == 1.0 and bs.gamma.size == 32
 
     def test_empty_gamma_rejected(self, grid):
         with pytest.raises(pv.ConfigError, match="at least one boundary node"):
@@ -95,7 +95,7 @@ class TestBoundaryEnumeration:
                        (pv.BoundarySpec.left_bottom(grid), (ls == 0) | (ks == 0)),
                        (pv.BoundarySpec.from_node_list(grid, [2, 5, 7]),
                         np.isin(np.arange(nb), [2, 5, 7]))):
-            assert np.array_equal(bs.gamma_mask, on)
+            assert np.array_equal(bs.gamma, np.flatnonzero(on))
             assert np.array_equal(bs.lam, np.where(on, 1.0, 0.0))
 
     @pytest.mark.parametrize("nodes", [[1.7, 3], [1.0, 3.0], [True, False]],
@@ -108,7 +108,7 @@ class TestBoundaryEnumeration:
     def test_from_node_list_takes_any_integer_sequence(self, grid):
         for nodes in ([1, 3], np.array([1, 3]), range(1, 4, 2)):
             bs = pv.BoundarySpec.from_node_list(grid, nodes)
-            assert np.flatnonzero(bs.gamma_mask).tolist() == [1, 3]
+            assert bs.gamma.tolist() == [1, 3]
 
     def test_equality_compares_grid_gamma_and_lambda(self, grid):
         bs = graded(grid)
@@ -123,37 +123,32 @@ class TestBoundaryTrace:
         with pytest.raises(GridMismatchError):
             pv.BoundaryTrace(pv.BoundarySpec.full(grid), np.zeros((4, 7)))
 
-    def test_off_gamma_zeroed_on_construction(self, grid):
+    def test_one_column_per_gamma_node(self, grid):
+        # the samples of a left+bottom trace are its 65 Gamma columns: a row
+        # of all 128 boundary nodes is refused, not cut down
         bs = pv.BoundarySpec.left_bottom(grid)
-        samples = np.ones((3, pv.boundary_count(grid.n)))
-        g = pv.BoundaryTrace(bs, samples)
-        assert np.all(g.samples[:, ~bs.gamma_mask] == 0.0)
-        assert np.all(g.samples[:, bs.gamma_mask] == 1.0)
-        assert np.all(samples == 1.0)
-
-    def test_masked_samples_kept_without_copy(self, grid):
-        bs = pv.BoundarySpec.left_bottom(grid)
-        samples = np.ones((3, pv.boundary_count(grid.n))) * bs.gamma_mask
-        g = pv.BoundaryTrace(bs, samples)
-        assert np.shares_memory(g.samples, samples)
+        with pytest.raises(GridMismatchError, match="must have 65 columns, one per Gamma node"):
+            pv.BoundaryTrace(bs, np.ones((3, pv.boundary_count(grid.n))))
+        samples = np.ones((3, bs.gamma.size))
+        assert np.shares_memory(pv.BoundaryTrace(bs, samples).samples, samples)
 
     @pytest.mark.parametrize("row", [0, -1], ids=["first_row", "last_row"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_refused(self, grid, row, bad):
-        # 600 rows of 128 values span three blocks of the check
-        samples = np.ones((600, pv.boundary_count(grid.n)))
+        # 1200 rows of 65 values span three blocks of the check
+        bs = pv.BoundarySpec.left_bottom(grid)
+        samples = np.ones((1200, bs.gamma.size))
         samples[row, 5] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            pv.BoundaryTrace(pv.BoundarySpec.left_bottom(grid), samples)
+            pv.BoundaryTrace(bs, samples)
 
     def test_finite_samples_whose_sum_overflows_accepted(self, grid):
-        samples = np.full((600, pv.boundary_count(grid.n)), 1.5e308)
+        bs = pv.BoundarySpec.left_bottom(grid)
+        samples = np.full((1200, bs.gamma.size), 1.5e308)
         with np.errstate(over="ignore"):
             assert not np.isfinite(samples.sum())
-        bs = pv.BoundarySpec.left_bottom(grid)
         g = pv.BoundaryTrace(bs, samples)
-        assert np.all(g.samples[:, bs.gamma_mask] == 1.5e308)
-        assert np.all(g.samples[:, ~bs.gamma_mask] == 0.0)
+        assert np.all(g.samples == 1.5e308)
 
     def test_construction_memory_far_below_the_samples(self):
         # n = 257 and 1281 levels: 10.5 MB of samples, checked a block at a
@@ -348,8 +343,9 @@ class TestDissipativeBoundaryUpdate:
         later = smooth_random_field(grid, rng)
         nb = pv.boundary_count(grid.n)
         new = pv.interior_step(prev, curr, unit)
-        out = pv.dissipative_boundary_update(new, later, rng.standard_normal(nb) * bs.gamma_mask,
-                                             rng.standard_normal(nb) * bs.gamma_mask, bs, unit)
+        on = bs.lam > 0
+        out = pv.dissipative_boundary_update(new, later, rng.standard_normal(nb) * on,
+                                             rng.standard_normal(nb) * on, bs, unit)
         mirror = mirror_closed_step(prev.values, curr.values, (grid.dt / grid.dx) ** 2)
         ks, ls = boundary_indices(grid.n)
         scale = np.abs(mirror).max()
@@ -410,8 +406,11 @@ class TestForwardSolve:
         rng = np.random.default_rng(2)
         s0 = pv.StatePair(smooth_random_field(grid, rng), pv.ScalarField.zeros(grid))
         res = pv.forward_solve(s0, unit, bs, 1.0)
-        assert np.all(res.trace.samples[:, ~bs.gamma_mask] == 0.0)
-        assert np.abs(res.trace.samples[:, bs.gamma_mask]).max() > 0
+        full = pv.forward_solve(s0, unit, pv.BoundarySpec.full(grid), 1.0)
+        # Gamma's columns of the full trace, to the bit
+        assert res.trace.samples.shape == (full.trace.samples.shape[0], bs.gamma.size)
+        assert_same_bits(res.trace.samples, full.trace.samples[:, bs.gamma])
+        assert np.abs(res.trace.samples).max() > 0
 
     def test_linearity(self, grid, unit, bs_full):
         rng = np.random.default_rng(3)
@@ -794,6 +793,6 @@ class TestMarchMemory:
         grid, c, bs, f = self.case(speed)
         T = 1.0
         levels = pv.num_steps(T, grid.dt) + 1
-        trace = 0 if speed == "constant" else levels * pv.boundary_count(grid.n) * 8
+        trace = 0 if speed == "constant" else levels * bs.gamma.size * 8
         peak = traced_peak(pv.reverse_own_trace, f, c, bs, T)
         assert peak - trace < bound * f.values.nbytes

@@ -95,7 +95,7 @@ class TestTraceFiles:
         # no trace holds fewer than 3 time levels (2 steps), so write_trace
         # cannot make this file: it is written by hand
         path = tmp_path / "empty.csv"
-        path.write_text("# pacavity trace v3; n = 9; dt = 0.125; gamma = full; lambda = 1.0\n")
+        path.write_text("# pacavity trace v4; n = 9; dt = 0.125; gamma = full; lambda = 1.0\n")
         with pytest.raises(pio.ParseError, match="0 time levels") as info:
             pio.read_trace(path)
         assert str(info.value).startswith(f"{path}:")
@@ -125,7 +125,7 @@ class TestTraceFiles:
         assert back.grid == g and back.dt == g.dt
         # a trace has no time step of its own: dt is always its grid's
         assert "dt" not in {fld.name for fld in dataclasses.fields(back)}
-        assert np.array_equal(back.bspec.gamma_mask, bs.gamma_mask)
+        assert np.array_equal(back.bspec.gamma, bs.gamma)
         assert np.array_equal(back.bspec.lam, bs.lam)
         assert np.array_equal(back.samples, trace.samples)
 
@@ -167,7 +167,7 @@ class TestTraceFiles:
         for part in entry.split("; "):
             name, _, value = part.partition(" = ")
             header[name] = value
-        text[0] = "# pacavity trace v3; " + "; ".join(f"{k} = {v}" for k, v in header.items() if v)
+        text[0] = "# pacavity trace v4; " + "; ".join(f"{k} = {v}" for k, v in header.items() if v)
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(pio.ParseError, match=message) as info:
             pio.read_trace(path)
@@ -188,7 +188,7 @@ class TestTraceFiles:
     def test_wrong_column_count_rejected(self, tmp_path):
         # n = 9 has 32 boundary nodes
         path = tmp_path / "bad.csv"
-        path.write_text("# pacavity trace v3; n = 9; dt = 0.125; gamma = full; lambda = 1.0\n"
+        path.write_text("# pacavity trace v4; n = 9; dt = 0.125; gamma = full; lambda = 1.0\n"
                         + ",".join(["0"] * 7) + "\n")
         with pytest.raises(pio.ParseError, match=":2: expected 32 values per row, got 7") as info:
             pio.read_trace(path)
@@ -198,7 +198,7 @@ class TestTraceFiles:
         # 8 node columns would be n = 3, below the smallest grid: the error
         # is about the header's n, not about its dt
         path = tmp_path / "small.csv"
-        path.write_text("# pacavity trace v3; n = 3; dt = 0.5; gamma = full; lambda = 1.0\n"
+        path.write_text("# pacavity trace v4; n = 3; dt = 0.5; gamma = full; lambda = 1.0\n"
                         + ",".join(["0"] * 8) + "\n")
         with pytest.raises(pio.ParseError, match="header 'n' = 3") as info:
             pio.read_trace(path)
@@ -212,6 +212,27 @@ class TestTraceFiles:
                         + "".join(f"{j * 0.125!r}," + ",".join(["0"] * 32) + "\n"
                                   for j in range(3)))
         with pytest.raises(pio.ParseError, match=r"missing '# n = \.\.\.' header") as info:
+            pio.read_trace(path)
+        assert str(info.value).startswith(f"{path}:")
+
+    @pytest.mark.parametrize("gamma", ["left_bottom", "node_list"])
+    def test_parent_layout_partial_trace_is_refused(self, tmp_path, gamma):
+        # v3 wrote all 4n - 4 nodes a row, zeros off Gamma, under the same
+        # header; a row now holds Gamma's values only, so its width is wrong
+        g = pv.Grid2D(33)
+        bs = (pv.BoundarySpec.left_bottom(g) if gamma == "left_bottom"
+              else pv.BoundarySpec.from_node_list(g, range(0, 128, 3)))
+        path = tmp_path / "v3.csv"
+        pio.write_trace(path, pv.BoundaryTrace(bs, np.ones((3, bs.gamma.size))))
+        header = path.read_bytes().split(b"\n", 1)[0].replace(b"trace v4", b"trace v3")
+        rows = np.zeros((3, 128))
+        rows[:, bs.gamma] = 1.0
+        with open(path, "wb") as fh:
+            fh.write(header + b"\n")
+            csvtext.write_rows(fh, rows)
+        width = {"left_bottom": 65, "node_list": 43}[gamma]
+        with pytest.raises(pio.ParseError,
+                           match=f":2: expected {width} values per row, got 128") as info:
             pio.read_trace(path)
         assert str(info.value).startswith(f"{path}:")
 
@@ -379,10 +400,8 @@ class TestExactWriter:
         g = pv.Grid2D(33)
         bs = getattr(pv.BoundarySpec, gamma)(g)
         rng = np.random.default_rng(5)
-        trace = pv.BoundaryTrace(bs, rng.standard_normal((200, 128))
-                                 * 10.0 ** rng.integers(-30, 30, (200, 128)))
-        if gamma == "left_bottom":
-            assert not trace.samples[:, ~bs.gamma_mask].any()  # zero columns
+        samples = rng.standard_normal((200, 128)) * 10.0 ** rng.integers(-30, 30, (200, 128))
+        trace = pv.BoundaryTrace(bs, samples[:, bs.gamma])
         path = tmp_path / "trace.csv"
         pio.write_trace(path, trace)
         back = pio.read_trace(path)
@@ -395,9 +414,9 @@ class TestExactWriter:
         trace = pv.synthesize_data(smooth_random_field(g, np.random.default_rng(6)),
                                    pv.BoundarySpec.left_bottom(g), 1.0, g.dt)
         path = tmp_path / "trace.csv"
-        gamma = ",".join(str(b) for b in np.flatnonzero(trace.bspec.gamma_mask))
+        gamma = ",".join(str(b) for b in trace.bspec.gamma)
         with open(path, "w") as fh:
-            fh.write(f"# pacavity trace v3; n = 17; dt = {g.dt!r}; gamma = {gamma}; "
+            fh.write(f"# pacavity trace v4; n = 17; dt = {g.dt!r}; gamma = {gamma}; "
                      "lambda = 1.0\n")
             np.savetxt(fh, trace.samples, fmt="%.17g", delimiter=",")
         back = pio.read_trace(path)
@@ -511,7 +530,7 @@ class TestConfig:
         cfg = pio.parse_config(path)
         assert cfg.gamma == [0, 1, 2, 5]
         bs = cfg.make_bspec(pv.Grid2D(9))
-        assert bs.gamma_mask.sum() == 4
+        assert bs.gamma.tolist() == [0, 1, 2, 5]
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"

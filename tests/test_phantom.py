@@ -127,9 +127,26 @@ class TestAddNoise:
         ratio = np.linalg.norm(out.samples - trace.samples) / np.linalg.norm(trace.samples)
         assert ratio == pytest.approx(0.5, abs=1e-12)
 
-    def test_off_gamma_stays_zero(self, trace):
-        out = pv.add_noise(trace, 0.5, seed=1)
-        assert np.all(out.samples[:, ~trace.bspec.gamma_mask] == 0.0)
+    @pytest.mark.parametrize("levels", [127, 128, 129, 300])
+    @pytest.mark.parametrize("gamma", ["full", "left_bottom"])
+    def test_noise_is_gamma_columns_of_one_full_width_draw(self, gamma, levels):
+        # at n = 65 the draw runs in blocks of 128 rows of all 256 boundary
+        # nodes; the noise is that of one (J + 1) x 256 draw, masked to
+        # Gamma and scaled to the level, as a trace with zeros off Gamma
+        # took it: bit for bit at full Gamma, and to the rounding of the
+        # scale's norm, now taken over Gamma's columns only, elsewhere
+        g = pv.Grid2D(65)
+        bs = getattr(pv.BoundarySpec, gamma)(g)
+        samples = np.random.default_rng(1).standard_normal((levels, bs.gamma.size))
+        out = pv.add_noise(pv.BoundaryTrace(bs, samples), 0.5, seed=4)
+        noise = np.random.default_rng(4).standard_normal((levels, pv.boundary_count(g.n)))
+        noise *= bs.lam > 0
+        noise *= 0.5 * float(np.linalg.norm(samples)) / np.linalg.norm(noise)
+        expected = noise[:, bs.gamma] + samples
+        if gamma == "full":
+            assert out.samples.tobytes() == expected.tobytes()
+        else:
+            assert np.linalg.norm(out.samples - expected) <= 1e-15 * np.linalg.norm(expected)
 
     def test_seed_determinism(self, trace):
         a = pv.add_noise(trace, 0.3, seed=42)
@@ -144,10 +161,13 @@ class TestAddNoise:
         assert trace.samples.tobytes() == before
         assert not np.shares_memory(out.samples, trace.samples)
 
-    def test_memory_near_the_trace(self, trace_full_t5):
-        # n = 257, T = 5: 10.5 MB of samples; the draw is masked, scaled and
-        # summed in place, so it is the only trace-sized array made
-        g = trace_full_t5.value
+    @pytest.mark.parametrize("which", ["trace_full_t5", "trace_partial_t5"])
+    def test_memory_near_the_trace(self, request, which):
+        # n = 257, T = 5: 10.5 MB of samples at full Gamma, 5.3 MB at
+        # left+bottom; the draw is made a row block at a time, then scaled
+        # and summed in place, so it is the only trace-sized array made
+        g = request.getfixturevalue(which)
+        g = g.value if which == "trace_full_t5" else g
         tracemalloc.start()
         try:
             pv.add_noise(g, 0.1, seed=7)

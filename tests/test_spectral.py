@@ -125,11 +125,10 @@ class TestAgainstScipyFft:
         ks, ls = pv.boundary_indices(n)
         expected = np.where(ls == 0, bottom[:, ks], np.where(
             ls == n - 1, top[:, ks], np.where(ks == 0, left[:, ls], right[:, ls])))
-        expected *= bs.gamma_mask
+        expected = expected[:, bs.gamma]
         got = _trace_from_walls(walls, bs).samples
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-        assert np.all(got[:, ~bs.gamma_mask] == 0.0)
 
 
 class TestPropagate:
@@ -218,9 +217,8 @@ class TestSynthesize:
         rng = np.random.default_rng(7)
         f = smooth_random_field(grid, rng)
         g = pv.synthesize_data(f, bs, 1.0, grid.dt)
-        expected = boundary_values(f) * bs.gamma_mask
+        expected = boundary_values(f)[bs.gamma]
         assert np.allclose(g.samples[0], expected, atol=1e-12)
-        assert np.all(g.samples[:, ~bs.gamma_mask] == 0.0)
 
     def test_corner_time_series_is_analytic(self, grid):
         bs = pv.BoundarySpec.full(grid)
@@ -244,7 +242,7 @@ class TestSynthesize:
         g = pv.synthesize_data(f, bs, T, grid.dt)
         c = pv.dct2_forward(f)
         oracle = np.array([boundary_values(spectral_propagate(grid, c, t)) for t in g.times])
-        oracle *= bs.gamma_mask
+        oracle = oracle[:, bs.gamma]
         assert g.samples.shape == oracle.shape
         assert np.abs(g.samples - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
@@ -356,8 +354,7 @@ class TestLeapfrogTrace:
         ref = pv.forward_solve(pv.StatePair(f, pv.ScalarField.zeros(grid)), c, bs, T).trace
         got = leapfrog_trace(f, c, bs, T)
         assert got.samples.shape == ref.samples.shape
-        assert np.array_equal(got.bspec.gamma_mask, ref.bspec.gamma_mask)
-        assert np.all(got.samples[:, ~bs.gamma_mask] == 0.0)
+        assert np.array_equal(got.bspec.gamma, ref.bspec.gamma)
         assert np.abs(got.samples - ref.samples).max() <= 1e-12 * np.abs(ref.samples).max()
 
     def test_speed_above_the_cfl_bound_rejected(self, grid):
