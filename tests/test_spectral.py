@@ -225,7 +225,8 @@ class TestSynthesize:
         f = eigenfield(grid, 1, 1)
         g = pv.synthesize_data(f, bs, 1.5, grid.dt)
         lam = 0.5 * np.pi * np.sqrt(2.0)
-        expected = np.cos(lam * g.times)  # phi_{1,1}(-1,-1) = 1, node index 0
+        # phi_{1,1}(-1,-1) = 1, node index 0
+        expected = np.cos(lam * (g.dt * np.arange(g.n_steps + 1)))
         assert np.allclose(g.samples[:, 0], expected, atol=1e-10)
 
     @pytest.mark.parametrize("n, T", [(33, 5.0), (65, 20.0)])
@@ -241,7 +242,8 @@ class TestSynthesize:
         f = smooth_random_field(grid, np.random.default_rng(8), kmax=n - 1)
         g = pv.synthesize_data(f, bs, T, grid.dt)
         c = pv.dct2_forward(f)
-        oracle = np.array([boundary_values(spectral_propagate(grid, c, t)) for t in g.times])
+        oracle = np.array([boundary_values(spectral_propagate(grid, c, t))
+                           for t in g.dt * np.arange(g.n_steps + 1)])
         oracle = oracle[:, bs.gamma]
         assert g.samples.shape == oracle.shape
         assert np.abs(g.samples - oracle).max() <= 1e-11 * np.abs(oracle).max()
