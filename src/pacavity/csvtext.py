@@ -173,9 +173,9 @@ def _eight_digits(words):
     return ((v & _PAIRS) * _MUL1 + ((v >> _SHIFT16) & _PAIRS) * _MUL2) >> _SHIFT32
 
 
-def _parse_block(text, start, end, out) -> bool:
-    """Parse the tokens text[start:end] into ``out``, correctly rounded;
-    False, with ``out`` unspecified, when one is not '%.16e' text.
+def _parse_block(text, start, end):
+    """The values of the tokens text[start:end], correctly rounded; None
+    when one is not '%.16e' text.
 
     Each token is gathered as a record of four little-endian uint64 words:
     six bytes before its leading digit, that digit and '.'; digits 2-9;
@@ -192,7 +192,7 @@ def _parse_block(text, start, end, out) -> bool:
     q = start + neg
     long_exp = end - q == 23
     if not (long_exp | (end - q == 22)).all():
-        return False
+        return None
     records = np.ndarray((raw.size - 31,), "V32", text, 0, (1,))
     words = records[q - 6].view("<u8").reshape(-1, 4)
     b = words.view(np.uint8)
@@ -204,7 +204,7 @@ def _parse_block(text, start, end, out) -> bool:
           & (b[:, 24] == ord("e")) & (minus | (b[:, 25] == ord("+")))
           & (x[0] <= 9) & (x[1] <= 9) & ((x[2] <= 9) | ~long_exp))
     if not ok.all() or np.bitwise_or.reduce((digits + _SIXES) | (digits - _ZEROS), None) & _HIGH:
-        return False
+        return None
     x = [c.astype(np.int64) for c in x]
     E = x[0] * 10 + x[1]
     E = np.where(long_exp, E * 10 + x[2], E)
@@ -220,10 +220,10 @@ def _parse_block(text, start, end, out) -> bool:
     limit = scale * ((0.5 - _TIE_TOL) * 2.0 ** -52)
     limit[(r < 0) & (y == scale)] *= 0.5
     fast &= (np.abs(r) < limit) | (d == 0)
-    out[:] = np.where(neg, -y, y)
+    out = np.where(neg, -y, y)
     for i in np.flatnonzero(~fast):
         out[i] = float(text[start[i]:end[i]])
-    return True
+    return out
 
 
 def read_rows(fh):
@@ -238,7 +238,9 @@ def read_rows(fh):
     text is parsed as it is read, up to its last newline, and the rest of it
     is carried into the next chunk.  Every value takes at least two bytes,
     so text too short for the first row's width times the row count is
-    refused before the array is made.
+    refused before the array is made, and the array is made only once the
+    first chunk has parsed, so text that is off the grammar from its start
+    is refused without it.
     """
     origin = fh.tell()
     width = fh.readline().count(b",") + 1
@@ -248,8 +250,7 @@ def read_rows(fh):
     if not rows or 2 * rows * width > fh.tell() - origin:
         return None
     fh.seek(origin)
-    out = np.empty((rows, width))
-    flat = out.reshape(-1)
+    out = None
     done, pending = 0, b""
     for chunk in iter(chunks, b""):
         text = b"".join((_PAD, pending, chunk, _PAD))
@@ -270,7 +271,11 @@ def read_rows(fh):
         start = np.empty_like(end)
         start[0] = len(_PAD)
         start[1:] = end[:-1] + 1
-        if not _parse_block(text, start, end, flat[done:done + count]):
+        values = _parse_block(text, start, end)
+        if values is None:
             return None
+        if out is None:
+            out = np.empty((rows, width))
+        out.reshape(-1)[done:done + count] = values
         done += count
     return None if pending else out

@@ -96,7 +96,8 @@ def _read_rows(path, fh, first: int, width: int) -> np.ndarray:
     from ``first``, a line at a time, each value converted as Python's
     ``float`` converts it; the array has one row per line with at least
     width - 1 commas, so its size is bounded by the text's.  The first line
-    that is not ``width`` numbers is an error that names it.
+    that is not ``width`` numbers is an error that names it, and says so
+    when a CR inside it, not part of a CRLF ending, is the likely cause.
     """
     pos = fh.tell()
     data = read_rows(fh)
@@ -111,14 +112,23 @@ def _read_rows(path, fh, first: int, width: int) -> np.ndarray:
         if not line:
             continue
         if line.count(",") != width - 1:
-            raise ParseError(f"{path}:{lineno}: expected {width} values per row, "
-                             f"got {line.count(',') + 1}")
+            raise _row_error(path, lineno, raw, f"expected {width} values per row, "
+                                                f"got {line.count(',') + 1}")
         try:
             data[rows] = line.split(",")
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+            raise _row_error(path, lineno, raw, str(exc)) from None
         rows += 1
     return data[:rows]
+
+
+def _row_error(path, lineno: int, raw: bytes, message: str) -> ParseError:
+    """The error for the bad row ``raw`` at line ``lineno``: a CR within the
+    line, not part of its CRLF ending, means that the rows end in lone CRs,
+    so the line holds all the rows that follow."""
+    if b"\r" in raw.removesuffix(b"\n").removesuffix(b"\r"):
+        message += " (the line holds a lone CR: rows must end in LF or CRLF)"
+    return ParseError(f"{path}:{lineno}: {message}")
 
 
 def _header_n(path, meta: dict) -> int:

@@ -24,9 +24,10 @@ and synthesize_data samples it on the walls to make measurement data
 independently of the finite-difference solvers, so inversion is never
 tested against data produced by its own discretization.  The modes advance
 from step to step by Reinsch's difference form of the cosine recurrence
-(see _wall_coefficients), started once from the coefficients and never
-restarted.  Nothing here comes from fdtd; fdtd evaluates its own scheme
-with this DCT.
+(see _wall_trace), started once from the coefficients and never
+restarted; each level's wall values are turned into Gamma's samples as the
+recurrence runs, so no array of all the walls' levels is made.  Nothing
+here comes from fdtd; fdtd evaluates its own scheme with this DCT.
 """
 
 from __future__ import annotations
@@ -72,9 +73,17 @@ def _dct1(x: np.ndarray) -> np.ndarray:
         block = rows[i:i + step]
         m = len(block)
         ext[:m, :n] = block
-        ext[:m, n:] = block[:, -2:0:-1]
-        out[i:i + m] = np.fft.rfft(ext[:m]).real
+        out[i:i + m] = _extended_dct1(ext[:m])
     return out.reshape(x.shape)
+
+
+def _extended_dct1(ext: np.ndarray) -> np.ndarray:
+    """The DCT-I of the rows x_0 .. x_{n-1} held in ext[..., :n], where ext
+    has 2n - 2 columns: their mirror x_{n-2} .. x_1 is written into
+    ext[..., n:], and the real part of the real FFT returned."""
+    n = ext.shape[-1] // 2 + 1
+    ext[..., n:] = ext[..., n - 2:0:-1]
+    return np.fft.rfft(ext).real
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:
@@ -104,72 +113,56 @@ def synthesize_data(f: ScalarField, bspec: BoundarySpec, T: float, dt: float) ->
     Samples u at the nodes of Gamma at times t_j = j*dt, j = 0 .. T/dt.  dt
     must be the grid's own time step f.grid.dt, the step the solvers take
     on the trace; any other value is a ConfigError.  T must be an integer
-    multiple of dt.  Only the walls are evaluated (see _wall_coefficients);
-    a DCT-I then turns their cosine coefficients into node values, written
-    over the walls' own buffer (see _trace_from_walls), so the trace is the
-    one trace-sized array made.
+    multiple of dt.  Only the walls are evaluated, and only Gamma's samples
+    are kept (see _wall_trace): the trace is the one trace-sized array made.
     """
     if f.grid != bspec.grid:
         raise GridMismatchError("field and boundary spec live on different grids")
     if dt != f.grid.dt:
         raise ConfigError(f"dt = {dt!r} differs from the grid's time step {f.grid.dt!r}; "
                           "the solvers step the trace on the grid's dt")
-    steps = num_steps(T, dt)
     a = 4.0 * np.sin(0.5 * dt * mode_frequencies(f.grid)) ** 2
-    walls = _wall_coefficients(dct2_forward(f), a, steps)
-    del a  # freed before the walls' DCT allocates
-    return _trace_from_walls(walls, bspec)
+    return _wall_trace(dct2_forward(f), a, num_steps(T, dt), bspec)
 
 
-def _trace_from_walls(walls: np.ndarray, bspec: BoundarySpec) -> BoundaryTrace:
-    """The boundary trace from the wall coefficients of _wall_coefficients,
-    built in their own buffer: a DCT-I turns a block of levels into node
-    values, of which Gamma's are written in canonical order (see
-    boundary_indices) over the start of the buffer.  The trace's samples
-    are a view of that buffer.
-
-    The bottom and top walls give the four corners.  Level j's row ends at
-    (j + 1) |Gamma| < (j + 1) 4n, so a block overwrites only the walls of
-    its own and earlier levels, which its DCT has already read.
-    """
-    n = bspec.grid.n
-    levels = walls.shape[0]
-    walls[..., 1:-1] *= 0.5
-    rows = walls.reshape(-1)[:levels * bspec.gamma.size].reshape(levels, -1)
-    # about 2**15 wall values a block: their node values stay small
-    # (~0.25 MB) beside the trace-sized buffer
-    block = max(1, 2 ** 13 // n)
-    ks, ls = boundary_indices(n)
-    # each node's place among a level's bottom, top, left and right walls
-    index = np.select([ls == 0, ls == n - 1, ks == 0], [ks, n + ks, 2 * n + ls], 3 * n + ls)
-    index = index[bspec.gamma]
-    for j in range(0, levels, block):
-        nodes = _dct1(walls[j:j + block]).reshape(-1, 4 * n)
-        np.take(nodes, index, axis=1, out=rows[j:j + block])
-    return BoundaryTrace(bspec, rows)
-
-
-def _wall_coefficients(coeffs: np.ndarray, a: np.ndarray, steps: int) -> np.ndarray:
-    """Cosine coefficients of u(., t_j) along the walls y = -1, y = 1, x = -1
-    and x = 1, shape (steps + 1, 4, n), for mode coefficients coeffs that
-    oscillate as cos(j theta_kl), given a = 4 sin^2(theta_kl / 2).
+def _wall_trace(coeffs: np.ndarray, a: np.ndarray, steps: int,
+                bspec: BoundarySpec) -> BoundaryTrace:
+    """The trace on Gamma, levels j = 0 .. steps, of mode coefficients coeffs
+    that oscillate as cos(j theta_kl), given a = 4 sin^2(theta_kl / 2).
 
     On a wall every mode is a 1D cosine times +-1, so with
-    M_j = coeffs * cos(j theta) the wall coefficients are the row sums
-    M_j @ S and the column sums S^T @ M_j, S = [1, (-1)^k].  M_j advances by
-    Reinsch's difference form of the cosine recurrence,
-    D_{j+1} = D_j - a M_j, M_{j+1} = M_j + D_{j+1}, started once from
-    M_0 = coeffs and D_0 = (a / 2) coeffs: a carries the small part
-    2 - 2 cos(theta) of the low modes that 2 cos(theta) would round away, so
-    no restart from exact cosines is needed.  M_j is advanced in coeffs
-    itself (the callers pass a temporary), so only three n x n arrays live
-    beside the walls: a, M and D.
+    M_j = coeffs * cos(j theta) the cosine coefficients along the walls
+    y = -1, y = 1, x = -1 and x = 1 are the row sums M_j @ S and the column
+    sums S^T @ M_j, S = [1, (-1)^k].  M_j advances by Reinsch's difference
+    form of the cosine recurrence, D_{j+1} = D_j - a M_j,
+    M_{j+1} = M_j + D_{j+1}, started once from M_0 = coeffs and
+    D_0 = (a / 2) coeffs: a carries the small part 2 - 2 cos(theta) of the
+    low modes that 2 cos(theta) would round away, so no restart from exact
+    cosines is needed.  M_j is advanced in coeffs itself (the callers pass a
+    temporary), so three n x n arrays live beside the trace: a, M and D.
+
+    The wall coefficients of a few levels at a time are written into a small
+    block laid out for the DCT-I (see _extended_dct1).  Only the walls from
+    the first to the last that Gamma touches, in the order above, are
+    transformed, and Gamma's samples are taken from their node values in
+    canonical order (see boundary_indices) into the trace's rows.  The
+    bottom and top walls give the four corners.
     """
     n = coeffs.shape[0]
+    ks, ls = boundary_indices(n)
+    # each Gamma node's place among a level's bottom, top, left and right walls
+    place = np.select([ls == 0, ls == n - 1, ks == 0], [ks, n + ks, 2 * n + ls],
+                      3 * n + ls)[bspec.gamma]
+    first, last = place.min() // n, place.max() // n
+    index = place - first * n
     s_t = np.stack([np.ones(n), (-1.0) ** np.arange(n)])
     d = 0.5 * a * coeffs
     m = coeffs
-    walls = np.empty((steps + 1, 4, n))
+    rows = np.empty((steps + 1, bspec.gamma.size))
+    # about 2**12 transformed wall values a block, so that the block and its
+    # spectrum stay small beside a, M and D
+    levels = min(steps + 1, max(1, 2 ** 12 // ((last + 1 - first) * n)))
+    stage = np.empty((levels, 4, 2 * n - 2))
     # the update runs in row blocks of about 2**15 modes, so that a block's a,
     # M, D and product stay in cache across its three passes
     parts = -(-n * n // 2 ** 15)
@@ -177,9 +170,15 @@ def _wall_coefficients(coeffs: np.ndarray, a: np.ndarray, steps: int) -> np.ndar
                       np.array_split(d, parts)))
     work = np.empty_like(blocks[0][1])
     for j in range(steps + 1):
-        np.matmul(s_t, m.T, out=walls[j, :2])
-        np.matmul(s_t, m, out=walls[j, 2:])
+        i = j % len(stage)
+        np.matmul(s_t, m.T, out=stage[i, :2, :n])
+        np.matmul(s_t, m, out=stage[i, 2:, :n])
+        if i == len(stage) - 1 or j == steps:
+            ext = stage[:i + 1, first:last + 1]
+            ext[..., 1:n - 1] *= 0.5  # the DCT-I doubles the inner terms
+            nodes = _extended_dct1(ext).reshape(i + 1, -1)
+            np.take(nodes, index, axis=1, out=rows[j - i:j + 1])
         for a_b, m_b, d_b in blocks:
             d_b -= np.multiply(a_b, m_b, out=work[:len(m_b)])
             m_b += d_b
-    return walls
+    return BoundaryTrace(bspec, rows)

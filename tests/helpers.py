@@ -6,7 +6,7 @@ from pacavity import (BoundarySpec, BoundaryTrace, ConfigError, Grid2D, ScalarFi
                       StatePair, boundary_count, boundary_indices, dct2_forward, dct2_inverse,
                       energy, leapfrog_levels, mode_frequencies, num_steps)
 from pacavity.fdtd import _leapfrog_phases
-from pacavity.spectral import _trace_from_walls, _wall_coefficients
+from pacavity.spectral import _wall_trace
 
 
 def smooth_random_field(grid: Grid2D, rng, kmax: int = 9, scale: float = 1.0) -> ScalarField:
@@ -80,8 +80,7 @@ def leapfrog_trace(f: ScalarField, c: ScalarField, bspec: BoundarySpec,
     """
     grid = f.grid
     a = 4.0 * np.sin(0.5 * _leapfrog_phases(grid, c)) ** 2
-    return _trace_from_walls(
-        _wall_coefficients(dct2_forward(f), a, num_steps(T, grid.dt)), bspec)
+    return _wall_trace(dct2_forward(f), a, num_steps(T, grid.dt), bspec)
 
 
 def spectral_velocity(grid: Grid2D, coeffs: np.ndarray, t: float) -> ScalarField:

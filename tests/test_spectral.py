@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pacavity as pv
-from pacavity.spectral import _dct1, _trace_from_walls, mode_frequencies
+from pacavity.spectral import _dct1, _wall_trace, mode_frequencies
 
 from helpers import (boundary_values, eigenfield, leapfrog_trace, smooth_random_field,
                      spectral_energy, spectral_propagate, spectral_velocity)
@@ -15,6 +15,12 @@ from helpers import (boundary_values, eigenfield, leapfrog_trace, smooth_random_
 @pytest.fixture
 def grid():
     return pv.Grid2D(33)
+
+
+def six_nodes(n: int) -> list[int]:
+    """Six boundary nodes on all four walls: the corners (-1, -1) and (1, 1)
+    and the middle of each wall."""
+    return [0, n // 2, n + n // 2, 2 * n - 2, 2 * n + n // 2, 3 * n + n // 2]
 
 
 class TestTransform:
@@ -113,20 +119,31 @@ class TestAgainstScipyFft:
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_batched_wall_transform(self, n):
-        # 70 levels span several of the transform's blocks at n = 257; the
-        # corners come from the bottom and top walls
+        # 70 levels span several of the trace's blocks of levels; the corners
+        # come from the bottom and top walls.  With a in {0, 1, 2, 4} the
+        # recurrence is exact: M_j = coeffs cos(j theta), cos(j theta) in
+        # {0, +-1/2, +-1} with period 1, 6, 4 or 2, so every level's walls are
+        # known and differ at random from the next level's
         fft = pytest.importorskip("scipy.fft")
         grid = pv.Grid2D(n)
         bs = pv.BoundarySpec.left_bottom(grid)
-        walls = np.random.default_rng(n).standard_normal((70, 4, n))
-        halved = walls.copy()
-        halved[..., 1:-1] *= 0.5
-        bottom, top, left, right = fft.dct(halved, type=1, axis=-1).transpose(1, 0, 2)
+        rng = np.random.default_rng(n)
+        coeffs = rng.standard_normal((n, n))
+        kind = rng.integers(0, 4, (n, n))
+        cosines = np.array([[1.0] * 12, [1, 0.5, -0.5, -1, -0.5, 0.5] * 2,
+                            [1, 0, -1, 0] * 3, [1, -1] * 6])
+        sign = (-1.0) ** np.arange(n)
+        walls = np.empty((70, 4, n))
+        for j in range(70):
+            m = coeffs * cosines[kind, j % 12]
+            walls[j] = m.sum(axis=1), m @ sign, m.sum(axis=0), sign @ m
+        walls[..., 1:-1] *= 0.5
+        bottom, top, left, right = fft.dct(walls, type=1, axis=-1).transpose(1, 0, 2)
         ks, ls = pv.boundary_indices(n)
         expected = np.where(ls == 0, bottom[:, ks], np.where(
             ls == n - 1, top[:, ks], np.where(ks == 0, left[:, ls], right[:, ls])))
         expected = expected[:, bs.gamma]
-        got = _trace_from_walls(walls, bs).samples
+        got = _wall_trace(coeffs, np.array([0.0, 1.0, 2.0, 4.0])[kind], 69, bs).samples
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -277,7 +294,8 @@ class TestSynthesize:
 
     def test_memory_near_the_trace(self, phantom257, bspec_full257):
         # n = 257, T = 5: 1281 levels of 1024 nodes, 10.5 MB of samples; the
-        # trace is written over the buffer of its wall coefficients
+        # samples are taken from a few levels' walls at a time, as the
+        # recurrence runs, so no array of all the levels' walls is made
         grid = phantom257.grid
         tracemalloc.start()
         try:
@@ -289,8 +307,9 @@ class TestSynthesize:
         assert peak < 1.25 * g.samples.nbytes
 
     def test_mode_space_memory_beyond_the_trace(self, phantom257, bspec_full257):
-        # over 32 steps the peak is in mode space: the coefficients, a, M, D
-        # and the transforms' blocks, 3.58 n x n arrays beyond the trace
+        # over 32 steps the peak is in mode space: a, M, D, the update's
+        # scratch and a block of staged walls and its spectrum, 3.68 n x n
+        # arrays beyond the trace, 3.91 in a process whose first FFT this is
         # (6.72 with whole-array DCT-I extensions and spectra)
         grid = phantom257.grid
         tracemalloc.start()
@@ -299,6 +318,39 @@ class TestSynthesize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak - g.samples.nbytes < 4.0 * phantom257.values.nbytes
+
+    @pytest.mark.parametrize("n", [33, 65, 257])
+    def test_partial_gamma_is_the_full_traces_columns(self, n):
+        # Gamma's samples come from the DCT-I of the walls from the first to
+        # the last it touches (three at left+bottom, one for the right-wall
+        # nodes), each wall's row on its own, so they equal the full trace's
+        # columns bit for bit
+        grid = pv.Grid2D(n)
+        f = pv.paper_six_phantom(grid)
+        full = pv.synthesize_data(f, pv.BoundarySpec.full(grid), 3.0, grid.dt).samples
+        for bs in (pv.BoundarySpec.left_bottom(grid),
+                   pv.BoundarySpec.from_node_list(grid, six_nodes(n)),
+                   pv.BoundarySpec.from_node_list(grid, [n, n + 5, 2 * n - 3])):
+            g = pv.synthesize_data(f, bs, 3.0, grid.dt)
+            assert g.samples.tobytes() == full[:, bs.gamma].tobytes()
+
+    @pytest.mark.parametrize("gamma, T", [("left_bottom", 3.0), ("six nodes", 5.0)])
+    def test_partial_gamma_memory_beyond_the_samples(self, phantom257, gamma, T):
+        # the samples are half the walls' values at left+bottom and ~1/170
+        # of them for six nodes; as no array of all the levels' walls is made,
+        # the peak beyond the samples is in mode space, as at full Gamma
+        grid = phantom257.grid
+        bs = (pv.BoundarySpec.left_bottom(grid) if gamma == "left_bottom"
+              else pv.BoundarySpec.from_node_list(grid, six_nodes(grid.n)))
+        np.fft.rfft(np.zeros(4))  # numpy.fft's import is not the synthesis's memory
+        tracemalloc.start()
+        try:
+            g = pv.synthesize_data(phantom257, bs, T, grid.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.samples.shape == (round(T / grid.dt) + 1, bs.gamma.size)
         assert peak - g.samples.nbytes < 4.0 * phantom257.values.nbytes
 
     def test_non_integer_step_count_rejected(self, grid):
