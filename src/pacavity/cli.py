@@ -148,18 +148,15 @@ def _require_consistent(g: BoundaryTrace, cfg: RunConfig) -> None:
             ("n", g.grid.n, grid.n),
             ("dt_factor", g.dt, grid.dt),
             ("T", g.n_steps * grid.dt, num_steps(cfg.resolve_T(grid.dt), grid.dt) * grid.dt),
-            ("gamma", g.bspec.lam > 0, cfg.make_bspec(grid).lam > 0)):
+            ("gamma", g.bspec.gamma, cfg.make_bspec(grid).gamma)):
         if not np.array_equal(recorded, configured):
             raise ConfigError(f"key {key!r}: the trace's value ({_brief(recorded)}) does "
                               f"not match the configured value ({_brief(configured)})")
 
 
 def _brief(value) -> str:
-    """A scalar as itself; a Gamma mask by its node count."""
-    v = np.asarray(value)
-    if v.ndim == 0:
-        return repr(v.item())
-    return f"on {np.count_nonzero(v)} of {v.size} nodes"
+    """A scalar as itself; Gamma's node indices by their count."""
+    return f"on {len(value)} nodes" if np.ndim(value) else repr(value)
 
 
 def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path,

@@ -3,10 +3,11 @@ array operations.
 
 Every value is written as ``'%.16e' % v`` would write it: 17 significant
 digits, which reload bit for bit.  ``read_rows`` parses that grammar back,
-correctly rounded, and returns None for any other text, which the caller
-then reads with a general parser.  The writer works a block of values at a
-time and the reader a chunk of text at a time, so the memory taken beyond
-the rows themselves does not grow with their number.
+correctly rounded, into rows of the width the caller gives, and returns
+None for any other text, which the caller then reads with a general
+parser.  The writer works a block of values at a time and the reader a
+chunk of text at a time, so the memory taken beyond the rows themselves
+does not grow with their number.
 """
 
 from __future__ import annotations
@@ -226,25 +227,23 @@ def _parse_block(text, start, end):
     return out
 
 
-def read_rows(fh):
-    """Read the rest of the binary file ``fh`` as CSV rows of ``'%.16e'``
-    values, as ``write_rows`` writes them, into a 2-D float64 array: every
-    value is the double nearest its decimal text, so the values written come
-    back bit for bit.
+def read_rows(fh, width: int):
+    """Read the rest of the binary file ``fh`` as CSV rows of ``width``
+    ``'%.16e'`` values, as ``write_rows`` writes them, into a 2-D float64
+    array: every value is the double nearest its decimal text, so the values
+    written come back bit for bit.
 
     Returns None for text outside that grammar: no rows, other number
-    syntax, comments, blank lines, CRLF line endings or ragged rows.  The
-    rows are counted first, so the array is filled in place: each chunk of
-    text is parsed as it is read, up to its last newline, and the rest of it
-    is carried into the next chunk.  Every value takes at least two bytes,
-    so text too short for the first row's width times the row count is
-    refused before the array is made, and the array is made only once the
-    first chunk has parsed, so text that is off the grammar from its start
-    is refused without it.
+    syntax, comments, blank lines, CRLF line endings, or any row, the first
+    included, of another width.  The rows are counted first, so the array is
+    filled in place: each chunk of text is parsed as it is read, up to its
+    last newline, and the rest of it is carried into the next chunk.  Every
+    value takes at least two bytes, so text too short for ``width`` times the
+    row count is refused before the array is made, and the array is made
+    only once the first chunk has parsed, so text that is off the grammar
+    from its start is refused without it.
     """
     origin = fh.tell()
-    width = fh.readline().count(b",") + 1
-    fh.seek(origin)
     chunks = partial(fh.read, _READ_CHUNK)
     rows = sum(chunk.count(b"\n") for chunk in iter(chunks, b""))
     if not rows or 2 * rows * width > fh.tell() - origin:

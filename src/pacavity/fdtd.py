@@ -210,11 +210,17 @@ def dissipative_boundary_update(level_new: ScalarField, level_old: ScalarField,
     than the new one and g_old its data row; g_new is the data row of the
     new level, all rows in canonical boundary order.  c is the sound speed
     (unit speed when omitted); G is formed with the grid's own dx and dt.
-    Returns the 4n-4 boundary values in canonical order.
+    Returns the 4n-4 boundary values in canonical order.  The marches' setup
+    checks apply: c must be positive (else ValueError) and the grid's dt
+    must satisfy the CFL bound for it (else StabilityError).
     """
     grid = level_new.grid
     if grid != level_old.grid or grid != bspec.grid or (c is not None and c.grid != grid):
         raise GridMismatchError("fields and boundary spec live on different grids")
+    if c is None:
+        grid.check_cfl(1.0)
+    else:
+        _check_setup(grid, c)
     nb = boundary_count(grid.n)
     g_new = np.asarray(g_new, dtype=float)
     g_old = np.asarray(g_old, dtype=float)

@@ -5,10 +5,12 @@ lines of ``# key = value`` entries, the grid size n among them, then rows
 of values and nothing else.  A field has n rows of n values; a trace has
 one row of samples at Gamma's nodes per time level, row j at t = j*dt, so
 neither the times nor the node numbers are stored: the header's gamma
-entry lists the nodes, and with it the row width.  Each value is written
-as ``'%.16e' % v`` would write it, 17 significant digits in scientific
-notation, which reload bit for bit; ``csvtext.write_rows`` makes those
-bytes from whole row blocks, and ``csvtext.read_rows`` parses them back,
+entry lists the nodes, and with it the row width.  Both readers check n
+once, as Grid2D checks it, and know the row width from the header before
+they read a row.  Each value is written as ``'%.16e' % v`` would write it,
+17 significant digits in scientific notation, which reload bit for bit;
+``csvtext.write_rows`` makes those bytes from whole row blocks, and
+``csvtext.read_rows`` parses them back into rows of the header's width,
 correctly rounded.  Data in any other syntax are read a line at a time,
 each value converted by Python's ``float``, and a bad row is named by its
 line.
@@ -92,16 +94,17 @@ def _read_rows(path, fh, first: int, width: int) -> np.ndarray:
 
     Data as ``csvtext.write_rows`` writes them are parsed by
     ``csvtext.read_rows``.  Any other text (comments or blank lines among
-    the rows, CRLF endings, other number syntax, ragged rows) is read again
-    from ``first``, a line at a time, each value converted as Python's
-    ``float`` converts it; the array has one row per line with at least
-    width - 1 commas, so its size is bounded by the text's.  The first line
-    that is not ``width`` numbers is an error that names it, and says so
-    when a CR inside it, not part of a CRLF ending, is the likely cause.
+    the rows, CRLF endings, other number syntax, rows of another width) is
+    read again from ``first``, a line at a time, each value converted as
+    Python's ``float`` converts it; the array has one row per line with at
+    least width - 1 commas, so its size is bounded by the text's.  The
+    first line that is not ``width`` numbers is an error that names it, and
+    says so when a CR inside it, not part of a CRLF ending, is the likely
+    cause.
     """
     pos = fh.tell()
-    data = read_rows(fh)
-    if data is not None and data.shape[1] == width:
+    data = read_rows(fh, width)
+    if data is not None:
         return data
     fh.seek(pos)
     data = np.empty((sum(raw.count(b",") >= width - 1 for raw in fh), width))
@@ -131,12 +134,14 @@ def _row_error(path, lineno: int, raw: bytes, message: str) -> ParseError:
     return ParseError(f"{path}:{lineno}: {message}")
 
 
-def _header_n(path, meta: dict) -> int:
-    """The grid size from the header entry n."""
+def _header_grid(path, meta: dict) -> Grid2D:
+    """The grid of the header entry n, with the default dt."""
     if "n" not in meta:
         raise ParseError(f"{path}: missing '# n = ...' header")
     try:
-        return int(meta["n"])
+        return Grid2D(int(meta["n"]))
+    except ConfigError as exc:
+        raise ParseError(f"{path}: header 'n': {exc}") from None
     except ValueError:
         raise ParseError(f"{path}: header 'n' is not an integer: {meta['n']!r}") from None
 
@@ -160,14 +165,10 @@ def read_field(path) -> ScalarField:
         raise ConfigError(f"cannot read field format {suffix!r}; only .csv reloads exactly")
     with _decoding(path), open(path, "rb") as fh:
         meta, first = _read_header(fh)
-        n = _header_n(path, meta)
-        try:
-            grid = Grid2D(n)
-        except ConfigError as exc:
-            raise ParseError(f"{path}: header 'n': {exc}") from None
-        data = _read_rows(path, fh, first, n)
-    if data.shape[0] != n:
-        raise ParseError(f"{path}: expected {n} data rows, got {data.shape[0]}")
+        grid = _header_grid(path, meta)
+        data = _read_rows(path, fh, first, grid.n)
+    if data.shape[0] != grid.n:
+        raise ParseError(f"{path}: expected {grid.n} data rows, got {data.shape[0]}")
     try:
         return ScalarField(grid, data)
     except ValueError as exc:
@@ -226,16 +227,17 @@ def write_trace(path, g: BoundaryTrace) -> None:
         write_rows(fh, g.samples)
 
 
-def _trace_spec(path, meta: dict, n: int) -> BoundarySpec:
-    """The boundary spec from the header entries dt, gamma and lambda."""
+def _trace_spec(path, meta: dict, grid: Grid2D) -> BoundarySpec:
+    """The boundary spec on the header's grid from the header entries dt,
+    gamma and lambda."""
     for key in ("dt", "gamma", "lambda"):
         if key not in meta:
             raise ParseError(f"{path}: header entry '{key}' is missing")
     try:
-        grid = Grid2D(n, float(meta["dt"]))
+        grid = Grid2D(grid.n, float(meta["dt"]))  # n is checked: this fails only on dt
     except ValueError as exc:
         raise ParseError(f"{path}: header 'dt': {exc}") from None
-    nb = boundary_count(n)
+    nb = boundary_count(grid.n)
     text = meta["gamma"]
     try:
         nodes = (np.arange(nb) if text == "full"
@@ -265,11 +267,7 @@ def read_trace(path) -> BoundaryTrace:
     """
     with _decoding(path), open(path, "rb") as fh:
         meta, first = _read_header(fh)
-        n = _header_n(path, meta)
-        # the grid size is checked here, so that Grid2D(n, dt) can fail only on dt
-        if not 4 <= n <= MAX_N:
-            raise ParseError(f"{path}: header 'n' = {n} is not in 4 .. {MAX_N}")
-        bspec = _trace_spec(path, meta, n)
+        bspec = _trace_spec(path, meta, _header_grid(path, meta))
         data = _read_rows(path, fh, first, bspec.gamma.size)
     try:
         return BoundaryTrace(bspec, data)
@@ -324,7 +322,7 @@ def _parse_gamma(key, text):
 
 def _parse_bumps(key, text):
     if not text.strip():
-        return None  # the default: the six-bump phantom
+        return PAPER_SIX
     specs = []
     for i, chunk in enumerate(part for part in text.split(";") if part.strip()):
         toks = chunk.split(",")
@@ -366,7 +364,7 @@ class RunConfig:
                                          hi=1.0 / np.sqrt(2.0) + 1e-12))
     T: float = _key(5.0, partial(_parse_float, lo_strict=0.0))
     gamma: object = _key("full", _parse_gamma)  # "full" | "left_bottom" | node indices
-    bumps: tuple = _key(None, _parse_bumps)     # BumpSpec tuple; None gives PAPER_SIX
+    bumps: tuple = _key(PAPER_SIX, _parse_bumps)  # BumpSpec tuple
     noise: float = _key(0.0, partial(_parse_float, lo=0.0))
     seed: int = _key(0, partial(_parse_int, lo=0))
     iterations: int = _key(1, partial(_parse_int, lo=0))
@@ -390,8 +388,7 @@ class RunConfig:
             raise ConfigError(f"key 'gamma': {exc}") from None
 
     def make_phantom(self, grid: Grid2D) -> ScalarField:
-        specs = self.bumps if self.bumps is not None else PAPER_SIX
-        return render_phantom(specs, grid)
+        return render_phantom(self.bumps, grid)
 
     def resolve_T(self, dt: float) -> float:
         """Snap T to the time grid when snap_time is set, else require an

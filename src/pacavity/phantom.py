@@ -94,8 +94,11 @@ def add_noise(g: BoundaryTrace, level: float, seed: int) -> BoundaryTrace:
     ||noise|| / ||g|| equals ``level`` exactly, and added to the samples.
     The draw is made in full-width row blocks, so the noise at a node does
     not depend on Gamma: it is that of one (J + 1) x (4n - 4) draw.  A level
-    so large that ||g|| + ||noise|| overflows is refused.
+    that is not finite, or so large that ||g|| + ||noise|| overflows, is
+    refused.
     """
+    if not np.isfinite(level):
+        raise ConfigError(f"noise level must be finite, got {level!r}")
     if level < 0:
         raise ConfigError(f"noise level must be nonnegative, got {level!r}")
     if level == 0:

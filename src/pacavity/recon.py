@@ -41,6 +41,7 @@ from .core import (
     GridMismatchError,
     ScalarField,
     StatePair,
+    l2_norm,
     num_steps,
     project_H1,
     relative_l2,
@@ -118,11 +119,14 @@ def neumann_iterate(g: BoundaryTrace, cfg: ReconConfig,
     """Run cfg.iterations steps of u <- u - P A L u + P A g.
 
     When a reference field is given, the relative L2 error of each
-    iterate's first component against it is recorded.
+    iterate's first component against it is recorded; a reference on
+    another grid, or of zero norm, is refused before any solve.
     """
     _check_trace(g, cfg)
     if reference is not None and reference.grid != cfg.grid:
         raise GridMismatchError("reference and configuration live on different grids")
+    if reference is not None and l2_norm(reference) == 0.0:
+        raise ZeroDivisionError("reference field has zero norm")
     u, errors = StatePair.zeros(cfg.grid), []
     base = initial_approximation(g, cfg) if cfg.iterations else None
     for k in range(cfg.iterations):

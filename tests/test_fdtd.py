@@ -318,7 +318,8 @@ class TestDissipativeBoundaryUpdate:
         assert out[pos] == pytest.approx(0.4, abs=1e-15)
 
     def test_corner_and_sound_speed_scale_the_absorption(self):
-        grid = pv.Grid2D(8)
+        # dt = dx / 4 meets the CFL bound dx / (2 sqrt(2)) of c = 2
+        grid = pv.Grid2D(8, pv.Grid2D(8).dx / 4)
         bs = pv.BoundarySpec.full(grid)
         nb = pv.boundary_count(grid.n)
         new = np.full((8, 8), 0.3)
@@ -326,14 +327,14 @@ class TestDissipativeBoundaryUpdate:
         g_new = np.full(nb, 0.6)
         g_old = np.full(nb, 0.3)
         args = (pv.ScalarField(grid, new), pv.ScalarField(grid, old), g_new, g_old, bs)
-        # w-term 0.1 - 0.3 + 0.6 = 0.4; c = 1: G = 0.5 on a side, 1.0 at a
-        # corner (one ghost per wall); c = 2 quadruples G
+        # w-term 0.1 - 0.3 + 0.6 = 0.4; c = 1: G = (dt/dx) c^2 lambda = 0.25
+        # on a side, 0.5 at a corner (one ghost per wall); c = 2 quadruples G
         unit = pv.dissipative_boundary_update(*args)
         fast = pv.dissipative_boundary_update(*args, pv.ScalarField.constant(grid, 2.0))
-        assert unit[3] == pytest.approx((0.3 + 0.5 * 0.4) / 1.5, rel=1e-14)
-        assert unit[0] == pytest.approx((0.3 + 1.0 * 0.4) / 2.0, rel=1e-14)
-        assert fast[3] == pytest.approx((0.3 + 2.0 * 0.4) / 3.0, rel=1e-14)
-        assert fast[0] == pytest.approx((0.3 + 4.0 * 0.4) / 5.0, rel=1e-14)
+        assert unit[3] == pytest.approx((0.3 + 0.25 * 0.4) / 1.25, rel=1e-14)
+        assert unit[0] == pytest.approx((0.3 + 0.5 * 0.4) / 1.5, rel=1e-14)
+        assert fast[3] == pytest.approx((0.3 + 1.0 * 0.4) / 2.0, rel=1e-14)
+        assert fast[0] == pytest.approx((0.3 + 2.0 * 0.4) / 3.0, rel=1e-14)
 
     def test_lambda_zero_degenerates_to_neumann_fill(self, grid, unit):
         bs = pv.BoundarySpec.left_bottom(grid)
@@ -365,6 +366,25 @@ class TestDissipativeBoundaryUpdate:
         other = pv.ScalarField.zeros(pv.Grid2D(17))
         with pytest.raises(GridMismatchError, match="different grids"):
             pv.dissipative_boundary_update(level, other, row, row, bs)
+
+    def test_nonpositive_speed_rejected(self, grid):
+        bs = pv.BoundarySpec.full(grid)
+        level = pv.ScalarField.zeros(grid)
+        row = np.zeros(pv.boundary_count(grid.n))
+        with pytest.raises(ValueError, match="strictly positive"):
+            pv.dissipative_boundary_update(level, level, row, row, bs,
+                                           pv.ScalarField.constant(grid, -2.0))
+
+    def test_cfl_violation_rejected(self):
+        # at n = 9, dt = 0.5 exceeds the bound dx / sqrt(2) = 0.177 of the
+        # unit speed an omitted c stands for, and dt = dx / 2 that of c = 2
+        for grid, c in ((pv.Grid2D(9, 0.5), None), (pv.Grid2D(9), 2.0)):
+            bs = pv.BoundarySpec.full(grid)
+            level = pv.ScalarField.zeros(grid)
+            row = np.zeros(pv.boundary_count(grid.n))
+            speed = None if c is None else pv.ScalarField.constant(grid, c)
+            with pytest.raises(pv.StabilityError):
+                pv.dissipative_boundary_update(level, level, row, row, bs, speed)
 
     def test_steady_state_is_fixed_point(self, grid):
         bs = pv.BoundarySpec.full(grid)

@@ -191,6 +191,11 @@ class TestAddNoise:
             big = pv.add_noise(trace, 1e300, seed=0)
         assert np.all(np.isfinite(big.samples))
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf])
+    def test_non_finite_level_rejected(self, trace, level):
+        with pytest.raises(pv.ConfigError, match="must be finite"):
+            pv.add_noise(trace, level, seed=0)
+
     def test_noise_is_white(self):
         # lag-1 autocorrelation of > 1e5 injected samples stays near zero
         g = pv.Grid2D(129)

@@ -92,6 +92,16 @@ class TestNeumannIterate:
             pv.neumann_iterate(g, make_cfg(setup65, T, 2), reference=reference)
         assert solves == []
 
+    def test_zero_reference_rejected_before_any_solve(self, setup65, data65, monkeypatch):
+        T, g = data65
+        solves = []
+        monkeypatch.setattr(pv.fdtd, "dissipative_reverse_solve",
+                            lambda *args, **kwargs: solves.append(1))
+        reference = pv.ScalarField.zeros(setup65["grid"])
+        with pytest.raises(ZeroDivisionError, match="reference"):
+            pv.neumann_iterate(g, make_cfg(setup65, T, 2), reference=reference)
+        assert solves == []
+
     def test_zero_iterations(self, setup65, data65):
         T, g = data65
         report = pv.neumann_iterate(g, make_cfg(setup65, T, 0), reference=setup65["phantom"])

@@ -308,10 +308,12 @@ class TestSynthesize:
 
     def test_mode_space_memory_beyond_the_trace(self, phantom257, bspec_full257):
         # over 32 steps the peak is in mode space: a, M, D, the update's
-        # scratch and a block of staged walls and its spectrum, 3.68 n x n
-        # arrays beyond the trace, 3.91 in a process whose first FFT this is
-        # (6.72 with whole-array DCT-I extensions and spectra)
+        # scratch and a block of staged walls and its spectrum, 3.70 n x n
+        # arrays beyond the trace (6.72 with whole-array DCT-I extensions and
+        # spectra); the import of numpy.fft would add ~0.23 if this were the
+        # process's first FFT
         grid = phantom257.grid
+        np.fft.rfft(np.zeros(4))  # numpy.fft's import is not the synthesis's memory
         tracemalloc.start()
         try:
             g = pv.synthesize_data(phantom257, bspec_full257, 32 * grid.dt, grid.dt)
