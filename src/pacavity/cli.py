@@ -21,6 +21,7 @@ from .core import (
     Grid2D,
     ScalarField,
     StabilityError,
+    l2_norm,
     num_steps,
     relative_l2,
 )
@@ -109,14 +110,14 @@ def cmd_phantom(cfg: RunConfig) -> int:
 
 def _synthesize(cfg: RunConfig, scored: bool = False):
     """Phantom, T and trace; add_noise makes the noise exactly cfg.noise of it.
-    A phantom that will be scored against must not be zero everywhere."""
+    A phantom that will be scored against must have a nonzero L2 norm."""
     grid = cfg.make_grid()
     bspec = cfg.make_bspec(grid)
     T = cfg.resolve_T(grid.dt)  # refuse a T / dt above MAX_STEPS before rendering
     f = cfg.make_phantom(grid)
-    if scored and not f.values.any():
-        raise ConfigError("key 'bumps': the phantom is zero at every node, so there "
-                          "is nothing to score the reconstruction against")
+    if scored and l2_norm(f) == 0.0:
+        raise ConfigError("key 'bumps': the phantom is zero at every node, or too small to "
+                          "square, so there is nothing to score the reconstruction against")
     g = synthesize_data(f, bspec, T, grid.dt)
     if cfg.noise > 0:
         try:

@@ -163,23 +163,8 @@ class StatePair:
     def grid(self) -> Grid2D:
         return self.first.grid
 
-    @classmethod
-    def zeros(cls, grid: Grid2D) -> "StatePair":
-        return cls(ScalarField.zeros(grid), ScalarField.zeros(grid))
-
-    def copy(self) -> "StatePair":
-        return StatePair(self.first.copy(), self.second.copy())
-
-    def __add__(self, other: "StatePair") -> "StatePair":
-        return StatePair(self.first + other.first, self.second + other.second)
-
     def __sub__(self, other: "StatePair") -> "StatePair":
         return StatePair(self.first - other.first, self.second - other.second)
-
-    def __mul__(self, scalar: float) -> "StatePair":
-        return StatePair(self.first * scalar, self.second * scalar)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,20 @@ the iteration geometrically convergent; estimate_contraction measures the
 realized factor for a given configuration.
 
 L is the finite-difference scheme of fdtd, so the operator pair (L, A) is
-self-consistent.  Every state P A L is applied to has zero velocity: the
-iterates are project_H1 outputs, and estimate_contraction applies it to
-(f, 0).  P reads only the first component of A L u, which one call,
-fdtd.reverse_own_trace, gives for every sound speed; how the scheme
-evaluates it (without forming the trace L u when c is constant) is fdtd's
-concern.  The data still come from the continuous lam_kl series
-(spectral.synthesize_data), so no inversion uses data made by the model it
-inverts.
+self-consistent.  Every iterate lies in H1, so its velocity is zero, and
+the iteration carries first components only: its operator maps f to the
+first component of P A L (f, 0), and the estimate (u, 0) is built once,
+from the last iterate.  P reads only the first component of A L (f, 0),
+which one call, fdtd.reverse_own_trace, gives for every sound speed; how
+the scheme evaluates it (without forming the trace L (f, 0) when c is
+constant) is fdtd's concern.  The data still come from the continuous
+lam_kl series (spectral.synthesize_data), so no inversion uses data made
+by the model it inverts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .core import (
     GridMismatchError,
     ScalarField,
     StatePair,
+    boundary_mean,
     l2_norm,
     num_steps,
     project_H1,
@@ -81,11 +83,11 @@ class ReconConfig:
 
 @dataclass
 class ReconReport:
-    """Final iterate plus, when a reference was given, the relative L2 error
-    of each iterate's first component against it."""
+    """The estimate (u, 0) from the final iterate u plus, when a reference
+    was given, the relative L2 error of each iterate against it."""
 
     estimate: StatePair
-    per_iteration_errors: list = field(default_factory=list)
+    per_iteration_errors: list
 
 
 def _check_trace(g: BoundaryTrace, cfg: ReconConfig) -> None:
@@ -101,11 +103,12 @@ def _check_trace(g: BoundaryTrace, cfg: ReconConfig) -> None:
         )
 
 
-def _apply(u: StatePair, cfg: ReconConfig) -> StatePair:
-    """P A L u for a zero-velocity u, the operator of the fixed-point
-    iteration."""
-    return project_H1(StatePair(fdtd.reverse_own_trace(u.first, cfg.c, cfg.bspec, cfg.T),
-                                u.second))
+def _apply(f: ScalarField, cfg: ReconConfig) -> ScalarField:
+    """The first component of P A L (f, 0), the operator of the fixed-point
+    iteration: v(., 0) of A L (f, 0) less its boundary mean, as project_H1
+    computes it."""
+    v = fdtd.reverse_own_trace(f, cfg.c, cfg.bspec, cfg.T)
+    return ScalarField(f.grid, v.values - boundary_mean(v))
 
 
 def initial_approximation(g: BoundaryTrace, cfg: ReconConfig) -> StatePair:
@@ -127,13 +130,13 @@ def neumann_iterate(g: BoundaryTrace, cfg: ReconConfig,
         raise GridMismatchError("reference and configuration live on different grids")
     if reference is not None and l2_norm(reference) == 0.0:
         raise ZeroDivisionError("reference field has zero norm")
-    u, errors = StatePair.zeros(cfg.grid), []
-    base = initial_approximation(g, cfg) if cfg.iterations else None
+    u, errors = ScalarField.zeros(cfg.grid), []
+    base = initial_approximation(g, cfg).first if cfg.iterations else None
     for k in range(cfg.iterations):
         u = base if k == 0 else u - _apply(u, cfg) + base
         if reference is not None:
-            errors.append(relative_l2(u.first, reference))
-    return ReconReport(u, errors)
+            errors.append(relative_l2(u, reference))
+    return ReconReport(StatePair(u, ScalarField.zeros(cfg.grid)), errors)
 
 
 def estimate_contraction(f: ScalarField, cfg: ReconConfig) -> float:
@@ -142,8 +145,8 @@ def estimate_contraction(f: ScalarField, cfg: ReconConfig) -> float:
     Values below one certify that the iteration contracts for this
     measurement time and aperture; the factor decreases as T grows.
     """
-    state = StatePair(f, ScalarField.zeros(f.grid))
-    denom = seminorm(state, cfg.c)
+    zero = ScalarField.zeros(f.grid)
+    denom = seminorm(StatePair(f, zero), cfg.c)
     if denom == 0.0:
         raise ZeroDivisionError("contraction ratio is undefined for a zero state")
-    return seminorm(state - _apply(state, cfg), cfg.c) / denom
+    return seminorm(StatePair(f - _apply(f, cfg), zero), cfg.c) / denom

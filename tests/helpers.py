@@ -21,6 +21,11 @@ def smooth_random_field(grid: Grid2D, rng, kmax: int = 9, scale: float = 1.0) ->
     return dct2_inverse(grid, coeffs)
 
 
+def zero_state(grid: Grid2D) -> StatePair:
+    """The state (0, 0) on grid."""
+    return StatePair(ScalarField.zeros(grid), ScalarField.zeros(grid))
+
+
 def smooth_random_state(grid: Grid2D, rng, kmax: int = 9) -> StatePair:
     return StatePair(smooth_random_field(grid, rng, kmax),
                      smooth_random_field(grid, rng, kmax))
@@ -207,7 +212,7 @@ def reference_reverse(data: np.ndarray, c: ScalarField, bspec: BoundarySpec,
                       terminal: StatePair | None = None, snapshots=()):
     """dissipative_reverse_solve's (v, v_t) at t = 0 and snapshot states,
     from the terminal state or (0, 0), through its Taylor start."""
-    terminal = StatePair.zeros(c.grid) if terminal is None else terminal
+    terminal = zero_state(c.grid) if terminal is None else terminal
     first = terminal.first.values
     behind = c.grid.dt * terminal.second.values
     return reference_absorbing(first, _taylor_level(first, behind, c), behind, c, bspec,

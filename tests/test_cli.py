@@ -331,10 +331,11 @@ class TestDemoCommand:
                      "cross_section.csv"):
             assert (d / name).exists()
 
-    def test_all_zero_phantom_is_config_error(self, tmp_path, capsys):
-        # a zero phantom leaves the demo nothing to score against
-        rc = run("demo", "fig1-full", "--n", "33", "--bumps", "0,0,0.3,0",
-                 "--out", str(tmp_path))
+    @pytest.mark.parametrize("bumps", ["0,0,0.3,0", "0,0,0.5,1e-200"])
+    def test_all_zero_phantom_is_config_error(self, tmp_path, capsys, bumps):
+        # a zero phantom leaves the demo nothing to score against, and so does
+        # one whose L2 norm underflows to zero
+        rc = run("demo", "fig1-full", "--n", "33", "--bumps", bumps, "--out", str(tmp_path))
         assert rc == 2
         err = capsys.readouterr().err
         assert "'bumps'" in err and "zero at every node" in err

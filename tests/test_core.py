@@ -8,7 +8,7 @@ import pytest
 import pacavity as pv
 from pacavity.core import MAX_N, MAX_STEPS, GridMismatchError
 
-from helpers import eigenfield, full_norm, smooth_random_state
+from helpers import eigenfield, full_norm, smooth_random_state, zero_state
 
 
 @pytest.fixture
@@ -100,7 +100,7 @@ class TestFields:
         assert f.values[1, 2] == 3.0
 
     def test_state_components_cannot_be_reassigned(self, grid):
-        s = pv.StatePair.zeros(grid)
+        s = zero_state(grid)
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.second = pv.ScalarField.zeros(pv.Grid2D(17))
 
@@ -118,7 +118,7 @@ class TestFields:
 
 class TestEnergy:
     def test_zero_state(self, grid, unit):
-        assert pv.energy(pv.StatePair.zeros(grid), unit) == 0.0
+        assert pv.energy(zero_state(grid), unit) == 0.0
 
     def test_linear_ramp_exact(self, grid, unit):
         # grad(x) = 1 under both the centered and the one-sided stencils,
@@ -129,11 +129,11 @@ class TestEnergy:
     def test_grid_mismatch(self, grid):
         c = pv.ScalarField.constant(pv.Grid2D(17), 1.0)
         with pytest.raises(GridMismatchError):
-            pv.energy(pv.StatePair.zeros(grid), c)
+            pv.energy(zero_state(grid), c)
 
     def test_nonpositive_speed_rejected(self, grid):
         with pytest.raises(ValueError):
-            pv.energy(pv.StatePair.zeros(grid), pv.ScalarField.zeros(grid))
+            pv.energy(zero_state(grid), pv.ScalarField.zeros(grid))
 
     def test_first_mode_against_quadrature_oracle(self):
         # independent oracle: dense trapezoid quadrature of the analytic
@@ -167,7 +167,7 @@ class TestNorms:
     def test_seminorm_is_sqrt_energy(self, grid, unit):
         s = pv.StatePair(xramp(grid), pv.ScalarField.zeros(grid))
         assert pv.seminorm(s, unit) == pytest.approx(2.0, abs=1e-10)
-        assert pv.seminorm(pv.StatePair.zeros(grid), unit) == 0.0
+        assert pv.seminorm(zero_state(grid), unit) == 0.0
 
     def test_constant_field_norm(self, grid, unit):
         s = pv.StatePair(pv.ScalarField.constant(grid, 1.0), pv.ScalarField.zeros(grid))

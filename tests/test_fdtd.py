@@ -11,7 +11,7 @@ from pacavity.core import GridMismatchError, boundary_indices
 
 from helpers import (eigenfield, graded, reference_forward, reference_own_trace,
                      reference_reverse, slice_stencil_step, smooth_random_field,
-                     smooth_random_state)
+                     smooth_random_state, zero_state)
 
 
 @pytest.fixture
@@ -399,7 +399,7 @@ class TestDissipativeBoundaryUpdate:
 
 class TestForwardSolve:
     def test_zero_state(self, grid, unit, bs_full):
-        res = pv.forward_solve(pv.StatePair.zeros(grid), unit, bs_full, 1.0)
+        res = pv.forward_solve(zero_state(grid), unit, bs_full, 1.0)
         assert np.all(res.trace.samples == 0.0)
         assert np.all(res.final_state.first.values == 0.0)
         assert np.all(res.final_state.second.values == 0.0)
@@ -413,13 +413,13 @@ class TestForwardSolve:
     def test_cfl_violation_refused(self, grid, bs_full):
         fast = pv.ScalarField.constant(grid, 3.0)
         with pytest.raises(pv.StabilityError):
-            pv.forward_solve(pv.StatePair.zeros(grid), fast, bs_full, 1.0)
+            pv.forward_solve(zero_state(grid), fast, bs_full, 1.0)
 
     def test_nonpositive_speed_refused(self, grid, bs_full):
         c = np.ones((grid.n, grid.n))
         c[5, 7] = 0.0
         with pytest.raises(ValueError, match="strictly positive"):
-            pv.forward_solve(pv.StatePair.zeros(grid), pv.ScalarField(grid, c), bs_full, 1.0)
+            pv.forward_solve(zero_state(grid), pv.ScalarField(grid, c), bs_full, 1.0)
 
     def test_trace_is_masked_by_gamma(self, grid, unit):
         bs = pv.BoundarySpec.left_bottom(grid)
@@ -437,7 +437,7 @@ class TestForwardSolve:
         s1 = smooth_random_state(grid, rng)
         s2 = smooth_random_state(grid, rng)
         a, b = 0.6, -1.7
-        combo = a * s1 + b * s2
+        combo = pv.StatePair(a * s1.first + b * s2.first, a * s1.second + b * s2.second)
         r1 = pv.forward_solve(s1, unit, bs_full, 1.0)
         r2 = pv.forward_solve(s2, unit, bs_full, 1.0)
         rc = pv.forward_solve(combo, unit, bs_full, 1.0)
@@ -483,7 +483,7 @@ class TestForwardSolve:
             assert_same_bits(a, b)
 
     def test_snapshot_step_outside_the_march_rejected(self, grid, unit, bs_full):
-        s0 = pv.StatePair.zeros(grid)
+        s0 = zero_state(grid)
         g = zero_trace(grid, bs_full, 1.0)
         for j in (0, g.n_steps, 2.5):
             with pytest.raises(pv.ConfigError):
@@ -574,7 +574,7 @@ class TestReverseSolve:
         assert np.all(pv.dissipative_reverse_solve(g, unit).first.values == 0.0)
 
     def test_terminal_state_on_another_grid_rejected(self, grid, unit, bs_full):
-        other = pv.StatePair.zeros(pv.Grid2D(17))
+        other = zero_state(pv.Grid2D(17))
         with pytest.raises(GridMismatchError, match="terminal state"):
             pv.dissipative_reverse_solve(zero_trace(grid, bs_full, 1.0), unit,
                                          terminal_state=other)
