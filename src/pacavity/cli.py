@@ -110,12 +110,18 @@ def cmd_phantom(cfg: RunConfig) -> int:
 
 def _synthesize(cfg: RunConfig, scored: bool = False):
     """Phantom, T and trace; add_noise makes the noise exactly cfg.noise of it.
-    A phantom that will be scored against must have a nonzero L2 norm."""
+    The phantom must have a finite L2 norm, and one that will be scored
+    against a nonzero one."""
     grid = cfg.make_grid()
     bspec = cfg.make_bspec(grid)
     T = cfg.resolve_T(grid.dt)  # refuse a T / dt above MAX_STEPS before rendering
     f = cfg.make_phantom(grid)
-    if scored and l2_norm(f) == 0.0:
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        norm = l2_norm(f)
+    if not np.isfinite(norm):
+        raise ConfigError("key 'bumps': the phantom's L2 norm overflows, so its "
+                          "trace would not be finite")
+    if scored and norm == 0.0:
         raise ConfigError("key 'bumps': the phantom is zero at every node, or too small to "
                           "square, so there is nothing to score the reconstruction against")
     g = synthesize_data(f, bspec, T, grid.dt)

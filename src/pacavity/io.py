@@ -282,28 +282,17 @@ def read_trace(path) -> BoundaryTrace:
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _parse_int(key, text, lo, hi=None):
+def _parse_number(key, text, kind=float, lo=-np.inf, hi=np.inf, strict=False):
+    """The text as a kind (int or float) in [lo, hi], or in (lo, hi] when
+    strict; a float must also be finite.  A failure names the key."""
     try:
-        val = int(text)
+        val = kind(text)
     except ValueError:
-        raise ConfigError(f"key '{key}': expected an integer, got {text!r}") from None
-    if val < lo or hi is not None and val > hi:
-        raise ConfigError(f"key '{key}': value {val} out of range")
-    return val
-
-
-def _parse_float(key, text, lo=None, lo_strict=None, hi=None):
-    try:
-        val = float(text)
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected a number, got {text!r}") from None
-    if not np.isfinite(val):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key '{key}': expected {expected}, got {text!r}") from None
+    if kind is float and not np.isfinite(val):
         raise ConfigError(f"key '{key}': value must be finite")
-    if lo is not None and val < lo:
-        raise ConfigError(f"key '{key}': value {val} out of range")
-    if lo_strict is not None and val <= lo_strict:
-        raise ConfigError(f"key '{key}': value {val} out of range")
-    if hi is not None and val > hi:
+    if (val <= lo if strict else val < lo) or val > hi:
         raise ConfigError(f"key '{key}': value {val} out of range")
     return val
 
@@ -359,15 +348,15 @@ def _key(default, parse):
 class RunConfig:
     """Validated experiment description; defaults reproduce the T=5 full-data run."""
 
-    n: int = _key(257, partial(_parse_int, lo=4, hi=MAX_N))
-    dt_factor: float = _key(0.5, partial(_parse_float, lo_strict=0.0,
+    n: int = _key(257, partial(_parse_number, kind=int, lo=4, hi=MAX_N))
+    dt_factor: float = _key(0.5, partial(_parse_number, lo=0.0, strict=True,
                                          hi=1.0 / np.sqrt(2.0) + 1e-12))
-    T: float = _key(5.0, partial(_parse_float, lo_strict=0.0))
+    T: float = _key(5.0, partial(_parse_number, lo=0.0, strict=True))
     gamma: object = _key("full", _parse_gamma)  # "full" | "left_bottom" | node indices
     bumps: tuple = _key(PAPER_SIX, _parse_bumps)  # BumpSpec tuple
-    noise: float = _key(0.0, partial(_parse_float, lo=0.0))
-    seed: int = _key(0, partial(_parse_int, lo=0))
-    iterations: int = _key(1, partial(_parse_int, lo=0))
+    noise: float = _key(0.0, partial(_parse_number, lo=0.0))
+    seed: int = _key(0, partial(_parse_number, kind=int, lo=0))
+    iterations: int = _key(1, partial(_parse_number, kind=int, lo=0))
     out: str = _key("out", lambda key, text: text)
     snap_time: bool = _key(False, _parse_bool)
 

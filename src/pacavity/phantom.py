@@ -57,8 +57,10 @@ def radial_bump(r, radius: float, amplitude: float):
     """Bump kernel a*(1-(r/R)^2)^2 for r <= R, else 0 (vectorized in r)."""
     if radius <= 0:
         raise ConfigError(f"bump radius must be positive, got {radius!r}")
-    rho2 = np.square(np.asarray(r, dtype=float) / radius)
-    return np.where(rho2 <= 1.0, amplitude * (1.0 - rho2) ** 2, 0.0)
+    # r is clamped to R before the division, so nothing overflows outside the
+    # support, where rho = 1 gives a (signed) zero
+    rho = np.minimum(np.asarray(r, dtype=float), radius) / radius
+    return amplitude * (1.0 - rho * rho) ** 2
 
 
 def render_phantom(specs, grid: Grid2D) -> ScalarField:

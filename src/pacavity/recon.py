@@ -56,7 +56,7 @@ class ReconConfig:
     """Reconstruction parameters: measurement time, iteration count, sound
     speed and boundary spec.  The iteration runs on H1 (zero-velocity
     states).  They are checked once, on construction, and cannot be
-    reassigned."""
+    reassigned; T is checked as num_steps checks it on the grid's dt."""
 
     T: float
     iterations: int
@@ -64,10 +64,6 @@ class ReconConfig:
     bspec: BoundarySpec
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ConfigError(f"measurement time must be positive, got {self.T!r}")
-        if not np.isfinite(self.T):
-            raise ConfigError(f"measurement time must be finite, got {self.T!r}")
         if (isinstance(self.iterations, bool)
                 or not isinstance(self.iterations, (int, np.integer))):
             raise ConfigError(f"iteration count must be an integer, got {self.iterations!r}")
@@ -75,6 +71,7 @@ class ReconConfig:
             raise ConfigError(f"iteration count must be >= 0, got {self.iterations!r}")
         if self.c.grid != self.bspec.grid:
             raise GridMismatchError("sound speed and boundary spec live on different grids")
+        num_steps(self.T, self.grid.dt)
 
     @property
     def grid(self) -> Grid2D:

@@ -340,6 +340,20 @@ class TestDemoCommand:
         err = capsys.readouterr().err
         assert "'bumps'" in err and "zero at every node" in err
 
+    @pytest.mark.parametrize("command", [["forward"], ["demo", "fig1-full"]],
+                             ids=["forward", "demo"])
+    def test_overflowing_phantom_is_config_error(self, tmp_path, capsys, command):
+        # a bump of height 1e308 renders, but its L2 norm overflows: refused
+        # by name before synthesis, whether scored or not, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(*command, "--n", "9", "--bumps", "0,0,0.5,1e308",
+                     "--out", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'bumps'" in err and "L2 norm overflows" in err
+        assert not list(tmp_path.iterdir())
+
     def test_file_then_preset_then_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 33\niterations = 4\n")

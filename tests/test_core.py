@@ -85,6 +85,12 @@ class TestFields:
             f = pv.ScalarField(grid, other)
             assert f.values.flags.c_contiguous and np.array_equal(f.values, vals)
 
+    @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a - b],
+                             ids=["add", "sub"])
+    def test_arithmetic_across_grids_rejected(self, grid, op):
+        with pytest.raises(GridMismatchError, match="fields live on different grids"):
+            op(pv.ScalarField.zeros(grid), pv.ScalarField.zeros(pv.Grid2D(17)))
+
     def test_state_components_share_grid(self, grid):
         other = pv.Grid2D(17)
         with pytest.raises(GridMismatchError):

@@ -84,6 +84,24 @@ class TestBoundaryEnumeration:
         lam[0] = 0.0
         assert bs.lam[0] == 1.0 and bs.gamma.size == 32
 
+    def test_lambda_of_another_length_rejected(self, grid):
+        nb = pv.boundary_count(grid.n)
+        with pytest.raises(GridMismatchError, match=f"must have length {nb} for n = 33"):
+            pv.BoundarySpec(grid, np.ones(nb - 1))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_lambda_rejected(self, grid, bad):
+        lam = np.ones(pv.boundary_count(grid.n))
+        lam[3] = bad
+        with pytest.raises(ValueError, match="lambda must be finite and nonnegative") as info:
+            pv.BoundarySpec(grid, lam)
+        assert info.type is ValueError
+
+    def test_equality_with_another_type_is_left_to_python(self, grid):
+        bs = pv.BoundarySpec.full(grid)
+        assert bs.__eq__(3) is NotImplemented
+        assert bs != 3 and not bs == 3
+
     def test_empty_gamma_rejected(self, grid):
         with pytest.raises(pv.ConfigError, match="at least one boundary node"):
             pv.BoundarySpec(grid, np.zeros(pv.boundary_count(grid.n)))

@@ -642,6 +642,14 @@ class TestConfig:
     @pytest.mark.parametrize("entry, key", [("n = -5", "'n'"), ("seed = -1", "'seed'"),
                                             ("n = 4.5", "'n'"),
                                             ("T = inf", "'T'"),
+                                            ("noise = -0.1",
+                                             "'noise': value -0.1 out of range"),
+                                            ("T = 0", "'T': value 0.0 out of range"),
+                                            ("dt_factor = 0",
+                                             "'dt_factor': value 0.0 out of range"),
+                                            ("gamma = a,b", "'gamma': expected 'full'"),
+                                            ("bumps = 0,0,0.2",
+                                             "'bumps': bump 0 must be 'cx,cy,radius,"),
                                             ("dt_factor = 0.8", "'dt_factor'"),
                                             ("bumps = 0.1,x,0.2,1.0", "'bumps'"),
                                             ("snap_time = maybe", "'snap_time'"),
@@ -656,6 +664,12 @@ class TestConfig:
         with pytest.raises(pv.ConfigError, match=key) as info:
             pio.parse_config(path)
         assert str(info.value).startswith(f"{path}:1: ")
+
+    def test_seed_beyond_int64_accepted(self):
+        # only a float is tested for finiteness: np.isfinite cannot take this int
+        cfg = pio.RunConfig()
+        pio.apply_config_entry(cfg, "seed", "12345678901234567890123")
+        assert cfg.seed == 12345678901234567890123
 
     @pytest.mark.parametrize("entry, key", [("gamma = 0,99", "'gamma'"),
                                             ("gamma = ,", "'gamma'")])

@@ -26,6 +26,27 @@ class TestRadialBump:
         assert pv.radial_bump(R, R, 1.0) == 0.0
         assert pv.radial_bump(R + 1e-12, R, 1.0) == 0.0
 
+    @pytest.mark.parametrize("radius", [0.0, -0.3])
+    def test_nonpositive_radius_rejected(self, radius):
+        with pytest.raises(pv.ConfigError, match="bump radius must be positive"):
+            pv.radial_bump(0.1, radius, 1.0)
+
+    def test_silent_outside_a_tiny_support_and_under_a_tall_one(self):
+        # r is clamped to R before the division: a tiny R does not overflow
+        # (r/R)^2, and a tall bump is not multiplied by it outside its support
+        r = np.array([0.0, 0.5, 1.0])
+        tiny = pv.BumpSpec((0.0, 0.0), 1e-300, 1.0)
+        tall = pv.BumpSpec((0.0, 0.0), 0.5, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pv.radial_bump(r, 1e-300, 1.0).tolist() == [1.0, 0.0, 0.0]
+            assert pv.radial_bump(r, 5e-324, 1.0).tolist() == [1.0, 0.0, 0.0]
+            assert pv.radial_bump(r, 0.5, 1e308).tolist() == [1e308, 0.0, 0.0]
+            for spec in (tiny, tall):
+                f = pv.render_phantom([spec], pv.Grid2D(9))
+                assert f.values[4, 4] == spec.amplitude
+                assert np.count_nonzero(f.values) == (1 if spec is tiny else 9)
+
     def test_vectorized(self):
         r = np.array([0.0, 0.15, 0.3, 0.5])
         out = pv.radial_bump(r, 0.3, 1.0)
@@ -49,6 +70,11 @@ class TestRenderPhantom:
         f = pv.paper_six_phantom(g)
         assert np.count_nonzero(f.values) < 0.5 * g.n * g.n
         assert np.all(f.values[pv.boundary_indices(g.n)] == 0.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.2])
+    def test_nonpositive_radius_rejected(self, radius):
+        with pytest.raises(pv.ConfigError, match="bump radius must be positive"):
+            pv.BumpSpec((0.0, 0.0), radius, 1.0)
 
     def test_support_outside_domain_rejected(self):
         with pytest.raises(pv.ConfigError):
@@ -190,6 +216,10 @@ class TestAddNoise:
                 pv.add_noise(trace, 1e308, seed=0)
             big = pv.add_noise(trace, 1e300, seed=0)
         assert np.all(np.isfinite(big.samples))
+
+    def test_negative_level_rejected(self, trace):
+        with pytest.raises(pv.ConfigError, match="noise level must be nonnegative"):
+            pv.add_noise(trace, -0.1, seed=0)
 
     @pytest.mark.parametrize("level", [np.nan, np.inf])
     def test_non_finite_level_rejected(self, trace, level):

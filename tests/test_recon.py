@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pacavity as pv
+from pacavity.core import MAX_STEPS
 
 from helpers import smooth_random_field
 
@@ -217,6 +218,25 @@ class TestConfigValidation:
     def test_non_finite_time(self, setup65, T):
         with pytest.raises(pv.ConfigError, match="must be finite"):
             make_cfg(setup65, T, 1)
+
+    @pytest.mark.parametrize("T, message", [
+        (1.6, "not an integer multiple"), (0.0, "must be positive"),
+        (1.0 / 256, "too short"), (np.inf, "must be finite"),
+        ((MAX_STEPS + 1) / 256, "ceiling"),
+    ], ids=["T_409.6_steps", "T_0", "T_one_step", "T_inf", "T_above_ceiling"])
+    def test_time_refused_on_construction(self, T, message):
+        # T is checked as num_steps checks it on the grid's dt = 1/256,
+        # when the configuration is built and not at its first solve
+        grid = pv.Grid2D(257)
+        with pytest.raises(pv.ConfigError, match=message):
+            pv.ReconConfig(T=T, iterations=1, c=pv.ScalarField.constant(grid, 1.0),
+                           bspec=pv.BoundarySpec.full(grid))
+
+    def test_speed_and_boundary_spec_on_different_grids(self, setup65):
+        with pytest.raises(pv.GridMismatchError,
+                           match="sound speed and boundary spec live on different grids"):
+            pv.ReconConfig(T=1.0, iterations=1, c=setup65["c"],
+                           bspec=pv.BoundarySpec.full(pv.Grid2D(33)))
 
     @pytest.mark.parametrize("iterations", [2.5, 2.0, "2", True])
     def test_non_integer_iterations(self, setup65, iterations):

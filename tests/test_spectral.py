@@ -360,6 +360,12 @@ class TestSynthesize:
         with pytest.raises(pv.ConfigError):
             pv.synthesize_data(pv.ScalarField.zeros(grid), bs, 1.0 + 0.3 * grid.dt, grid.dt)
 
+    def test_boundary_spec_on_another_grid_rejected(self, grid):
+        bs = pv.BoundarySpec.full(pv.Grid2D(17))
+        with pytest.raises(pv.GridMismatchError,
+                           match="field and boundary spec live on different grids"):
+            pv.synthesize_data(pv.ScalarField.zeros(grid), bs, 1.0, grid.dt)
+
     def test_time_step_other_than_the_grids_rejected(self, grid):
         # the solvers step every trace on grid.dt: data sampled at half that
         # step would be inverted on the wrong time grid, with an error that
