@@ -25,6 +25,7 @@ from .core import (
     num_steps,
     relative_l2,
 )
+from .fdtd import step_kernel
 from .io import CONFIG_KEYS, RunConfig, apply_config_entry, parse_config
 from .phantom import add_noise
 from .recon import ReconConfig, neumann_iterate
@@ -178,7 +179,7 @@ def _reconstruct(cfg: RunConfig, g: BoundaryTrace, out: Path,
     est = report.estimate.first
     pio.write_field(out / "recon.csv", est)
     pio.write_field(out / "recon.pgm", est)
-    ran = f"{cfg.iterations} iteration(s), T = {T:g}"
+    ran = f"{cfg.iterations} iteration(s), T = {T:g}, {step_kernel()} kernel"
     if reference is None:
         print(f"reconstruction ({ran}): wrote {out / 'recon.csv'} and {out / 'recon.pgm'}")
         return

@@ -50,15 +50,18 @@ feeds it the Taylor start from the terminal state and the measured data.
 
 A march holds three n x n buffers, two levels and a scratch, and at a
 variable c the per-node coefficient and centre.  Level j - 1 is dead once
-level j + 1 is formed, so _advance writes j + 1 over it: it takes
-centre u^j - u^{j-1} into the scratch before it builds the neighbour sum in
-the retired buffer, the stencil's terms in the same order but for the
-operands of the last add, which IEEE addition lets commute, so every level
-is the same to the bit.  What later steps read of a retired level is kept
-apart: the absorbing update its values on Gamma (|Gamma| per level), the
-centered snapshot velocity sign u^{j-1} on snapshot steps only, and the
-one-sided end velocity sign u^{L-2}, a fourth n x n array for the last
-step alone.
+level j + 1 is formed, so each step writes j + 1 over it, every node's
+sum in the stencil's order, so that every level is the same to the bit.
+What later steps read of a retired level is kept apart: the absorbing
+update its values on Gamma (|Gamma| per level), the centered snapshot
+velocity sign u^{j-1} on snapshot steps only, and the one-sided end
+velocity sign u^{L-2}, a fourth n x n array for the last step alone.
+
+The step is the C loop of _leapfrog.c, which _native builds with the C
+compiler on the first march (never at import) and caches in the package's
+__pycache__.  Where none builds, the marches run _advance, its numpy
+definition, which gives the same bits more slowly; step_kernel names the
+one in use.
 
 reverse_own_trace is A L (f, 0) in its first component, the backward solve
 at t = 0 on the forward solve's own trace, for every c; whether c is
@@ -76,6 +79,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _native
 from .core import (
     BoundarySpec,
     BoundaryTrace,
@@ -89,6 +93,10 @@ from .core import (
     num_steps,
 )
 from .spectral import dct2_forward, dct2_inverse
+
+# the compiled step: None until the first march asks for it, then
+# _native.load()'s function, or False when none loads
+_compiled = None
 
 
 @dataclass
@@ -147,6 +155,9 @@ def _advance(out: np.ndarray, cur: np.ndarray, prev: np.ndarray, coef, centre,
     All arrays must be C-ordered (ScalarField guarantees it for its values):
     of any other array reshape(-1) is a copy, and the adds to out would be
     lost.
+
+    This is the numpy step, the marches' fallback and the definition that
+    the compiled loop of _leapfrog.c matches bit for bit (see _stepper).
     """
     np.multiply(cur, centre, out=work)
     work -= prev
@@ -165,6 +176,55 @@ def _advance(out: np.ndarray, cur: np.ndarray, prev: np.ndarray, coef, centre,
     out *= coef
     out += work
     return out
+
+
+def _kernel():
+    """The compiled step, loaded (or built) on the first call; False when
+    none loads, for the rest of the process."""
+    global _compiled
+    if _compiled is None:
+        _compiled = _native.load() or False
+    return _compiled
+
+
+def step_kernel() -> str:
+    """The leapfrog step the marches run: 'c' for the compiled loop, 'numpy'
+    where none builds.  The first call builds or loads the compiled loop."""
+    return "c" if _kernel() else "numpy"
+
+
+def _stepper(coef, centre, work: np.ndarray):
+    """advance(out, cur, prev): _advance(out, cur, prev, coef, centre, work)
+    with coef and centre bound, run by the compiled loop once one loads.
+
+    out may be prev but never cur.  Every array must be n x n, C-ordered and
+    float, n that of work; coef and centre are one float each or one value
+    per node.  The compiled path takes each array's address on the array's
+    first step only and holds the array, so that its id names it while the
+    stepper lives: a step then costs about 1 µs of call overhead.
+    """
+    step = _kernel()
+    if not step:
+        return lambda out, cur, prev: _advance(out, cur, prev, coef, centre, work)
+    n = work.shape[0]
+    stride = 0 if isinstance(coef, float) else 1
+    held = {}
+
+    def address(a: np.ndarray, shape=(n, n)) -> int:
+        if id(a) not in held:
+            if a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous:
+                raise ValueError("the compiled step takes n x n C-ordered float arrays")
+            held[id(a)] = (a, a.ctypes.data)
+        return held[id(a)][1]
+
+    cp, ep = (address(np.asarray(v, dtype=float), (n, n) if stride else ())
+              for v in (coef, centre))
+
+    def advance(out, cur, prev):
+        step(address(out), address(cur), address(prev), cp, ep, stride, n)
+        return out
+
+    return advance
 
 
 def _absorb(mirror: np.ndarray, later: np.ndarray, g_new: np.ndarray,
@@ -194,7 +254,7 @@ def interior_step(prev: ScalarField, curr: ScalarField, c: ScalarField) -> Scala
         raise GridMismatchError("fields live on different grids")
     coef = _check_setup(curr.grid, c)
     out = np.empty_like(curr.values)
-    _advance(out, curr.values, prev.values, coef, 2.0 - 4.0 * coef, np.empty_like(out))
+    _stepper(coef, 2.0 - 4.0 * coef, np.empty_like(out))(out, curr.values, prev.values)
     return ScalarField(curr.grid, out)
 
 
@@ -291,7 +351,7 @@ def _taylor_start(state: StatePair, coef,
     first = state.first.values.copy()
     second = (-sign * state.grid.dt) * state.second.values
     behind = second.reshape(-1)[_boundary_layout(state.grid.n)[0]]
-    _advance(second, first, second, 0.5 * coef, 1.0 - 2.0 * coef, np.empty_like(first))
+    _stepper(0.5 * coef, 1.0 - 2.0 * coef, np.empty_like(first))(second, first, second)
     return first, second, behind
 
 
@@ -320,14 +380,14 @@ def _leapfrog(prev: np.ndarray, cur: np.ndarray, j0: int, j_end: int, grid: Grid
     bad = [j for j in snapshots if not (isinstance(j, (int, np.integer)) and lo <= j <= hi)]
     if bad:
         raise ConfigError(f"snapshot steps must be integers in {lo} .. {hi}, got {bad}")
-    centre = 2.0 - 4.0 * coef
     work = np.empty_like(prev)
+    advance = _stepper(coef, 2.0 - 4.0 * coef, work)
     # the velocities below negate each operand, not the difference, so they
     # equal the differences taken in time order bit for bit, signed zeros too
     for j in range(j0, j_end, sign):
         if j in snapshots or j == j_end - sign:
             back = sign * prev
-        _advance(prev, cur, prev, coef, centre, work)
+        advance(prev, cur, prev)
         boundary(j + sign, prev)
         if j in snapshots:
             vel = (sign * prev - back) / (2.0 * grid.dt)

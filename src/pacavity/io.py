@@ -377,7 +377,14 @@ class RunConfig:
             raise ConfigError(f"key 'gamma': {exc}") from None
 
     def make_phantom(self, grid: Grid2D) -> ScalarField:
-        return render_phantom(self.bumps, grid)
+        """The bumps rendered on grid; bumps that overlap where their sum
+        overflows are refused by name, with no numpy warning."""
+        try:
+            with np.errstate(over="raise"):
+                return render_phantom(self.bumps, grid)
+        except FloatingPointError:
+            raise ConfigError("key 'bumps': the bumps overlap where their sum "
+                              "overflows") from None
 
     def resolve_T(self, dt: float) -> float:
         """Snap T to the time grid when snap_time is set, else require an

@@ -354,6 +354,20 @@ class TestDemoCommand:
         assert "'bumps'" in err and "L2 norm overflows" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", [["phantom"], ["forward"], ["demo", "fig1-full"]],
+                             ids=["phantom", "forward", "demo"])
+    def test_overflowing_overlap_is_config_error(self, tmp_path, capsys, command):
+        # two bumps of height 1e308 each render, but their sum overflows
+        # where they overlap: refused by name, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(*command, "--n", "9", "--bumps", "0,0,0.5,1e308;0.1,0,0.5,1e308",
+                     "--out", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'bumps'" in err and "sum overflows" in err
+        assert not list(tmp_path.iterdir())
+
     def test_file_then_preset_then_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 33\niterations = 4\n")

@@ -1,12 +1,16 @@
 """Leapfrog stepping, boundary updates, and the two solvers."""
 
 import dataclasses
+import platform
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import pacavity as pv
+from pacavity import _native, fdtd
 from pacavity.core import GridMismatchError, boundary_indices
 
 from helpers import (eigenfield, graded, reference_forward, reference_own_trace,
@@ -232,10 +236,24 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.fixture(params=["c", "numpy"])
+def kernel(request, monkeypatch):
+    """Run the test with the compiled step of _leapfrog.c loaded, and again
+    with the numpy step _advance."""
+    step = False
+    if request.param == "c":
+        step = _native.load()
+        if step is None:
+            pytest.skip("no C compiler here builds _leapfrog.c; the numpy case still runs")
+    monkeypatch.setattr(fdtd, "_compiled", step)
+    assert fdtd.step_kernel() == request.param
+    return request.param
+
+
 class TestInteriorStep:
     @pytest.mark.parametrize("per_node", [False, True], ids=["constant_c", "per_node_c"])
     @pytest.mark.parametrize("n", [4, 5, 33])
-    def test_equals_the_slice_stencil_bit_for_bit(self, n, per_node):
+    def test_equals_the_slice_stencil_bit_for_bit(self, n, per_node, kernel):
         g = pv.Grid2D(n)
         rng = np.random.default_rng(n)
         prev, curr = (pv.ScalarField(g, rng.standard_normal((n, n))) for _ in range(2))
@@ -730,9 +748,11 @@ MARCH_SPEEDS = pytest.mark.parametrize("speed", ["unit_dt0.5dx", "unit_dt0.3dx",
 MARCH_SIZES = pytest.mark.parametrize("n", [17, 33])
 
 
+@pytest.mark.usefixtures("kernel")
 class TestAgainstTheReferenceMarch:
     """Every output of the marches equals, bit for bit, the plain four-level
-    march of tests/helpers.py, whatever buffers the solvers reuse."""
+    march of tests/helpers.py, whatever buffers the solvers reuse, on the
+    compiled step and on the numpy one."""
 
     STEPS = 24
 
@@ -781,6 +801,68 @@ class TestAgainstTheReferenceMarch:
         T = self.STEPS * grid.dt
         assert_same_bits(pv.reverse_own_trace(f, c, bs, T).values,
                          reference_own_trace(f, c, bs, T))
+
+
+class TestKernelLoading:
+    """The compiled step is built on first use into a cache; where it cannot
+    be built the marches keep the numpy step, silently and to the bit."""
+
+    def case(self):
+        grid, c, bs = march_setup(17, "smooth", "left_bottom")
+        s0 = smooth_random_state(grid, np.random.default_rng(5))
+        return s0, c, bs, 24 * grid.dt
+
+    def test_a_failing_compiler_leaves_the_numpy_step(self, tmp_path, monkeypatch, capfd):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setattr(_native, "CACHE", cache)
+        monkeypatch.setattr(fdtd, "_compiled", None)
+        s0, c, bs, T = self.case()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = pv.forward_solve(s0, c, bs, T)
+        assert fdtd.step_kernel() == "numpy"
+        assert capfd.readouterr() == ("", "")
+        assert list(cache.iterdir()) == []  # the failed build leaves no file
+        rows, (u, ut), _ = reference_forward(s0, c, bs, T, {})
+        assert_same_bits(res.trace.samples, rows)
+        assert_same_bits(res.final_state.first.values, u)
+        assert_same_bits(res.final_state.second.values, ut)
+
+    def test_a_cache_that_cannot_be_made_leaves_the_numpy_step(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(_native, "CACHE", blocker / "cache")
+        monkeypatch.setattr(fdtd, "_compiled", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fdtd.step_kernel() == "numpy"
+
+    def test_the_compiled_step_refuses_arrays_it_cannot_walk(self, monkeypatch):
+        # the C loop reads n x n C-ordered float64 memory: anything else is
+        # refused before a pointer is passed
+        step = _native.load()
+        if step is None:
+            pytest.skip("no C compiler here builds _leapfrog.c")
+        monkeypatch.setattr(fdtd, "_compiled", step)
+        advance = fdtd._stepper(0.25, 1.0, np.zeros((5, 5)))
+        for out in (np.zeros((5, 5), order="F"), np.zeros((5, 4)), np.zeros((5, 5), np.float32)):
+            with pytest.raises(ValueError, match="C-ordered float"):
+                advance(out, np.ones((5, 5)), out)
+
+    def test_the_build_is_cached_and_reused(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(_native, "CACHE", cache)
+        if _native.load() is None:
+            pytest.skip("no C compiler here builds _leapfrog.c")
+        built = list(cache.iterdir())
+        assert len(built) == 1
+        tag = f"{sys.implementation.cache_tag}-{platform.machine()}"
+        assert built[0].name.startswith(f"_leapfrog.{tag}-")
+        # a cached library is loaded without the compiler
+        monkeypatch.setenv("CC", "false")
+        assert _native.load() is not None
+        assert list(cache.iterdir()) == built
 
 
 def traced_peak(fn, *args) -> int:

@@ -111,3 +111,21 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_builds_nothing():
+    # the compiled step is built on the first march, never at import: in a
+    # fresh interpreter, importing the package and its command line starts
+    # no process, opens no library and loads neither ctypes nor subprocess
+    # beyond what numpy loads itself
+    code = ("import sys, numpy; base = set(sys.modules); events = []; "
+            "sys.addaudithook(lambda e, a: events.append(e) if e.startswith("
+            "('subprocess.', 'os.fork', 'os.exec', 'os.posix_spawn', 'os.spawn', "
+            "'os.system', 'ctypes.dlopen')) else None); "
+            "import pacavity, pacavity.cli; "
+            "added = sorted({'ctypes', 'subprocess'} & (set(sys.modules) - base)); "
+            "print(events, added, pacavity.fdtd._compiled)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[] [] None"
